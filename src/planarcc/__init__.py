@@ -10,7 +10,6 @@ from .errors import (
     NoPerfectMatchingError,
     NotPlanarEmbeddingError,
     PlanarCCError,
-    RewarmMismatchError,
     SizeMismatchError,
     TooLargeError,
     WeightRangeError,
@@ -22,8 +21,6 @@ from .matching import (
     available_engines,
     has_compiled_kernel,
     min_weight_perfect_matching,
-    rewarm_solve,
-    solve_with_state,
 )
 from .model import (
     BinaryMRF,

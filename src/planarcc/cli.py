@@ -78,7 +78,6 @@ def cmd_solve(args) -> int:
     options = SolverOptions(
         max_iters=args.max_iters,
         tol=args.tol,
-        seed=args.seed,
         matching_scale=args.matching_scale,
         engine=args.engine,
     )
@@ -139,7 +138,6 @@ def cmd_batch(args) -> int:
     options = SolverOptions(
         max_iters=opts.get("max_iters", 1000),
         tol=opts.get("tol", 1.0),
-        seed=opts.get("seed", 0),
         matching_scale=opts.get("matching_scale", 10**6),
         engine=opts.get("engine"),
     )
@@ -173,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matching-scale", type=int, default=10**6)
     p.add_argument("--engine", choices=["compiled", "python"], default=None)
     p.add_argument("--trace", help="write per-iteration trace CSV here")

@@ -21,9 +21,5 @@ class NoPerfectMatchingError(PlanarCCError, ValueError):
     """The graph admits no perfect matching (or has an odd vertex count)."""
 
 
-class RewarmMismatchError(PlanarCCError, ValueError):
-    """A warm-started solve was given a graph with different topology."""
-
-
 class TooLargeError(PlanarCCError, ValueError):
     """An instance exceeds a brute-force solver's hard size cap."""

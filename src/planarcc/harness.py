@@ -25,9 +25,11 @@ from .embedding import PlanarEmbedding, grid
 from .model import BinaryMRF, scale_to_integer
 from .pcc import BoundTrace, SolveResult, TraceRow, optimize
 
-RESULTS_HEADER = ["rows", "cols", "a", "seed", "converged", "iters", "gap", "wall_ms"]
+RESULTS_HEADER = [
+    "rows", "cols", "a", "seed", "converged", "iters", "gap", "wall_ms", "error",
+]
 AGGREGATE_HEADER = [
-    "rows", "cols", "a", "scale", "n_runs", "n_converged",
+    "rows", "cols", "a", "scale", "n_runs", "n_failed", "n_converged",
     "converged_fraction", "geomean_wall_ms_converged",
 ]
 
@@ -55,24 +57,27 @@ class InstanceSpec:
 class SolverOptions:
     max_iters: int = 1000
     tol: float = 1.0
-    seed: int = 0
     matching_scale: int = 10**6
     engine: str | None = None
 
 
 @dataclass(frozen=True)
 class RunSummary:
+    """One run's outcome; ``error`` names the exception of a run that
+    crashed and is empty for one that finished."""
+
     spec: InstanceSpec
     converged: bool
     iterations: int
     gap: float
     wall_ms: int
+    error: str = ""
 
     def row(self) -> list:
         return [
             self.spec.rows, self.spec.cols, self.spec.a, self.spec.seed,
             "true" if self.converged else "false",
-            self.iterations, repr(float(self.gap)), self.wall_ms,
+            self.iterations, repr(float(self.gap)), self.wall_ms, self.error,
         ]
 
 
@@ -171,7 +176,7 @@ def solve_model(
     if len(comps) == 1:
         return optimize(
             model, embedding,
-            max_iters=options.max_iters, tol=options.tol, seed=options.seed,
+            max_iters=options.max_iters, tol=options.tol,
             matching_scale=options.matching_scale, engine=options.engine,
         )
 
@@ -196,7 +201,7 @@ def solve_model(
         )
         res = optimize(
             sub_model, PlanarEmbedding(sub_rot),
-            max_iters=options.max_iters, tol=options.tol, seed=options.seed,
+            max_iters=options.max_iters, tol=options.tol,
             matching_scale=options.matching_scale, engine=options.engine,
         )
         results.append(res)
@@ -254,7 +259,7 @@ def run(
     t0 = time.perf_counter()
     result = optimize(
         model, embedding,
-        max_iters=options.max_iters, tol=options.tol, seed=options.seed,
+        max_iters=options.max_iters, tol=options.tol,
         matching_scale=options.matching_scale, engine=options.engine,
     )
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -273,7 +278,8 @@ def _run_one(args) -> RunSummary:
         return run(spec, options)
     except Exception as exc:  # individual failures recorded, batch continues
         print(f"run failed for {spec}: {exc}", file=sys.stderr)
-        return RunSummary(spec, False, 0, float("nan"), 0)
+        error = f"{type(exc).__name__}: {exc}"
+        return RunSummary(spec, False, 0, float("nan"), 0, error)
 
 
 def batch(
@@ -301,7 +307,8 @@ def batch(
 
 
 def aggregate(summaries: list[RunSummary]) -> list[dict]:
-    """Group by (rows, cols, a, scale): convergence fraction plus the
+    """Group by (rows, cols, a, scale): the number of crashed runs, the
+    convergence fraction over the runs that finished, and the
     geometric-mean wall time over converged runs; non-converged runs are
     counted separately, never averaged in."""
     groups: dict[tuple, list[RunSummary]] = {}
@@ -311,6 +318,7 @@ def aggregate(summaries: list[RunSummary]) -> list[dict]:
     rows = []
     for key in sorted(groups):
         g = groups[key]
+        failed = sum(1 for s in g if s.error)
         conv = [s for s in g if s.converged]
         if conv:
             logs = [math.log(max(s.wall_ms, 1)) for s in conv]
@@ -319,8 +327,10 @@ def aggregate(summaries: list[RunSummary]) -> list[dict]:
             geomean = float("nan")
         rows.append({
             "rows": key[0], "cols": key[1], "a": key[2], "scale": key[3],
-            "n_runs": len(g), "n_converged": len(conv),
-            "converged_fraction": len(conv) / len(g),
+            "n_runs": len(g), "n_failed": failed, "n_converged": len(conv),
+            "converged_fraction": (
+                len(conv) / (len(g) - failed) if failed < len(g) else float("nan")
+            ),
             "geomean_wall_ms_converged": geomean,
         })
     return rows
@@ -332,9 +342,3 @@ def write_aggregate(path: str | Path, rows: list[dict]) -> None:
         writer.writeheader()
         for r in rows:
             writer.writerow(r)
-
-
-def geometric_mean(values: list[float]) -> float:
-    if not values:
-        return float("nan")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

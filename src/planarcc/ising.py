@@ -12,16 +12,24 @@ face.
 A bridge borders the same face twice, so its dual edge is a self-loop and
 its cut state is parity-free: its two ports get a single merged edge with
 weight min(-w, 0), and the bridge is decoded as cut exactly when w < 0.
+
+``ground_state`` and the PCC loop share this one reduction: the port graph
+is built once per embedded topology, and each solve maps edge weights to
+port weights and decodes the matching through the same ``ExpandedDual``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .embedding import PlanarEmbedding, faces
-from .errors import NotPlanarEmbeddingError
+from .errors import NotPlanarEmbeddingError, WeightRangeError
 from .matching import (
+    MAX_ABS_WEIGHT,
     Matching,
     WeightedMatchGraph,
     min_weight_perfect_matching,
@@ -29,41 +37,89 @@ from .matching import (
 from .model import Labels, SymmetricIsing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpandedDual:
     """Matching reduction of a symmetric planar model.
 
-    match_graph holds the port graph for the model's current weights;
-    min-matching weight plus ``offset`` equals the ground-state energy.
-    edge_map[t] is the index (into match_graph.edges) of the port edge
-    representing the model's t-th edge; bridge[t] marks merged bridge edges.
-    gadget_map[f] lists the port vertices of face f.
+    Port edge t joins ports port_u[t] and port_v[t].  For t below the
+    model's edge count it stands for model edge t (bridge[t] marks merged
+    bridge edges); the rest are the zero-weight face cliques.
+    gadget_map[f] lists the port vertices of face f.  ``tree`` is a
+    spanning tree of the model graph as (vertex, parent, model edge)
+    triples in breadth-first order from node 0; edge_u and edge_v hold the
+    model edges' endpoints.  ``weights`` are the model's edge weights and
+    ``offset`` their sum: the minimum matching weight of ``match_graph``
+    plus ``offset`` equals the ground-state energy.
     """
 
-    match_graph: WeightedMatchGraph
+    weights: tuple[int, ...]
     offset: int
-    edge_map: tuple[int, ...]
-    bridge: tuple[bool, ...]
-    gadget_map: tuple[tuple[int, ...], ...]
     num_ports: int
-    _structure: tuple  # (num_vertices, endpoint pairs, clique edge count)
+    gadget_map: tuple[tuple[int, ...], ...]
+    port_u: np.ndarray
+    port_v: np.ndarray
+    bridge: np.ndarray
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    tree: tuple[tuple[int, int, int], ...]
 
-    def reweighted(self, weights: Sequence[int]) -> WeightedMatchGraph:
-        """Port graph for new weights on the same embedded topology."""
-        num_edges = len(self.edge_map)
-        if len(weights) != num_edges:
-            raise ValueError(f"expected {num_edges} weights, got {len(weights)}")
-        dual_w = [0] * len(self._structure[1])
-        for t in range(num_edges):
-            w = weights[t]
-            if self.bridge[t]:
-                dual_w[self.edge_map[t]] = min(-w, 0)
-            else:
-                dual_w[self.edge_map[t]] = -w
-        edges = tuple(
-            (u, v, dual_w[k]) for k, (u, v) in enumerate(self._structure[1])
+    @cached_property
+    def match_graph(self) -> WeightedMatchGraph:
+        """The port graph at the model's weights."""
+        return WeightedMatchGraph(
+            self.num_ports,
+            tuple(
+                zip(
+                    self.port_u.tolist(),
+                    self.port_v.tolist(),
+                    self.port_weights(self.weights).tolist(),
+                )
+            ),
         )
-        return WeightedMatchGraph(self._structure[0], edges)
+
+    def port_weights(self, weights: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Port-edge weights for model edge weights ``weights``: -w on each
+        model edge's port edge, min(-w, 0) on a bridge's (its cut state is
+        parity-free: it is cut exactly when w < 0), 0 on clique edges."""
+        w = np.asarray(weights, dtype=np.int64)
+        if w.shape != self.bridge.shape:
+            raise ValueError(f"expected {len(self.bridge)} weights, got {len(w)}")
+        out = np.zeros(len(self.port_u), dtype=np.int64)
+        out[: len(w)] = np.where(self.bridge, np.minimum(-w, 0), -w)
+        return out
+
+    def decode(
+        self, weights: Sequence[int] | np.ndarray, mate: Sequence[int]
+    ) -> tuple[int, Labels]:
+        """(energy, labels) of the cut that a minimum perfect matching of
+        the port graph at model edge weights ``weights`` encodes; mate[p] is
+        the partner of port p.  Node 0 is labeled 0.
+
+        A port pair matched across a plain edge means "uncut".  Raises
+        AssertionError when the cut is inconsistent on some edge or the
+        labels' energy differs from the matching's.
+        """
+        port_w = self.port_weights(weights)
+        w = np.asarray(weights, dtype=np.int64)
+        mate = np.asarray(mate, dtype=np.int64)
+        matched = mate[self.port_u] == self.port_v
+        cut = np.where(self.bridge, w < 0, ~matched[: len(w)])
+        cut_list = cut.tolist()
+        labels = [0] * (len(self.tree) + 1)
+        for v, parent, t in self.tree:
+            labels[v] = labels[parent] ^ cut_list[t]
+        lab = np.asarray(labels)
+        if not np.array_equal(lab[self.edge_u] != lab[self.edge_v], cut):
+            raise AssertionError("matching produced an inconsistent cut; this is a bug")
+        # Python-int sums stay exact where an int64 sum of many weights
+        # near 2**52 would overflow.
+        energy = sum(w[cut].tolist())
+        expected = sum(port_w[matched].tolist()) + sum(w.tolist())
+        if energy != expected:
+            raise AssertionError(
+                f"decoded energy {energy} != matching weight + offset {expected}"
+            )
+        return energy, tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -74,6 +130,28 @@ class GroundState:
     energy: int
 
 
+def _spanning_tree(
+    num_nodes: int, edges: Sequence[tuple[int, int, int]]
+) -> tuple[tuple[int, int, int], ...]:
+    """Breadth-first (vertex, parent, edge index) triples from node 0 of a
+    connected graph."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    for t, (i, j, _) in enumerate(edges):
+        adj[i].append((j, t))
+        adj[j].append((i, t))
+    seen = [False] * num_nodes
+    seen[0] = True
+    order = [0]
+    tree = []
+    for v in order:
+        for (u, t) in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                tree.append((u, v, t))
+    return tuple(tree)
+
+
 def build_expanded_dual(
     ising: SymmetricIsing, embedding: PlanarEmbedding
 ) -> ExpandedDual:
@@ -81,6 +159,9 @@ def build_expanded_dual(
     minimum cut of the embedded symmetric model."""
     if not ising.is_integer:
         raise ValueError("matching reduction requires integer weights; scale first")
+    weights = tuple(w for (_, _, w) in ising.edges)
+    if any(abs(w) > MAX_ABS_WEIGHT for w in weights):
+        raise WeightRangeError("edge weight outside the matching kernel's safe range")
     if embedding.num_vertices != ising.num_nodes:
         raise NotPlanarEmbeddingError(
             f"embedding has {embedding.num_vertices} vertices, model has {ising.num_nodes}"
@@ -89,65 +170,47 @@ def build_expanded_dual(
     if embedding.edge_set() != model_edges:
         raise NotPlanarEmbeddingError("embedding edge set differs from model edge set")
 
+    # faces() also rejects disconnected graphs, so the tree below spans.
     face_list = faces(embedding)
 
     # One port per (face, dart).
     port_of_dart: dict[tuple[int, int], int] = {}
+    face_of_dart: dict[tuple[int, int], int] = {}
     gadget_map = []
     for f in face_list:
         ports = []
         for dart in f.boundary:
             port_of_dart[dart] = len(port_of_dart)
+            face_of_dart[dart] = f.id
             ports.append(port_of_dart[dart])
         gadget_map.append(tuple(ports))
-    num_ports = len(port_of_dart)
 
-    edge_index = {(i, j): t for t, (i, j, _) in enumerate(ising.edges)}
-    face_of_dart = {}
-    for f in face_list:
-        for dart in f.boundary:
-            face_of_dart[dart] = f.id
-
-    dual_edges: list[tuple[int, int]] = []
-    dual_weights: list[int] = []
-    edge_map = [-1] * len(ising.edges)
-    bridge = [False] * len(ising.edges)
-    skip_clique: set[tuple[int, int]] = set()
-    for (i, j, w) in ising.edges:
-        t = edge_index[(i, j)]
-        p1 = port_of_dart[(i, j)]
-        p2 = port_of_dart[(j, i)]
-        edge_map[t] = len(dual_edges)
-        if face_of_dart[(i, j)] == face_of_dart[(j, i)]:
-            bridge[t] = True
-            dual_weights.append(min(-w, 0))
-            skip_clique.add((min(p1, p2), max(p1, p2)))
-        else:
-            dual_weights.append(-w)
-        dual_edges.append((p1, p2))
+    # Port edge t joins the two ports of model edge t; a bridge's ports
+    # share a face, and its edge replaces their clique edge.
+    port_edges: list[tuple[int, int]] = []
+    bridge = []
+    for (i, j, _) in ising.edges:
+        p1, p2 = port_of_dart[(i, j)], port_of_dart[(j, i)]
+        port_edges.append((p1, p2))
+        bridge.append(face_of_dart[(i, j)] == face_of_dart[(j, i)])
+    merged = {(min(e), max(e)) for e, b in zip(port_edges, bridge) if b}
     for ports in gadget_map:
         for a in range(len(ports)):
             for b in range(a + 1, len(ports)):
-                u, v = ports[a], ports[b]
-                key = (min(u, v), max(u, v))
-                if key in skip_clique:
-                    continue
-                dual_edges.append((u, v))
-                dual_weights.append(0)
+                if (ports[a], ports[b]) not in merged:
+                    port_edges.append((ports[a], ports[b]))
 
-    structure = (num_ports, tuple(dual_edges), len(dual_edges) - len(ising.edges))
-    match_graph = WeightedMatchGraph(
-        num_ports,
-        tuple((u, v, w) for (u, v), w in zip(dual_edges, dual_weights)),
-    )
     return ExpandedDual(
-        match_graph=match_graph,
-        offset=sum(w for (_, _, w) in ising.edges),
-        edge_map=tuple(edge_map),
-        bridge=tuple(bridge),
+        weights=weights,
+        offset=sum(weights),
+        num_ports=len(port_of_dart),
         gadget_map=tuple(gadget_map),
-        num_ports=num_ports,
-        _structure=structure,
+        port_u=np.array([u for (u, _) in port_edges], dtype=np.int64),
+        port_v=np.array([v for (_, v) in port_edges], dtype=np.int64),
+        bridge=np.array(bridge, dtype=bool),
+        edge_u=np.array([i for (i, _, _) in ising.edges], dtype=np.int64),
+        edge_v=np.array([j for (_, j, _) in ising.edges], dtype=np.int64),
+        tree=_spanning_tree(ising.num_nodes, ising.edges),
     )
 
 
@@ -155,52 +218,12 @@ def decode_matching(
     ising: SymmetricIsing, dual: ExpandedDual, matching: Matching
 ) -> GroundState:
     """Recover a minimum-energy labeling from a minimum perfect matching."""
-    mate = {}
+    mate = [-1] * dual.num_ports
     for (u, v) in matching.pairs:
         mate[u] = v
         mate[v] = u
-
-    cut = [False] * len(ising.edges)
-    for t, (i, j, w) in enumerate(ising.edges):
-        p1, p2 = dual._structure[1][dual.edge_map[t]]
-        if dual.bridge[t]:
-            cut[t] = w < 0
-        else:
-            cut[t] = mate.get(p1) != p2
-
-    # Propagate labels across the cut from node 0.
-    n = ising.num_nodes
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for t, (i, j, _) in enumerate(ising.edges):
-        adj[i].append((j, t))
-        adj[j].append((i, t))
-    labels = [-1] * n
-    labels[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for (w_, t) in adj[v]:
-            want = labels[v] ^ (1 if cut[t] else 0)
-            if labels[w_] == -1:
-                labels[w_] = want
-                stack.append(w_)
-            elif labels[w_] != want:
-                raise AssertionError(
-                    "matching produced an inconsistent cut; this is a bug"
-                )
-    if any(l == -1 for l in labels):
-        raise NotPlanarEmbeddingError("model graph is disconnected")
-
-    value = 0
-    for (i, j, w) in ising.edges:
-        if labels[i] != labels[j]:
-            value += w
-    expected = matching.total_weight + dual.offset
-    if value != expected:
-        raise AssertionError(
-            f"decoded energy {value} != matching weight + offset {expected}"
-        )
-    return GroundState(tuple(labels), value)
+    energy, labels = dual.decode([w for (_, _, w) in ising.edges], mate)
+    return GroundState(labels, energy)
 
 
 def ground_state(

@@ -15,11 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from ..errors import (
-    NoPerfectMatchingError,
-    RewarmMismatchError,
-    WeightRangeError,
-)
+from ..errors import NoPerfectMatchingError, PlanarCCError, WeightRangeError
 from . import _blossom_c, _blossom_py
 
 #: largest |weight| accepted; leaves headroom for doubled weights, dual
@@ -28,6 +24,11 @@ MAX_ABS_WEIGHT = 2**52
 
 #: Why the compiled kernel could not be built or loaded; None when it loaded.
 COMPILED_UNAVAILABLE = _blossom_c.UNAVAILABLE
+
+
+def _unavailable(name: str, engines: dict, unavailable: str | None) -> str:
+    why = f"; compiled kernel: {unavailable}" if unavailable else ""
+    return f"matching engine {name!r} unavailable; have: {sorted(engines)}{why}"
 
 
 def _select_engines(
@@ -40,11 +41,7 @@ def _select_engines(
         engines["compiled"] = _blossom_c
     default = requested or ("compiled" if unavailable is None else "python")
     if default not in engines:
-        why = f"; compiled kernel: {unavailable}" if unavailable else ""
-        raise ImportError(
-            f"matching engine {default!r} unavailable; "
-            f"have: {sorted(engines)}{why}"
-        )
+        raise ImportError(_unavailable(default, engines, unavailable))
     return engines, default
 
 
@@ -59,6 +56,19 @@ def available_engines() -> list[str]:
 
 def has_compiled_kernel() -> bool:
     return "compiled" in _ENGINES
+
+
+def engine_kernel(engine: str | None = None):
+    """The kernel module of ``engine`` (DEFAULT_ENGINE when None); its
+    ``solve_max_weight_matching(n, eu, ev, ew)`` returns (mate, duals).
+
+    Raises PlanarCCError, naming the available engines and why the compiled
+    kernel is missing, when ``engine`` is not loaded.
+    """
+    name = engine or DEFAULT_ENGINE
+    if name not in _ENGINES:
+        raise PlanarCCError(_unavailable(name, _ENGINES, COMPILED_UNAVAILABLE))
+    return _ENGINES[name]
 
 
 @dataclass(frozen=True)
@@ -94,33 +104,9 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
     total_weight: int
 
-    def mate_of(self, v: int) -> int:
-        for (a, b) in self.pairs:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        raise KeyError(v)
 
-
-@dataclass(frozen=True)
-class MatchingState:
-    """Solver state from a finished solve: the topology it belongs to plus
-    the matching and dual variables that seed a warm re-solve."""
-
-    num_vertices: int
-    endpoints: tuple[tuple[int, int], ...]
-    weights: tuple[int, ...]
-    mate: tuple[int, ...]
-    duals: tuple[int, ...]
-
-
-def _solve(
-    g: WeightedMatchGraph,
-    engine: str | None,
-    warm: tuple[list[int], list[int]] | None = None,
-) -> tuple[list[int], list[int]]:
-    impl = _ENGINES[engine or DEFAULT_ENGINE]
+def _solve(g: WeightedMatchGraph, engine: str | None) -> list[int]:
+    impl = engine_kernel(engine)
     eu = [u for (u, v, w) in g.edges]
     ev = [v for (u, v, w) in g.edges]
     ew = [w for (u, v, w) in g.edges]
@@ -130,12 +116,12 @@ def _solve(
         )
     # Maximum-weight maximum-cardinality matching on negated weights is a
     # minimum-weight perfect matching whenever a perfect matching exists.
-    mate, duals = impl.solve_max_weight_matching(
-        g.num_vertices, eu, ev, [-w for w in ew], warm
+    mate, _ = impl.solve_max_weight_matching(
+        g.num_vertices, eu, ev, [-w for w in ew]
     )
     if any(m < 0 for m in mate):
         raise NoPerfectMatchingError("graph admits no perfect matching")
-    return mate, duals
+    return mate
 
 
 def _matching_from_mate(g: WeightedMatchGraph, mate: list[int]) -> Matching:
@@ -162,69 +148,7 @@ def min_weight_perfect_matching(
     """
     if g.num_vertices == 0:
         return Matching((), 0)
-    return _matching_from_mate(g, _solve(g, engine)[0])
-
-
-def solve_with_state(
-    g: WeightedMatchGraph, engine: str | None = None
-) -> tuple[Matching, MatchingState]:
-    """Like min_weight_perfect_matching, but also returns the solver state
-    that rewarm_solve uses for subsequent weight-only re-solves."""
-    if g.num_vertices == 0:
-        return Matching((), 0), MatchingState(0, (), (), (), ())
-    mate, duals = _solve(g, engine)
-    matching = _matching_from_mate(g, mate)
-    state = MatchingState(
-        g.num_vertices,
-        tuple((u, v) for (u, v, _) in g.edges),
-        tuple(w for (_, _, w) in g.edges),
-        tuple(mate),
-        tuple(duals),
-    )
-    return matching, state
-
-
-def rewarm_solve(
-    g: WeightedMatchGraph,
-    previous: MatchingState,
-    changed_edges: list[int] | None = None,
-    engine: str | None = None,
-) -> tuple[Matching, MatchingState]:
-    """Re-solve after weight changes on a fixed topology.
-
-    The previous matching and duals seed the solve, so only pairs broken by
-    the weight changes are re-augmented; the result is exactly what a cold
-    solve on the new weights would return (total weight is unique).
-
-    Raises RewarmMismatchError if the topology differs from ``previous`` or
-    if weights changed outside ``changed_edges``.
-    """
-    if g.num_vertices != previous.num_vertices:
-        raise RewarmMismatchError(
-            f"vertex count changed: {previous.num_vertices} -> {g.num_vertices}"
-        )
-    endpoints = tuple((u, v) for (u, v, _) in g.edges)
-    if endpoints != previous.endpoints:
-        raise RewarmMismatchError("edge endpoints changed between solves")
-    if changed_edges is not None:
-        changed = set(changed_edges)
-        for k, (_, _, w) in enumerate(g.edges):
-            if k not in changed and w != previous.weights[k]:
-                raise RewarmMismatchError(
-                    f"edge {k} weight changed but was not declared"
-                )
-    if g.num_vertices == 0:
-        return Matching((), 0), previous
-    mate, duals = _solve(g, engine, (list(previous.mate), list(previous.duals)))
-    matching = _matching_from_mate(g, mate)
-    state = MatchingState(
-        g.num_vertices,
-        previous.endpoints,
-        tuple(w for (_, _, w) in g.edges),
-        tuple(mate),
-        tuple(duals),
-    )
-    return matching, state
+    return _matching_from_mate(g, _solve(g, engine))
 
 
 def to_dimacs(g: WeightedMatchGraph) -> str:

@@ -25,8 +25,7 @@ typedef int64_t i64;
 enum {
     BLOSSOM_OK = 0,
     BLOSSOM_NOMEM = 1,   /* an allocation failed */
-    BLOSSOM_INPUT = 2,   /* n < 0, endpoint out of range, self-loop, or |w| too large */
-    BLOSSOM_NONEDGE = 3  /* warm mate pairs a non-edge; mate_out[0] holds its lower vertex */
+    BLOSSOM_INPUT = 2    /* n < 0, endpoint out of range, self-loop, or |w| too large */
 };
 
 /* Largest |input weight|: weights are scaled by 4, and duals and slacks
@@ -663,75 +662,6 @@ static void greedy_start(Solver *s)
     }
 }
 
-/* Warm start: repair dual feasibility by raising duals (split across both
- * endpoints), re-tighten or break non-tight matched pairs, even-ize root
- * duals.  Returns the lower vertex of a warm pair that is not an edge, or
- * -1. */
-static i64 warm_start(Solver *s, const i64 *warm_mate, const i64 *warm_duals)
-{
-    i64 n = s->n, v, w, k, p, x, xi, sl, a;
-    int found, retightened, can;
-    for (v = 0; v < n; v++)
-        s->dualvar[v] = warm_duals[v];
-    for (v = 0; v < n; v++) {
-        w = warm_mate[v];
-        if (w > v) {
-            found = 0;
-            for (p = s->nb_start[v]; p < s->nb_start[v + 1]; p++) {
-                if (s->endpoint[s->nb_flat[p]] == w) {
-                    s->mate[v] = s->nb_flat[p];
-                    s->mate[w] = s->nb_flat[p] ^ 1;
-                    found = 1;
-                    break;
-                }
-            }
-            if (!found)
-                return v;
-        }
-    }
-    for (k = 0; k < s->nedge; k++) {
-        sl = slack(s, k);
-        if (sl < 0) {
-            a = (-sl) / 2;
-            s->dualvar[s->eu[k]] += a;
-            s->dualvar[s->ev[k]] += (-sl) - a;
-        }
-    }
-    for (k = 0; k < s->nedge; k++) {
-        if (s->mate[s->eu[k]] == 2 * k + 1) {
-            sl = slack(s, k);
-            if (sl == 0)
-                continue;
-            retightened = 0;
-            for (xi = 0; xi < 2; xi++) {
-                x = xi == 0 ? s->eu[k] : s->ev[k];
-                can = 1;
-                for (p = s->nb_start[x]; p < s->nb_start[x + 1]; p++) {
-                    if ((s->nb_flat[p] >> 1) != k
-                        && slack(s, s->nb_flat[p] >> 1) < sl) {
-                        can = 0;
-                        break;
-                    }
-                }
-                if (can) {
-                    s->dualvar[x] -= sl;
-                    retightened = 1;
-                    break;
-                }
-            }
-            if (!retightened) {
-                s->mate[s->eu[k]] = -1;
-                s->mate[s->ev[k]] = -1;
-            }
-        }
-    }
-    for (v = 0; v < n; v++) {
-        if (s->mate[v] == -1 && (s->dualvar[v] & 1))
-            s->dualvar[v] += 1;
-    }
-    return -1;
-}
-
 /* One full solve from the initial matching and duals already in s. */
 static void run_stages(Solver *s)
 {
@@ -988,14 +918,12 @@ static void setup(Solver *s, const i64 *ew)
  * and edges (eu[k], ev[k]) of integer weight ew[k]; same contract as
  * _blossom_py.solve_max_weight_matching.  The graph must be simple.
  *
- * warm_mate/warm_duals (both NULL for a cold solve) are the mate and duals
- * of an earlier solve on the same topology.  On BLOSSOM_OK, mate_out[v] is
- * the partner of v or -1, and duals_out[v] the final vertex dual in
- * internal (4x) units.  Both outputs hold n entries.
+ * On BLOSSOM_OK, mate_out[v] is the partner of v or -1, and duals_out[v]
+ * the final vertex dual in internal (4x) units.  Both outputs hold n
+ * entries.
  */
 int blossom_solve(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
-                  const i64 *ew, const i64 *warm_mate, const i64 *warm_duals,
-                  i64 *mate_out, i64 *duals_out)
+                  const i64 *ew, i64 *mate_out, i64 *duals_out)
 {
     Solver *s;
     i64 k, v;
@@ -1022,23 +950,13 @@ int blossom_solve(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
     if (setjmp(s->fail) == 0) {
         solver_alloc(s);
         setup(s, ew);
-        if (warm_mate == NULL) {
-            greedy_start(s);
-        } else {
-            v = warm_start(s, warm_mate, warm_duals);
-            if (v >= 0) {
-                mate_out[0] = v;
-                rc = BLOSSOM_NONEDGE;
-            }
-        }
-        if (rc == BLOSSOM_OK) {
-            run_stages(s);
-            /* Materialize final duals; translate endpoint mates to vertices. */
-            for (v = 0; v < n; v++) {
-                s->dualvar[v] += s->dsgn[v] * (s->cum - s->dt0[v]);
-                mate_out[v] = s->mate[v] >= 0 ? s->endpoint[s->mate[v]] : -1;
-                duals_out[v] = s->dualvar[v];
-            }
+        greedy_start(s);
+        run_stages(s);
+        /* Materialize final duals; translate endpoint mates to vertices. */
+        for (v = 0; v < n; v++) {
+            s->dualvar[v] += s->dsgn[v] * (s->cum - s->dt0[v]);
+            mate_out[v] = s->mate[v] >= 0 ? s->endpoint[s->mate[v]] : -1;
+            duals_out[v] = s->dualvar[v];
         }
     } else {
         rc = BLOSSOM_NOMEM;

@@ -30,7 +30,7 @@ COMPILER = "cc"
 CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 
 # Return codes of blossom_solve() in _blossom.c.
-_OK, _NOMEM, _INPUT, _NONEDGE = 0, 1, 2, 3
+_OK, _NOMEM, _INPUT = 0, 1, 2
 
 
 def _cache_dir() -> Path:
@@ -117,38 +117,26 @@ class Kernel:
     def __init__(self, path: Path):
         self.path = Path(path)
         fn = ctypes.CDLL(str(self.path)).blossom_solve
-        fn.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 7
+        fn.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
         fn.restype = ctypes.c_int
         self._fn = fn
 
-    def solve(self, n, eu, ev, ew, warm=None) -> tuple[list[int], list[int]]:
+    def solve(self, n, eu, ev, ew) -> tuple[list[int], list[int]]:
         """Same contract as ``_blossom_py.solve_max_weight_matching``."""
         if n == 0:
             return [], []
         arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in (eu, ev, ew)]
         if any(a.shape != (len(eu),) for a in arrays):
             raise ValueError("eu, ev and ew must be 1-D and of equal length")
-        if warm is None:
-            warm_arrays = [None, None]
-        else:
-            warm_arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in warm]
-            if any(a.shape != (n,) for a in warm_arrays):
-                raise ValueError(f"warm mate and duals must hold {n} entries")
         mate = np.empty(n, dtype=np.int64)
         duals = np.empty(n, dtype=np.int64)
         rc = self._fn(
             n,
             len(eu),
             *(a.ctypes.data for a in arrays),
-            *(None if a is None else a.ctypes.data for a in warm_arrays),
             mate.ctypes.data,
             duals.ctypes.data,
         )
-        if rc == _NONEDGE:
-            v = int(mate[0])
-            raise ValueError(
-                f"warm matching uses non-edge ({v},{int(warm_arrays[0][v])})"
-            )
         if rc == _INPUT:
             raise ValueError(
                 "invalid graph: endpoint out of range, self-loop, "
@@ -177,8 +165,8 @@ else:
     _kernel, UNAVAILABLE = try_load()
 
 
-def solve_max_weight_matching(n, eu, ev, ew, warm=None):
+def solve_max_weight_matching(n, eu, ev, ew):
     """Return (mate, duals); same contract as the pure-Python twin."""
     if _kernel is None:
         raise RuntimeError(f"compiled kernel unavailable: {UNAVAILABLE}")
-    return _kernel.solve(n, eu, ev, ew, warm)
+    return _kernel.solve(n, eu, ev, ew)

@@ -31,6 +31,8 @@ Conventions:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 # Labels of top-level blossoms within a stage.
 _FREE = 0
 _S = 1
@@ -39,23 +41,21 @@ _T = 2
 
 def solve_max_weight_matching(
     n: int,
-    eu: list[int],
-    ev: list[int],
-    ew: list[int],
-    warm: tuple[list[int], list[int]] | None = None,
+    eu: Sequence[int],
+    ev: Sequence[int],
+    ew: Sequence[int],
 ) -> tuple[list[int], list[int]]:
     """Return (mate, duals): mate[v] is the matched partner of v or -1;
-    duals are the final vertex duals in internal units, reusable as a warm
-    start for a later solve on the same topology with different weights.
+    duals are the final vertex duals in internal (4x) units.
 
-    The caller guarantees a simple graph (no self-loops or duplicates);
-    weights must be integers.  ``warm`` is (mate, duals) from a previous
-    call: dual feasibility is repaired by raising duals, pairs whose edge
-    is no longer tight are broken, and only those get re-augmented.
+    eu, ev and ew are lists or int64 arrays.  The caller guarantees a
+    simple graph (no self-loops or duplicates); weights must be integers.
     """
     nedge = len(eu)
     if n == 0:
         return [], []
+    # Plain ints: numpy scalars would slow every step and could overflow.
+    eu, ev, ew = ([int(x) for x in seq] for seq in (eu, ev, ew))
 
     # Weights are scaled by 4 so that the greedy initial duals (half the
     # maximum incident weight, feasible for any sign) are even integers.
@@ -115,85 +115,35 @@ def solve_max_weight_matching(
     cand_ss: list[int] = []
     cand_tb: list[int] = []
 
-    if warm is None:
-        # Greedy initialization: dual = half the max incident weight
-        # satisfies du_i + du_j >= weight(i,j) for every edge regardless of
-        # signs, and is even.  Then match tight edges between free vertices.
-        for v in range(n):
-            if neighbend[v]:
-                dualvar[v] = max(weight[p // 2] for p in neighbend[v]) // 2
-        for k in range(nedge):
-            i, j = eu[k], ev[k]
-            if mate[i] == -1 and mate[j] == -1 and slack(k) == 0:
-                mate[i] = 2 * k + 1
-                mate[j] = 2 * k
-        # Second pass: where an unmatched vertex's least-slack edge leads to
-        # another free vertex, drop its dual to tightness (stays feasible
-        # and even) and match the pair.
-        for v in range(n):
-            if mate[v] == -1 and neighbend[v]:
-                best_p = -1
-                best_s = -1
-                for p in neighbend[v]:
-                    s = slack(p // 2)
-                    if best_p == -1 or s < best_s:
-                        best_s = s
-                        best_p = p
-                if mate[endpoint[best_p]] == -1:
-                    if best_s > 0:
-                        dualvar[v] -= best_s
-                    k = best_p // 2
-                    mate[eu[k]] = 2 * k + 1
-                    mate[ev[k]] = 2 * k
-    else:
-        warm_mate, warm_duals = warm
-        for v in range(n):
-            dualvar[v] = warm_duals[v]
-        for v in range(n):
-            u = warm_mate[v]
-            if u > v:
-                for p in neighbend[v]:
-                    if endpoint[p] == u:
-                        mate[v] = p
-                        mate[u] = p ^ 1
-                        break
-                else:
-                    raise ValueError(f"warm matching uses non-edge ({v},{u})")
-        # Restore dual feasibility by raising duals (never creates new
-        # violations); split each deficit across both endpoints.
-        for k in range(nedge):
-            s = slack(k)
-            if s < 0:
-                a = (-s) // 2
-                dualvar[eu[k]] += a
-                dualvar[ev[k]] += (-s) - a
-        # Matched edges must be tight.  Try to shift one endpoint's dual
-        # down (allowed when all its other edges have at least that much
-        # slack, so feasibility is kept); otherwise break the pair.
-        for k in range(nedge):
-            if mate[eu[k]] == 2 * k + 1:
-                s = slack(k)
-                if s == 0:
-                    continue
-                retightened = False
-                for x in (eu[k], ev[k]):
-                    can = True
-                    for p in neighbend[x]:
-                        if p // 2 != k and slack(p // 2) < s:
-                            can = False
-                            break
-                    if can:
-                        dualvar[x] -= s
-                        retightened = True
-                        break
-                if not retightened:
-                    mate[eu[k]] = -1
-                    mate[ev[k]] = -1
-        # Unmatched vertices act as tree roots; even duals keep every dual
-        # update integral (see module docstring).
-        for v in range(n):
-            if mate[v] == -1 and (dualvar[v] & 1):
-                dualvar[v] += 1
+    # Greedy initialization: dual = half the max incident weight satisfies
+    # du_i + du_j >= weight(i,j) for every edge regardless of signs, and is
+    # even.  Then match tight edges between free vertices.
+    for v in range(n):
+        if neighbend[v]:
+            dualvar[v] = max(weight[p // 2] for p in neighbend[v]) // 2
+    for k in range(nedge):
+        i, j = eu[k], ev[k]
+        if mate[i] == -1 and mate[j] == -1 and slack(k) == 0:
+            mate[i] = 2 * k + 1
+            mate[j] = 2 * k
+    # Second pass: where an unmatched vertex's least-slack edge leads to
+    # another free vertex, drop its dual to tightness (stays feasible and
+    # even) and match the pair.
+    for v in range(n):
+        if mate[v] == -1 and neighbend[v]:
+            best_p = -1
+            best_s = -1
+            for p in neighbend[v]:
+                s = slack(p // 2)
+                if best_p == -1 or s < best_s:
+                    best_s = s
+                    best_p = p
+            if mate[endpoint[best_p]] == -1:
+                if best_s > 0:
+                    dualvar[v] -= best_s
+                k = best_p // 2
+                mate[eu[k]] = 2 * k + 1
+                mate[ev[k]] = 2 * k
 
     def blossom_leaves(b: int):
         if b < n:

@@ -17,10 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import SizeMismatchError, WeightRangeError
-
-# Hard cap on |weight| after integer scaling.  Keeps plenty of headroom for
-# edge sums and dual variables inside the matching solver's 64-bit arithmetic.
-MAX_ABS_WEIGHT = 2**52
+from .matching import MAX_ABS_WEIGHT
 
 Labels = tuple[int, ...]
 
@@ -80,9 +77,6 @@ class BinaryMRF:
         return all(isinstance(w, int) for (_, _, w) in self.edges) and all(
             isinstance(w, int) for w in self.unary
         ) and isinstance(self.constant, int)
-
-    def degree(self, i: int) -> int:
-        return sum(1 for (u, v, _) in self.edges if i in (u, v))
 
 
 @dataclass(frozen=True)

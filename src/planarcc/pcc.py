@@ -24,7 +24,7 @@ import numpy as np
 from .embedding import PlanarEmbedding, faces
 from .errors import WeightRangeError
 from .ising import ExpandedDual, build_expanded_dual
-from .matching import MAX_ABS_WEIGHT, _ENGINES, DEFAULT_ENGINE
+from .matching import MAX_ABS_WEIGHT, engine_kernel
 from .model import BinaryMRF, Labels, SymmetricIsing, complement, energy
 
 DEFAULT_MATCHING_SCALE = 10**6
@@ -223,8 +223,8 @@ def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
 
 
 class _PCCSolveContext:
-    """Per-solve cache: the expanded dual's topology, the scaled base edge
-    weights, and the decode tree are fixed; only the incidence edge weights
+    """Per-solve cache: the expanded dual of the augmented graph and the
+    scaled base edge weights are fixed; only the incidence edge weights
     change between iterations."""
 
     def __init__(
@@ -237,13 +237,11 @@ class _PCCSolveContext:
             raise ValueError("matching_scale must be >= 1")
         self.pcc = pcc
         self.scale = int(matching_scale)
-        self.impl = _ENGINES[engine or DEFAULT_ENGINE]
+        self.impl = engine_kernel(engine)
 
         model = pcc.model
-        aug_edges = pcc.augmented_edges()
         self.num_base = len(model.edges)
         self.num_inc = len(pcc.inc_node)
-        self.num_aug_vertices = pcc.num_vertices
 
         # Scaled base weights; exact integers when the model is integral.
         base_scaled: list[int] = []
@@ -261,54 +259,11 @@ class _PCCSolveContext:
             base_scaled.append(sw)
         self.base_scaled = base_scaled
 
-        # Expanded dual of the augmented graph (weights refreshed per solve).
-        dummy = SymmetricIsing(
-            self.num_aug_vertices,
-            tuple((i, j, 0) for (i, j) in aug_edges),
+        # Expanded dual of the augmented graph; solve() supplies the weights.
+        topology = SymmetricIsing(
+            pcc.num_vertices, tuple((i, j, 0) for (i, j) in pcc.augmented_edges())
         )
-        self.dual: ExpandedDual = build_expanded_dual(dummy, pcc.embedding)
-        self.dual_eu = [u for (u, v) in self.dual._structure[1]]
-        self.dual_ev = [v for (u, v) in self.dual._structure[1]]
-        self.dual_eu_arr = np.asarray(self.dual_eu, dtype=np.int64)
-        self.dual_ev_arr = np.asarray(self.dual_ev, dtype=np.int64)
-        self.num_dual_edges = len(self.dual_eu)
-
-        # Position of each augmented edge's port edge, split by bridge flag.
-        em = np.asarray(self.dual.edge_map)
-        br = np.asarray(self.dual.bridge, dtype=bool)
-        self.edge_pos_plain = em[~br]
-        self.aug_idx_plain = np.nonzero(~br)[0]
-        self.edge_pos_bridge = em[br]
-        self.aug_idx_bridge = np.nonzero(br)[0]
-        self.ends_u = np.asarray([i for (i, _) in aug_edges], dtype=np.int64)
-        self.ends_v = np.asarray([j for (_, j) in aug_edges], dtype=np.int64)
-
-        # Spanning tree of the augmented graph for label propagation.
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_aug_vertices)]
-        for t, (i, j) in enumerate(aug_edges):
-            adj[i].append((j, t))
-            adj[j].append((i, t))
-        order = [0]
-        parent_edge = [-1] * self.num_aug_vertices
-        parent_vertex = [-1] * self.num_aug_vertices
-        seen = [False] * self.num_aug_vertices
-        seen[0] = True
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for (w, t) in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent_edge[w] = t
-                    parent_vertex[w] = v
-                    order.append(w)
-        if not all(seen):
-            raise ValueError("augmented graph is disconnected")
-        self.bfs_order = order
-        self.parent_edge = parent_edge
-        self.parent_vertex = parent_vertex
-        self.aug_edges = aug_edges
+        self.dual: ExpandedDual = build_expanded_dual(topology, pcc.embedding)
 
     def scaled_weights(self, params: VariationalParams) -> tuple[np.ndarray, float]:
         """Integer weights (in matching-scale units) for all augmented edges
@@ -328,48 +283,18 @@ class _PCCSolveContext:
     def solve(self, params: VariationalParams) -> tuple[float, Labels]:
         """One exact solve of the augmented model at the current splits."""
         w, err_units = self.scaled_weights(params)
-
-        dual_w = np.zeros(self.num_dual_edges, dtype=np.int64)
-        dual_w[self.edge_pos_plain] = -w[self.aug_idx_plain]
-        dual_w[self.edge_pos_bridge] = np.minimum(-w[self.aug_idx_bridge], 0)
-
-        # Kernel maximizes, so hand it the negated (already-negated) weights.
-        # Cold solves: subgradient steps perturb most incidence weights, so
+        # The kernel maximizes, so it gets the negated port weights.  Cold
+        # solves: subgradient steps perturb most incidence weights, so
         # seeding from the previous matching repairs more than it reuses.
         mate, _ = self.impl.solve_max_weight_matching(
             self.dual.num_ports,
-            self.dual_eu,
-            self.dual_ev,
-            (-dual_w).tolist(),
+            self.dual.port_u,
+            self.dual.port_v,
+            -self.dual.port_weights(w),
         )
-        mate_arr = np.asarray(mate, dtype=np.int64)
-
-        matched = mate_arr[self.dual_eu_arr] == self.dual_ev_arr
-        matched_total = int(dual_w[matched].sum())
-
-        cut = np.zeros(self.num_base + self.num_inc, dtype=bool)
-        cut[self.aug_idx_plain] = ~matched[self.edge_pos_plain]
-        cut[self.aug_idx_bridge] = w[self.aug_idx_bridge] < 0
-
-        offset = int(w.sum())
-        gs_energy = matched_total + offset
-
-        labels = [0] * self.num_aug_vertices
-        for v in self.bfs_order[1:]:
-            labels[v] = labels[self.parent_vertex[v]] ^ int(cut[self.parent_edge[v]])
-
-        # The labeling must reproduce the matching's energy exactly.
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        value_check = int(
-            (w[labels_arr[self.ends_u] != labels_arr[self.ends_v]]).sum()
-        )
-        if value_check != gs_energy:
-            raise AssertionError(
-                f"decoded energy {value_check} != matching energy {gs_energy}"
-            )
-
+        gs_energy, labels = self.dual.decode(w, mate)
         value = gs_energy / self.scale + self.pcc.model.constant - err_units / self.scale
-        return value, tuple(int(v) for v in labels)
+        return value, labels
 
 
 def lower_bound(
@@ -435,7 +360,6 @@ def optimize(
     embedding: PlanarEmbedding,
     max_iters: int = 1000,
     tol: float = 1.0,
-    seed: int = 0,
     matching_scale: int = DEFAULT_MATCHING_SCALE,
     engine: str | None = None,
     on_iteration: Callable[[int, VariationalParams, float, float], None] | None = None,
@@ -445,10 +369,8 @@ def optimize(
 
     Stops when best_upper - best_lower < tol, at max_iters, or on a zero
     subgradient.  The certificate reads "optimal" only for integer-weight
-    models (energies are then exact).  ``seed`` is accepted for interface
-    compatibility; the solver itself is deterministic.
+    models (energies are then exact).
     """
-    del seed
     if not model.is_integer:
         warnings.warn(
             "model weights are not integers; the gap is reported but no "

@@ -44,7 +44,7 @@ def test_gen_solve_oracle_roundtrip(tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "iter,lower_bound,upper_bound,best_upper,step_size,subgrad_norm2,elapsed_ms"
     srows = summary.read_text().splitlines()
-    assert srows[0] == "rows,cols,a,seed,converged,iters,gap,wall_ms"
+    assert srows[0] == "rows,cols,a,seed,converged,iters,gap,wall_ms,error"
     assert srows[1].startswith("3,4,0.8,5,true,")
 
 
@@ -111,7 +111,7 @@ def test_batch_command(tmp_path):
             "--jobs", "2", "--aggregate-out", str(agg))
     assert r.returncode == 0, r.stderr
     lines = out.read_text().splitlines()
-    assert lines[0] == "rows,cols,a,seed,converged,iters,gap,wall_ms"
+    assert lines[0] == "rows,cols,a,seed,converged,iters,gap,wall_ms,error"
     assert len(lines) == 4
     agg_row = json.loads(r.stdout.splitlines()[0])
     assert agg_row["n_runs"] == 3
@@ -152,3 +152,17 @@ def test_single_node_grid(tmp_path):
 def test_missing_file_errors():
     r = cli("solve", "/nonexistent/model.json")
     assert r.returncode == 2
+
+
+def test_solve_with_unloaded_engine_reports_why(tmp_path, capsys, monkeypatch):
+    import planarcc.matching
+
+    monkeypatch.delitem(planarcc.matching._ENGINES, "compiled", raising=False)
+    monkeypatch.setattr(planarcc.matching, "COMPILED_UNAVAILABLE", "no cc here")
+    model_path = tmp_path / "m.json"
+    assert main(["gen-grid", "--rows", "2", "--cols", "2", "--a", "0.5",
+                 "--seed", "3", "-o", str(model_path)]) == 0
+    assert main(["solve", str(model_path), "--engine", "compiled"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matching engine 'compiled' unavailable")
+    assert "['python']" in err and "no cc here" in err

@@ -10,7 +10,6 @@ from planarcc.harness import (
     aggregate,
     batch,
     generate_grid_instance,
-    geometric_mean,
     run,
     solve_model,
 )
@@ -106,15 +105,26 @@ def test_batch_and_aggregate(tmp_path):
     assert [s.spec.seed for s in summaries] == [0, 1, 2, 3]
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 4
+    assert all(r["error"] == "" for r in rows)
     agg = aggregate(summaries)
     assert len(agg) == 1
     assert 0.0 <= agg[0]["converged_fraction"] <= 1.0
     assert agg[0]["n_runs"] == 4
+    assert agg[0]["n_failed"] == 0
 
 
-def test_geometric_mean():
-    assert geometric_mean([1, 100]) == pytest.approx(10.0)
-    assert math.isnan(geometric_mean([]))
+def test_batch_records_crashes_apart_from_nonconvergence(tmp_path):
+    # A matching scale this large pushes every scaled edge weight past the
+    # kernel's range, so each run raises WeightRangeError.
+    out = tmp_path / "results.csv"
+    specs = [InstanceSpec(3, 3, 3.2, seed, 500) for seed in range(2)]
+    summaries = batch(specs, SolverOptions(matching_scale=2**60), out=out)
+    rows = list(csv.DictReader(open(out)))
+    assert [r["error"].split(":")[0] for r in rows] == ["WeightRangeError"] * 2
+    assert all(s.error for s in summaries)
+    agg = aggregate(summaries)[0]
+    assert (agg["n_runs"], agg["n_failed"], agg["n_converged"]) == (2, 2, 0)
+    assert math.isnan(agg["converged_fraction"])
 
 
 def test_aggregate_excludes_nonconverged_from_geomean():

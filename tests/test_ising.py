@@ -6,6 +6,7 @@ from planarcc import (
     NotPlanarEmbeddingError,
     PlanarEmbedding,
     SymmetricIsing,
+    WeightRangeError,
     build_expanded_dual,
     cycle,
     grid,
@@ -161,6 +162,12 @@ def test_non_integer_weights_rejected():
         build_expanded_dual(ising, SINGLE_EDGE_EMB)
 
 
+def test_out_of_range_weights_rejected():
+    ising = SymmetricIsing(2, ((0, 1, 2**60),))
+    with pytest.raises(WeightRangeError):
+        build_expanded_dual(ising, SINGLE_EDGE_EMB)
+
+
 def test_embedding_model_mismatch():
     ising = SymmetricIsing(2, ((0, 1, 1),))
     _, emb = grid(2, 2)
@@ -178,3 +185,43 @@ def test_engine_choice_passthrough(engine):
     ising = SymmetricIsing(5, tuple((i, j, (-1) ** i * (i + 1)) for (i, j) in edges))
     want = brute_force_map_ising(ising)
     assert ground_state(ising, emb, engine=engine).energy == want.energy
+
+
+def cycle_with_pendant_path(k: int, tail: int):
+    """A k-cycle with a path of ``tail`` edges hanging off node 0: the
+    cycle edges border two faces, the path edges are bridges."""
+    edges, emb = cycle(k)
+    rotations = [list(r) for r in emb.rotations]
+    prev = 0
+    for v in range(k, k + tail):
+        edges.append((prev, v))
+        rotations[prev].append(v)
+        rotations.append([prev])
+        prev = v
+    return edges, PlanarEmbedding(tuple(tuple(r) for r in rotations))
+
+
+def test_port_weights_agree_with_rebuilt_dual(engine):
+    rng = random.Random(31)
+    for _ in range(40):
+        edges, emb = cycle_with_pendant_path(rng.randint(3, 7), rng.randint(1, 4))
+        first = SymmetricIsing(
+            emb.num_vertices, tuple((i, j, rng.randint(-9, 9)) for (i, j) in edges)
+        )
+        dual = build_expanded_dual(first, emb)
+        assert dual.bridge.any() and not dual.bridge.all()
+        ising = SymmetricIsing(
+            emb.num_vertices, tuple((i, j, rng.randint(-9, 9)) for (i, j) in edges)
+        )
+        rebuilt = build_expanded_dual(ising, emb).match_graph
+        weights = [w for (_, _, w) in ising.edges]
+        assert dual.port_weights(weights).tolist() == [w for (_, _, w) in rebuilt.edges]
+        want = brute_force_map_ising(ising).energy
+        assert ground_state(ising, emb, engine).energy == want
+        # The PCC loop's path: the dual built at other weights, reweighted.
+        matching = min_weight_perfect_matching(rebuilt, engine)
+        mate = [-1] * dual.num_ports
+        for (u, v) in matching.pairs:
+            mate[u], mate[v] = v, u
+        energy, labels = dual.decode(weights, mate)
+        assert energy == want == ising_energy(ising, labels)

@@ -5,18 +5,15 @@ import pytest
 from planarcc import (
     Matching,
     NoPerfectMatchingError,
-    RewarmMismatchError,
     WeightedMatchGraph,
     WeightRangeError,
     min_weight_perfect_matching,
-    rewarm_solve,
-    solve_with_state,
 )
 from planarcc.matching import (
     COMPILED_UNAVAILABLE,
     MAX_ABS_WEIGHT,
-    _ENGINES,
     available_engines,
+    engine_kernel,
     has_compiled_kernel,
     to_dimacs,
     verify_min_weight_perfect_matching,
@@ -124,7 +121,7 @@ def test_engines_agree_at_weight_limit():
         eu, ev, ew = (list(col) for col in zip(*edges))
         neg = [-w for w in ew]
         raw = {
-            e: _ENGINES[e].solve_max_weight_matching(n, eu, ev, neg)
+            e: engine_kernel(e).solve_max_weight_matching(n, eu, ev, neg)
             for e in ("python", "compiled")
         }
         assert raw["compiled"] == raw["python"]
@@ -165,57 +162,6 @@ def test_graph_validation():
 
 def test_empty_graph():
     assert min_weight_perfect_matching(WeightedMatchGraph(0, ())) == Matching((), 0)
-
-
-def test_rewarm_noop_identical(engine):
-    matching, state = solve_with_state(FOUR_CYCLE, engine)
-    again, _ = rewarm_solve(FOUR_CYCLE, state, [], engine)
-    assert again == matching
-
-
-def test_rewarm_weight_flip(engine):
-    matching, state = solve_with_state(FOUR_CYCLE, engine)
-    assert matching.total_weight == 4
-    flipped = WeightedMatchGraph(4, ((0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, -4)))
-    m2, _ = rewarm_solve(flipped, state, [3], engine)
-    assert m2.total_weight == -2
-    assert set(m2.pairs) == {(1, 2), (0, 3)}
-
-
-def test_rewarm_matches_cold_over_perturbations(engine):
-    rng = random.Random(7)
-    edges = random_match_graph(rng, 20, 0.35)
-    g = WeightedMatchGraph(20, tuple(edges))
-    matching, state = solve_with_state(g, engine)
-    for _ in range(50):
-        k = rng.randrange(len(edges))
-        i, j, _ = edges[k]
-        edges[k] = (i, j, rng.randint(-20, 20))
-        g = WeightedMatchGraph(20, tuple(edges))
-        warm, state = rewarm_solve(g, state, [k], engine)
-        cold = min_weight_perfect_matching(g, engine)
-        assert warm.total_weight == cold.total_weight
-        verify_min_weight_perfect_matching(g, warm)
-
-
-def test_rewarm_topology_mismatch(engine):
-    _, state = solve_with_state(FOUR_CYCLE, engine)
-    other = WeightedMatchGraph(4, ((0, 1, 1), (1, 2, 2), (2, 3, 3), (1, 3, 4)))
-    with pytest.raises(RewarmMismatchError):
-        rewarm_solve(other, state, None, engine)
-    bigger = WeightedMatchGraph(6, FOUR_CYCLE.edges)
-    with pytest.raises(RewarmMismatchError):
-        rewarm_solve(bigger, state, None, engine)
-
-
-def test_rewarm_undeclared_change(engine):
-    _, state = solve_with_state(FOUR_CYCLE, engine)
-    changed = WeightedMatchGraph(4, ((0, 1, 9), (1, 2, 2), (2, 3, 3), (0, 3, 4)))
-    with pytest.raises(RewarmMismatchError):
-        rewarm_solve(changed, state, [], engine)
-    # declaring it is fine
-    m, _ = rewarm_solve(changed, state, [0], engine)
-    assert m.total_weight == 6
 
 
 def test_total_weight_unique_across_engines_and_orders():

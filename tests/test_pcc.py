@@ -316,6 +316,17 @@ def test_optimize_single_node_model():
         assert res.best_assignment == ((1,) if theta < 0 else (0,))
 
 
+def test_optimize_with_unloaded_engine_reports_why(monkeypatch):
+    import planarcc.matching
+    from planarcc import PlanarCCError
+
+    monkeypatch.delitem(planarcc.matching._ENGINES, "compiled", raising=False)
+    monkeypatch.setattr(planarcc.matching, "COMPILED_UNAVAILABLE", "no cc here")
+    model, emb = unit_grid_model(2, 2, unary=1)
+    with pytest.raises(PlanarCCError, match=r"'compiled' unavailable.*no cc here"):
+        optimize(model, emb, engine="compiled")
+
+
 def test_optimize_non_integer_model_warns_and_withholds_certificate():
     emb = PlanarEmbedding(((1,), (0,)))
     model = BinaryMRF(2, ((0, 1, -2.5),), (0.5, 0.0), 0)
