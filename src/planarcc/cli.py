@@ -29,6 +29,7 @@ from .harness import (
 )
 from .model import BinaryMRF, load_model, save_model
 from .oracle import brute_force_map
+from .pcc import DEFAULT_MATCHING_SCALE
 
 
 def canonical_grid_embedding(model: BinaryMRF) -> PlanarEmbedding | None:
@@ -138,7 +139,7 @@ def cmd_batch(args) -> int:
     options = SolverOptions(
         max_iters=opts.get("max_iters", 1000),
         tol=opts.get("tol", 1.0),
-        matching_scale=opts.get("matching_scale", 10**6),
+        matching_scale=opts.get("matching_scale", DEFAULT_MATCHING_SCALE),
         engine=opts.get("engine"),
     )
     summaries = batch(specs, options, jobs=args.jobs, out=args.out)
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1.0)
-    p.add_argument("--matching-scale", type=int, default=10**6)
+    p.add_argument("--matching-scale", type=int, default=DEFAULT_MATCHING_SCALE)
     p.add_argument("--engine", choices=["compiled", "python"], default=None)
     p.add_argument("--trace", help="write per-iteration trace CSV here")
     p.add_argument("--summary", help="append a summary row to this CSV")

@@ -23,7 +23,8 @@ import numpy as np
 
 from .embedding import PlanarEmbedding, grid
 from .model import BinaryMRF, scale_to_integer
-from .pcc import BoundTrace, SolveResult, TraceRow, optimize
+from .pcc import DEFAULT_MATCHING_SCALE, BoundTrace, SolveResult, TraceRow
+from .pcc import certificate_of, optimize
 
 RESULTS_HEADER = [
     "rows", "cols", "a", "seed", "converged", "iters", "gap", "wall_ms", "error",
@@ -57,7 +58,7 @@ class InstanceSpec:
 class SolverOptions:
     max_iters: int = 1000
     tol: float = 1.0
-    matching_scale: int = 10**6
+    matching_scale: int = DEFAULT_MATCHING_SCALE
     engine: str | None = None
 
 
@@ -219,12 +220,11 @@ def solve_model(
         iterations = 1
         trace = BoundTrace([TraceRow(1, extra, extra, extra, 0.0, 0.0, 0.0)])
     gap = float(best_upper - best_lower)
-    certificate = "optimal" if (gap < 1.0 and model.is_integer) else "gap"
     return SolveResult(
         best_assignment=tuple(labels),
         best_upper=best_upper,
         best_lower=best_lower,
-        certificate=certificate,
+        certificate=certificate_of(gap, model),
         gap=gap,
         iterations=iterations,
         trace=trace,

@@ -14,25 +14,27 @@ its cut state is parity-free: its two ports get a single merged edge with
 weight min(-w, 0), and the bridge is decoded as cut exactly when w < 0.
 
 ``ground_state`` and the PCC loop share this one reduction: the port graph
-is built once per embedded topology, and each solve maps edge weights to
-port weights and decodes the matching through the same ``ExpandedDual``.
+is built once per embedded topology, and ``ExpandedDual.solve`` maps edge
+weights to port weights, runs the matching kernel and decodes the matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .embedding import PlanarEmbedding, faces
-from .errors import NotPlanarEmbeddingError, WeightRangeError
+from .errors import NoPerfectMatchingError, NotPlanarEmbeddingError, WeightRangeError
 from .matching import (
     MAX_ABS_WEIGHT,
     Matching,
     WeightedMatchGraph,
-    min_weight_perfect_matching,
+    engine_kernel,
+    min_weight_perfect_matching,  # noqa: F401  (perfbench/tracing.py wraps it here)
 )
 from .model import Labels, SymmetricIsing
 
@@ -43,8 +45,7 @@ class ExpandedDual:
 
     Port edge t joins ports port_u[t] and port_v[t].  For t below the
     model's edge count it stands for model edge t (bridge[t] marks merged
-    bridge edges); the rest are the zero-weight face cliques.
-    gadget_map[f] lists the port vertices of face f.  ``tree`` is a
+    bridge edges); the rest are the zero-weight face cliques.  ``tree`` is a
     spanning tree of the model graph as (vertex, parent, model edge)
     triples in breadth-first order from node 0; edge_u and edge_v hold the
     model edges' endpoints.  ``weights`` are the model's edge weights and
@@ -55,7 +56,6 @@ class ExpandedDual:
     weights: tuple[int, ...]
     offset: int
     num_ports: int
-    gadget_map: tuple[tuple[int, ...], ...]
     port_u: np.ndarray
     port_v: np.ndarray
     bridge: np.ndarray
@@ -87,6 +87,30 @@ class ExpandedDual:
         out = np.zeros(len(self.port_u), dtype=np.int64)
         out[: len(w)] = np.where(self.bridge, np.minimum(-w, 0), -w)
         return out
+
+    def solve(
+        self, weights: Sequence[int] | np.ndarray, engine: str | None = None
+    ) -> tuple[int, Labels]:
+        """(energy, labels) of a minimum cut at model edge weights
+        ``weights``: one cold minimum perfect matching of the port graph by
+        ``engine``'s kernel, decoded.  Node 0 is labeled 0.
+
+        Raises NoPerfectMatchingError when the kernel leaves a port
+        unmatched or pairs ports that share no port edge.
+        """
+        # The kernel maximizes, so it gets the negated port weights.  Every
+        # solve is cold: between PCC iterates subgradient steps perturb most
+        # incidence weights, so a warm start repairs more than it reuses.
+        mate, _ = engine_kernel(engine).solve_max_weight_matching(
+            self.num_ports, self.port_u, self.port_v, -self.port_weights(weights)
+        )
+        mate = np.asarray(mate, dtype=np.int64)
+        matched = (mate[self.port_u] == self.port_v) & (mate[self.port_v] == self.port_u)
+        if 2 * matched.sum() != self.num_ports:
+            raise NoPerfectMatchingError(
+                "matching kernel returned no perfect matching of the port graph"
+            )
+        return self.decode(weights, mate)
 
     def decode(
         self, weights: Sequence[int] | np.ndarray, mate: Sequence[int]
@@ -176,14 +200,14 @@ def build_expanded_dual(
     # One port per (face, dart).
     port_of_dart: dict[tuple[int, int], int] = {}
     face_of_dart: dict[tuple[int, int], int] = {}
-    gadget_map = []
+    face_ports = []
     for f in face_list:
         ports = []
         for dart in f.boundary:
             port_of_dart[dart] = len(port_of_dart)
             face_of_dart[dart] = f.id
             ports.append(port_of_dart[dart])
-        gadget_map.append(tuple(ports))
+        face_ports.append(ports)
 
     # Port edge t joins the two ports of model edge t; a bridge's ports
     # share a face, and its edge replaces their clique edge.
@@ -194,17 +218,13 @@ def build_expanded_dual(
         port_edges.append((p1, p2))
         bridge.append(face_of_dart[(i, j)] == face_of_dart[(j, i)])
     merged = {(min(e), max(e)) for e, b in zip(port_edges, bridge) if b}
-    for ports in gadget_map:
-        for a in range(len(ports)):
-            for b in range(a + 1, len(ports)):
-                if (ports[a], ports[b]) not in merged:
-                    port_edges.append((ports[a], ports[b]))
+    for ports in face_ports:
+        port_edges += [e for e in combinations(ports, 2) if e not in merged]
 
     return ExpandedDual(
         weights=weights,
         offset=sum(weights),
         num_ports=len(port_of_dart),
-        gadget_map=tuple(gadget_map),
         port_u=np.array([u for (u, _) in port_edges], dtype=np.int64),
         port_v=np.array([v for (_, v) in port_edges], dtype=np.int64),
         bridge=np.array(bridge, dtype=bool),
@@ -235,5 +255,5 @@ def ground_state(
     complement have equal energy).
     """
     dual = build_expanded_dual(ising, embedding)
-    matching = min_weight_perfect_matching(dual.match_graph, engine)
-    return decode_matching(ising, dual, matching)
+    energy, labels = dual.solve(dual.weights, engine)
+    return GroundState(labels, energy)

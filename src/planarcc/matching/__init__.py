@@ -11,7 +11,6 @@ matchings.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -149,14 +148,6 @@ def min_weight_perfect_matching(
     if g.num_vertices == 0:
         return Matching((), 0)
     return _matching_from_mate(g, _solve(g, engine))
-
-
-def to_dimacs(g: WeightedMatchGraph) -> str:
-    """DIMACS-like edge list (1-based vertex ids), for external cross-checks."""
-    lines = [f"p edge {g.num_vertices} {len(g.edges)}"]
-    for (u, v, w) in g.edges:
-        lines.append(f"e {u + 1} {v + 1} {w}")
-    return "\n".join(lines) + "\n"
 
 
 def verify_min_weight_perfect_matching(

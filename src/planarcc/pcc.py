@@ -24,7 +24,7 @@ import numpy as np
 from .embedding import PlanarEmbedding, faces
 from .errors import WeightRangeError
 from .ising import ExpandedDual, build_expanded_dual
-from .matching import MAX_ABS_WEIGHT, engine_kernel
+from .matching import MAX_ABS_WEIGHT
 from .model import BinaryMRF, Labels, SymmetricIsing, complement, energy
 
 DEFAULT_MATCHING_SCALE = 10**6
@@ -37,7 +37,8 @@ class PCCGraph:
     Incidences are (node, face) pairs in face order (walk order within each
     face); node_incidences[i] indexes the incidences of node i (its N_i).
     ``embedding`` is the combined rotation system of the augmented graph,
-    which is planar by construction.
+    which is planar by construction; ``dual`` is its port-graph reduction,
+    whose model edges are listed by ``augmented_edges``.
     """
 
     model: BinaryMRF
@@ -48,6 +49,7 @@ class PCCGraph:
     inc_face: tuple[int, ...]
     node_incidences: tuple[tuple[int, ...], ...]
     embedding: PlanarEmbedding
+    dual: ExpandedDual = field(compare=False, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -60,10 +62,7 @@ class PCCGraph:
     def augmented_edges(self) -> list[tuple[int, int]]:
         """Edge endpoints of the augmented graph: base edges first, then one
         edge per incidence, in incidence order."""
-        out = [(i, j) for (i, j, _) in self.model.edges]
-        for t in range(len(self.inc_node)):
-            out.append((self.inc_node[t], self.face_vertex[self.inc_face[t]]))
-        return out
+        return list(zip(self.dual.edge_u.tolist(), self.dual.edge_v.tolist()))
 
 
 @dataclass
@@ -198,6 +197,12 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         # placed inside the face sees the boundary counterclockwise in
         # reversed walk order.
         rotations.append(tuple(reversed(f.boundary_vertices)))
+    aug_embedding = PlanarEmbedding(tuple(rotations))
+
+    # Only the topology matters: each solve supplies the edge weights.
+    aug_edges = [(i, j, 0) for (i, j, _) in model.edges]
+    aug_edges += [(u, face_vertex[f], 0) for u, f in zip(inc_node, inc_face)]
+    topology = SymmetricIsing(n + num_faces, tuple(aug_edges))
 
     return PCCGraph(
         model=model,
@@ -207,7 +212,8 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         inc_node=tuple(inc_node),
         inc_face=tuple(inc_face),
         node_incidences=tuple(tuple(t) for t in node_incidences),
-        embedding=PlanarEmbedding(tuple(rotations)),
+        embedding=aug_embedding,
+        dual=build_expanded_dual(topology, aug_embedding),
     )
 
 
@@ -222,79 +228,51 @@ def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
     return VariationalParams(pcc, values)
 
 
-class _PCCSolveContext:
-    """Per-solve cache: the expanded dual of the augmented graph and the
-    scaled base edge weights are fixed; only the incidence edge weights
-    change between iterations."""
-
-    def __init__(
-        self,
-        pcc: PCCGraph,
-        matching_scale: int = DEFAULT_MATCHING_SCALE,
-        engine: str | None = None,
-    ):
-        if matching_scale < 1:
-            raise ValueError("matching_scale must be >= 1")
-        self.pcc = pcc
-        self.scale = int(matching_scale)
-        self.impl = engine_kernel(engine)
-
-        model = pcc.model
-        self.num_base = len(model.edges)
-        self.num_inc = len(pcc.inc_node)
-
-        # Scaled base weights; exact integers when the model is integral.
-        base_scaled: list[int] = []
-        self.base_err_units = 0.0
-        for (_, _, w) in model.edges:
-            if isinstance(w, int):
-                sw = w * self.scale
-            else:
-                sw = int(np.rint(w * self.scale))
-                self.base_err_units += abs(w * self.scale - sw)
-            if abs(sw) > MAX_ABS_WEIGHT:
-                raise WeightRangeError(
-                    "scaled edge weight exceeds safe range; lower matching_scale"
-                )
-            base_scaled.append(sw)
-        self.base_scaled = base_scaled
-
-        # Expanded dual of the augmented graph; solve() supplies the weights.
-        topology = SymmetricIsing(
-            pcc.num_vertices, tuple((i, j, 0) for (i, j) in pcc.augmented_edges())
-        )
-        self.dual: ExpandedDual = build_expanded_dual(topology, pcc.embedding)
-
-    def scaled_weights(self, params: VariationalParams) -> tuple[np.ndarray, float]:
-        """Integer weights (in matching-scale units) for all augmented edges
-        plus the total absolute rounding error in those units."""
-        inc_scaled_f = params.values * self.scale
-        inc_rounded = np.rint(inc_scaled_f)
-        err = self.base_err_units + float(np.abs(inc_scaled_f - inc_rounded).sum())
-        w = np.empty(self.num_base + self.num_inc, dtype=np.int64)
-        w[: self.num_base] = self.base_scaled
-        w[self.num_base:] = inc_rounded.astype(np.int64)
-        if np.abs(w).max(initial=0) > MAX_ABS_WEIGHT:
+def _scale_base(model: BinaryMRF, matching_scale: int) -> tuple[np.ndarray, float]:
+    """Base edge weights in matching-scale units (exact integers when the
+    model is integral) and their total absolute rounding error in those
+    units."""
+    if matching_scale < 1:
+        raise ValueError("matching_scale must be >= 1")
+    scale = int(matching_scale)
+    base_scaled: list[int] = []
+    err_units = 0.0
+    for (_, _, w) in model.edges:
+        if isinstance(w, int):
+            sw = w * scale
+        else:
+            sw = int(np.rint(w * scale))
+            err_units += abs(w * scale - sw)
+        if abs(sw) > MAX_ABS_WEIGHT:
             raise WeightRangeError(
-                "scaled split weight exceeds safe range; lower matching_scale"
+                "scaled edge weight exceeds safe range; lower matching_scale"
             )
-        return w, err
+        base_scaled.append(sw)
+    return np.array(base_scaled, dtype=np.int64), err_units
 
-    def solve(self, params: VariationalParams) -> tuple[float, Labels]:
-        """One exact solve of the augmented model at the current splits."""
-        w, err_units = self.scaled_weights(params)
-        # The kernel maximizes, so it gets the negated port weights.  Cold
-        # solves: subgradient steps perturb most incidence weights, so
-        # seeding from the previous matching repairs more than it reuses.
-        mate, _ = self.impl.solve_max_weight_matching(
-            self.dual.num_ports,
-            self.dual.port_u,
-            self.dual.port_v,
-            -self.dual.port_weights(w),
+
+def _bound(
+    pcc: PCCGraph,
+    params: VariationalParams,
+    matching_scale: int,
+    base: tuple[np.ndarray, float],
+    engine: str | None,
+) -> tuple[float, Labels]:
+    """One exact solve of the augmented model at the current splits, with
+    ``base`` from ``_scale_base``: (lower bound, augmented labels)."""
+    scale = int(matching_scale)
+    base_scaled, base_err_units = base
+    inc_scaled_f = params.values * scale
+    inc_rounded = np.rint(inc_scaled_f)
+    err_units = base_err_units + float(np.abs(inc_scaled_f - inc_rounded).sum())
+    w = np.concatenate((base_scaled, inc_rounded.astype(np.int64)))
+    if np.abs(w).max(initial=0) > MAX_ABS_WEIGHT:
+        raise WeightRangeError(
+            "scaled split weight exceeds safe range; lower matching_scale"
         )
-        gs_energy, labels = self.dual.decode(w, mate)
-        value = gs_energy / self.scale + self.pcc.model.constant - err_units / self.scale
-        return value, labels
+    gs_energy, labels = pcc.dual.solve(w, engine)
+    value = gs_energy / scale + pcc.model.constant - err_units / scale
+    return value, labels
 
 
 def lower_bound(
@@ -310,10 +288,19 @@ def lower_bound(
     Returns (value, config); config labels the original nodes followed by
     the face nodes.  Split weights are quantized to matching-scale units for
     the solver and the worst-case quantization error is subtracted from the
-    reported value, so validity never depends on rounding luck.
+    reported value, so validity never depends on rounding luck.  The
+    port-graph reduction is built once per ``PCCGraph``, by ``build_pcc``;
+    each call scales the weights and runs one matching.
     """
-    ctx = _PCCSolveContext(pcc, matching_scale, engine)
-    return ctx.solve(params)
+    base = _scale_base(pcc.model, matching_scale)
+    return _bound(pcc, params, matching_scale, base, engine)
+
+
+def certificate_of(gap: float, model: BinaryMRF) -> str:
+    """"optimal" when the gap is below the integer quantum of an
+    exact-integer model, else "gap".  It is a proof, not a stopping
+    decision: tol plays no part."""
+    return "optimal" if (gap < 1.0 and model.is_integer) else "gap"
 
 
 def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
@@ -379,7 +366,7 @@ def optimize(
         )
     pcc = build_pcc(model, embedding)
     params = init_params(model, pcc)
-    ctx = _PCCSolveContext(pcc, matching_scale, engine)
+    base = _scale_base(model, matching_scale)
 
     trace = BoundTrace()
     best_upper: float | None = None
@@ -390,7 +377,7 @@ def optimize(
     iteration = 0
     while iteration < limit:
         iteration += 1
-        lb, config = ctx.solve(params)
+        lb, config = _bound(pcc, params, matching_scale, base, engine)
         x, ub = decode_upper(model, config)
         if best_upper is None or ub < best_upper:
             best_upper = ub
@@ -422,14 +409,11 @@ def optimize(
             break
 
     gap = float(best_upper - best_lower)
-    # "optimal" is a proof, not a stopping decision: it needs the gap below
-    # the integer quantum on an exact-integer model, whatever tol was.
-    certificate = "optimal" if (gap < 1.0 and model.is_integer) else "gap"
     return SolveResult(
         best_assignment=best_assignment,
         best_upper=best_upper,
         best_lower=best_lower,
-        certificate=certificate,
+        certificate=certificate_of(gap, model),
         gap=gap,
         iterations=iteration,
         trace=trace,

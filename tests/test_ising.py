@@ -3,22 +3,27 @@ import random
 import pytest
 
 from planarcc import (
+    NoPerfectMatchingError,
     NotPlanarEmbeddingError,
     PlanarEmbedding,
     SymmetricIsing,
     WeightRangeError,
     build_expanded_dual,
+    build_pcc,
     cycle,
     grid,
     ground_state,
+    init_params,
     ising_energy,
+    lower_bound,
     min_weight_perfect_matching,
 )
 from planarcc import faces as faces_of
 from planarcc.ising import decode_matching
+from planarcc.matching import engine_kernel
 from planarcc.oracle import brute_force_map_ising
 
-from conftest import random_grid_ising, random_tree
+from conftest import random_grid_ising, random_grid_model, random_tree
 
 SINGLE_EDGE_EMB = PlanarEmbedding(((1,), (0,)))
 
@@ -45,7 +50,8 @@ def test_gadget_size_regression_3x3():
     dual = build_expanded_dual(ising, emb)
     assert dual.num_ports == 24
     assert len(dual.match_graph.edges) == 64
-    assert len(dual.gadget_map) == 5
+    # 4 inner faces of 4 ports and one outer face of 8: 4 * 6 + 28 clique edges
+    assert len(dual.port_u) - len(ising.edges) == 4 * 6 + 28
 
 
 def test_triangle_examples():
@@ -218,10 +224,62 @@ def test_port_weights_agree_with_rebuilt_dual(engine):
         assert dual.port_weights(weights).tolist() == [w for (_, _, w) in rebuilt.edges]
         want = brute_force_map_ising(ising).energy
         assert ground_state(ising, emb, engine).energy == want
-        # The PCC loop's path: the dual built at other weights, reweighted.
+        # The PCC loop's path: the dual built at other weights, solved at these.
+        assert dual.solve(weights, engine)[0] == want
         matching = min_weight_perfect_matching(rebuilt, engine)
         mate = [-1] * dual.num_ports
         for (u, v) in matching.pairs:
             mate[u], mate[v] = v, u
         energy, labels = dual.decode(weights, mate)
         assert energy == want == ising_energy(ising, labels)
+
+
+def _unmatch_first_pair(mate, eu, ev):
+    """Leave port 0 and its partner unmatched."""
+    mate[mate[0]] = mate[0] = -1
+
+
+def _pair_across_non_edges(mate, eu, ev):
+    """Re-pair two matched pairs (a, b), (c, d) as (a, c), (b, d), where no
+    port edge joins a and c."""
+    edges = {(min(u, v), max(u, v)) for u, v in zip(eu, ev)}
+    pairs = [(u, v) for u, v in enumerate(mate) if u < v]
+    for (a, b) in pairs:
+        for (c, d) in pairs:
+            if (a, b) != (c, d) and (min(a, c), max(a, c)) not in edges:
+                mate[a], mate[c], mate[b], mate[d] = c, a, d, b
+                return
+    raise AssertionError("no non-edge pair to corrupt")
+
+
+def _ground_state_call(engine):
+    ising, emb = random_grid_ising(random.Random(5), 3, 3)
+    return lambda: ground_state(ising, emb, engine)
+
+
+def _lower_bound_call(engine):
+    model, emb = random_grid_model(random.Random(5), 3, 3, a_scaled=400)
+    pcc = build_pcc(model, emb)
+    params = init_params(model, pcc)
+    return lambda: lower_bound(model, pcc, params, engine=engine)
+
+
+@pytest.mark.parametrize("corrupt", [_unmatch_first_pair, _pair_across_non_edges])
+@pytest.mark.parametrize("call", [_ground_state_call, _lower_bound_call])
+def test_solve_rejects_a_mate_that_is_no_port_graph_matching(
+    monkeypatch, engine, corrupt, call
+):
+    kernel = engine_kernel(engine)
+    real = kernel.solve_max_weight_matching
+
+    def broken(n, eu, ev, ew):
+        mate, duals = real(n, eu, ev, ew)
+        mate = list(mate)
+        corrupt(mate, list(eu), list(ev))
+        return mate, duals
+
+    solve = call(engine)
+    solve()
+    monkeypatch.setattr(kernel, "solve_max_weight_matching", broken)
+    with pytest.raises(NoPerfectMatchingError, match="no perfect matching of the port graph"):
+        solve()

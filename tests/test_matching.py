@@ -15,7 +15,6 @@ from planarcc.matching import (
     available_engines,
     engine_kernel,
     has_compiled_kernel,
-    to_dimacs,
     verify_min_weight_perfect_matching,
 )
 from planarcc.oracle import brute_force_mwpm
@@ -172,14 +171,6 @@ def test_total_weight_unique_across_engines_and_orders():
         for e in available_engines()
     }
     assert weights == {2}
-
-
-def test_dimacs_dump():
-    text = to_dimacs(FOUR_CYCLE)
-    lines = text.strip().splitlines()
-    assert lines[0] == "p edge 4 4"
-    assert lines[1] == "e 1 2 1"
-    assert lines[-1] == "e 1 4 4"
 
 
 def test_cross_check_against_networkx():
