@@ -101,8 +101,10 @@ class ExpandedDual:
         # The kernel maximizes, so it gets the negated port weights.  Every
         # solve is cold: between PCC iterates subgradient steps perturb most
         # incidence weights, so a warm start repairs more than it reuses.
+        w = np.asarray(weights, dtype=np.int64)
+        port_w = self.port_weights(w)
         mate, _ = engine_kernel(engine).solve_max_weight_matching(
-            self.num_ports, self.port_u, self.port_v, -self.port_weights(weights)
+            self.num_ports, self.port_u, self.port_v, -port_w
         )
         mate = np.asarray(mate, dtype=np.int64)
         matched = (mate[self.port_u] == self.port_v) & (mate[self.port_v] == self.port_u)
@@ -110,7 +112,7 @@ class ExpandedDual:
             raise NoPerfectMatchingError(
                 "matching kernel returned no perfect matching of the port graph"
             )
-        return self.decode(weights, mate)
+        return self._decode(w, port_w, matched)
 
     def decode(
         self, weights: Sequence[int] | np.ndarray, mate: Sequence[int]
@@ -123,10 +125,15 @@ class ExpandedDual:
         AssertionError when the cut is inconsistent on some edge or the
         labels' energy differs from the matching's.
         """
-        port_w = self.port_weights(weights)
         w = np.asarray(weights, dtype=np.int64)
         mate = np.asarray(mate, dtype=np.int64)
-        matched = mate[self.port_u] == self.port_v
+        return self._decode(w, self.port_weights(w), mate[self.port_u] == self.port_v)
+
+    def _decode(
+        self, w: np.ndarray, port_w: np.ndarray, matched: np.ndarray
+    ) -> tuple[int, Labels]:
+        """``decode`` given the int64 model weights ``w``, their port
+        weights and the mask of matched port edges."""
         cut = np.where(self.bridge, w < 0, ~matched[: len(w)])
         cut_list = cut.tolist()
         labels = [0] * (len(self.tree) + 1)

@@ -9,6 +9,12 @@ The split weights are then improved by projected subgradient steps with
 Polyak's step size, while each iterate's restriction to the original nodes
 supplies an upper bound; on integer-scaled models a gap below 1 certifies
 optimality.
+
+The step factor follows Held, Wolfe & Crowder ("Validation of subgradient
+optimization", Math. Prog. 1974): it starts at 1.5 and is halved, down to
+0.05, after every 3 iterations in a row whose lower bound does not beat the
+best one so far.  Large early steps lift the bound fast; halving on a stall
+lets it settle near the optimum of the relaxation.
 """
 
 from __future__ import annotations
@@ -290,8 +296,11 @@ def lower_bound(
     the solver and the worst-case quantization error is subtracted from the
     reported value, so validity never depends on rounding luck.  The
     port-graph reduction is built once per ``PCCGraph``, by ``build_pcc``;
-    each call scales the weights and runs one matching.
+    each call scales the weights and runs one matching.  Raises ValueError
+    when ``model`` is not the model ``pcc`` was built for.
     """
+    if model != pcc.model:
+        raise ValueError("model differs from the model the PCC graph was built for")
     base = _scale_base(pcc.model, matching_scale)
     return _bound(pcc, params, matching_scale, base, engine)
 
@@ -323,11 +332,13 @@ def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
     return disagree - (sums / counts)[inc_node]
 
 
-def polyak_step(best_upper: float, lower: float, grad_sq_norm: float) -> float:
-    """Polyak's rule with factor 1/2: (best upper - current lower) / 2|g|^2."""
+def polyak_step(
+    best_upper: float, lower: float, grad_sq_norm: float, factor: float = 0.5
+) -> float:
+    """Polyak's rule: factor * (best upper - current lower) / |g|^2."""
     if grad_sq_norm <= 0:
         raise ValueError("zero subgradient: no step possible (bound is stationary)")
-    return 0.5 * (best_upper - lower) / grad_sq_norm
+    return factor * (best_upper - lower) / grad_sq_norm
 
 
 def decode_upper(model: BinaryMRF, config: Sequence[int]) -> tuple[Labels, float]:
@@ -354,6 +365,11 @@ def optimize(
     """Full solve: iterate exact lower bounds and decoded upper bounds,
     improving the splits by projected subgradient with Polyak steps.
 
+    The step is factor * (best_upper - lb) / |g|^2.  The factor starts at
+    1.5; after 3 iterations in a row whose lb does not beat best_lower it is
+    halved (never below 0.05) and the count restarts.  A trace row's factor
+    is step_size * subgrad_norm2 / (best_upper - lower_bound).
+
     Stops when best_upper - best_lower < tol, at max_iters, or on a zero
     subgradient.  The certificate reads "optimal" only for integer-weight
     models (energies are then exact).
@@ -372,6 +388,8 @@ def optimize(
     best_upper: float | None = None
     best_assignment: Labels = ()
     best_lower = -np.inf
+    factor = 1.5
+    stalls = 0
     start = time.perf_counter()
     limit = max(1, max_iters)
     iteration = 0
@@ -382,7 +400,14 @@ def optimize(
         if best_upper is None or ub < best_upper:
             best_upper = ub
             best_assignment = x
-        best_lower = max(best_lower, lb)
+        if lb > best_lower:
+            best_lower = lb
+            stalls = 0
+        else:
+            stalls += 1
+            if stalls == 3:
+                factor = max(factor / 2, 0.05)
+                stalls = 0
         gap = best_upper - best_lower
 
         g = subgradient(pcc, config)
@@ -390,7 +415,7 @@ def optimize(
         stop = gap < tol or iteration == limit or gn2 == 0.0
         lam = 0.0
         if not stop:
-            lam = polyak_step(best_upper, lb, gn2)
+            lam = polyak_step(best_upper, lb, gn2, factor)
             params.apply_step(lam, g)
         trace.rows.append(
             TraceRow(

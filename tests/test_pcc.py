@@ -145,6 +145,18 @@ def test_lower_bound_validity_over_iterations():
         assert res.best_upper >= want
 
 
+def test_lower_bound_rejects_a_model_the_pcc_graph_was_not_built_for():
+    model, emb = unit_grid_model(3, 3, unary=1)
+    g = build_pcc(model, emb)
+    params = init_params(model, g)
+    other = BinaryMRF(model.num_nodes, model.edges, (2,) * model.num_nodes, 0)
+    with pytest.raises(ValueError, match="differs"):
+        lower_bound(other, g, params)
+    # An equal model built apart is the same model.
+    same, _ = unit_grid_model(3, 3, unary=1)
+    assert lower_bound(same, g, params) == lower_bound(model, g, params)
+
+
 def test_subgradient_example():
     # node 0 on a path has a single face; build a cycle to get two faces
     edges, emb = cycle(4)
@@ -188,6 +200,45 @@ def test_polyak_step():
     assert polyak_step(7, 3, 16) > 0
     with pytest.raises(ValueError):
         polyak_step(10, 6, 0)
+
+
+def test_step_factor_schedule_in_trace():
+    # tol=0 keeps the loop going past certification, so the lower bound
+    # stalls often enough for the factor to reach its floor.
+    model, emb = generate_grid_instance(InstanceSpec(10, 10, 0.2, 31, 500))
+    rows = optimize(model, emb, max_iters=100, tol=0.0).trace.rows
+    assert len(rows) == 100 and rows[-1].step_size == 0.0
+    # Replay the schedule on the trace's own lower bounds: the factor starts
+    # at 1.5 and halves, never below 0.05, exactly when 3 iterations in a
+    # row have not raised the best lower bound.
+    best, stalls, want = -np.inf, 0, 1.5
+    factors = []
+    for r in rows[:-1]:
+        if r.lower_bound > best:
+            best, stalls = r.lower_bound, 0
+        else:
+            stalls += 1
+            if stalls == 3:
+                want, stalls = max(want / 2, 0.05), 0
+        factor = r.step_size * r.subgrad_norm2 / (r.best_upper - r.lower_bound)
+        assert factor == pytest.approx(want, rel=1e-9), r.iteration
+        factors.append(factor)
+    assert factors[0] == pytest.approx(1.5, rel=1e-9)
+    assert min(factors) >= 0.05 * (1 - 1e-9)
+    # The run exercises every branch: halvings, and steps at the floor.
+    assert sum(f == pytest.approx(0.05, rel=1e-9) for f in factors) > 3
+
+
+def test_certify_iteration_budget_8x8():
+    # The fixed factor 1/2 needed 597 iterations on these seeds, the slowest
+    # seed 112; the adaptive schedule needs 146.
+    total = 0
+    for seed in range(12):
+        model, emb = generate_grid_instance(InstanceSpec(8, 8, 0.2, seed, 500))
+        res = optimize(model, emb, max_iters=2000, tol=1.0)
+        assert res.certificate == "optimal", seed
+        total += res.iterations
+    assert total <= 200
 
 
 def test_decode_upper():
