@@ -40,7 +40,7 @@ SETS = [
 ]
 
 
-def _commit() -> str | None:
+def commit() -> str | None:
     try:
         out = subprocess.run(
             ["git", "-C", str(ROOT), "describe", "--always", "--dirty", "--abbrev=12"],
@@ -51,7 +51,7 @@ def _commit() -> str | None:
     return out.stdout.strip()
 
 
-def _cpu() -> dict:
+def cpu() -> dict:
     model = platform.processor() or None
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -108,10 +108,10 @@ def main(argv: list[str]) -> int:
 
     record = {
         "label": label,
-        "commit": _commit(),
+        "commit": commit(),
         "engine": planarcc.matching.DEFAULT_ENGINE,
         "compiled_unavailable": planarcc.matching.COMPILED_UNAVAILABLE,
-        "cpu": _cpu(),
+        "cpu": cpu(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "optimize": {"max_iters": 2000, "tol": 1.0},

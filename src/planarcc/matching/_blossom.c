@@ -1,17 +1,23 @@
 /*
- * Compiled blossom kernel: maximum-weight maximum-cardinality matching.
+ * Compiled blossom kernel: maximum-cardinality matching, of maximum weight
+ * among the perfect matchings when the graph has one.
  *
  * Line-for-line translation of _blossom_py.py into C99 over int64 arrays;
  * keep the two in sync.  See that module for the algorithm notes and
  * conventions (scaled weights, endpoint-encoded mates, greedy
- * initialization, lazy dual updates, candidate lists).  Blossom ids,
- * scan order and tie-breaking are the same, so both kernels return the
- * same mates and duals.
+ * initialization, persistent trees, lazy dual updates, candidate lists).
+ * Every unmatched vertex roots one alternating tree for the whole solve;
+ * an augmentation dissolves only the two trees it joins (troot names the
+ * tree of each labeled top-level blossom) and the main loop runs until no
+ * dual adjustment exists.  Blossom ids, scan order and tie-breaking are
+ * the same, so both kernels return the same mates and duals.
  *
  * _blossom_c.py compiles this file with the system C compiler and calls
  * blossom_solve() through ctypes.  Every allocation is checked: a failed
  * one unwinds to blossom_solve() through longjmp, which frees everything
- * and returns BLOSSOM_NOMEM.
+ * and returns BLOSSOM_NOMEM.  A dual adjustment whose edge does not join
+ * the labels it should unwinds the same way with BLOSSOM_BROKEN, where
+ * the solve would otherwise repeat it forever.
  */
 
 #include <setjmp.h>
@@ -25,7 +31,8 @@ typedef int64_t i64;
 enum {
     BLOSSOM_OK = 0,
     BLOSSOM_NOMEM = 1,   /* an allocation failed */
-    BLOSSOM_INPUT = 2    /* n < 0, endpoint out of range, self-loop, or |w| too large */
+    BLOSSOM_INPUT = 2,   /* n < 0, endpoint out of range, self-loop, or |w| too large */
+    BLOSSOM_BROKEN = 3   /* an invariant failed: a bug in this kernel */
 };
 
 /* Largest |input weight|: weights are scaled by 4, and duals and slacks
@@ -57,7 +64,7 @@ typedef struct {
     i64 *dualvar;         /* 2n */
     i64 *dsgn;            /* 2n, lazy dual sign */
     i64 *dt0;             /* 2n, lazy dual timestamp */
-    i64 cum;              /* accumulated dual adjustment this stage */
+    i64 cum;              /* accumulated dual adjustment */
     unsigned char *allowedge;  /* m */
     i64 **childs;         /* 2n */
     i64 *childs_len;      /* 2n; endps[b] has the same length */
@@ -65,12 +72,19 @@ typedef struct {
     i64 **bbe;            /* blossom best-edge lists, 2n */
     i64 *bbe_len;
     i64 *bestedge;        /* 2n */
+    i64 *troot;           /* 2n, root vertex of a labeled top-level blossom's tree */
+    i64 *seen;            /* 2n, == epoch once repaired in this dissolution */
+    i64 epoch;
     i64 *unusedb;         /* stack of free blossom ids */
     i64 unusedb_top;
     Grower queue, cand_free, cand_ss, cand_tb;
     i64 *leafbuf;         /* n */
     i64 *lstack;          /* 2n */
-    i64 *bestedgeto;      /* 2n */
+    i64 *bestedgeto;      /* 2n, all -1 between add_blossom calls */
+    i64 *touched;         /* 2n, entries of bestedgeto set, in order */
+    i64 ntouched;
+    i64 *gone;            /* n, vertices of dissolved trees */
+    i64 *expandbuf;       /* n, dissolved S-blossoms */
     i64 *patht;           /* 2n (add_blossom path) */
     i64 *endpst;          /* 2n (add_blossom endps) */
     i64 *rott;            /* 2n (scratch) */
@@ -84,11 +98,17 @@ static void *xalloc(Solver *s, i64 count, size_t size)
     if (count < 1)
         count = 1;
     if ((uint64_t)count > SIZE_MAX / size)
-        longjmp(s->fail, 1);
+        longjmp(s->fail, BLOSSOM_NOMEM);
     p = malloc((size_t)count * size);
     if (p == NULL)
-        longjmp(s->fail, 1);
+        longjmp(s->fail, BLOSSOM_NOMEM);
     return p;
+}
+
+static inline void check(Solver *s, int ok)
+{
+    if (!ok)
+        longjmp(s->fail, BLOSSOM_BROKEN);
 }
 
 static void grow_init(Solver *s, Grower *g, i64 cap)
@@ -103,10 +123,10 @@ static void grow_push(Solver *s, Grower *g, i64 v)
     if (g->length == g->cap) {
         i64 *nb;
         if ((uint64_t)g->cap > SIZE_MAX / (2 * sizeof(i64)))
-            longjmp(s->fail, 1);
+            longjmp(s->fail, BLOSSOM_NOMEM);
         nb = realloc(g->buf, (size_t)g->cap * 2 * sizeof(i64));
         if (nb == NULL)
-            longjmp(s->fail, 1);
+            longjmp(s->fail, BLOSSOM_NOMEM);
         g->buf = nb;
         g->cap *= 2;
     }
@@ -131,10 +151,11 @@ static void solver_free(Solver *s)
     free(s->dsgn); free(s->dt0);
     free(s->allowedge); free(s->childs); free(s->childs_len);
     free(s->endps); free(s->bbe); free(s->bbe_len);
-    free(s->bestedge); free(s->unusedb);
+    free(s->bestedge); free(s->troot); free(s->seen); free(s->unusedb);
     free(s->queue.buf); free(s->cand_free.buf);
     free(s->cand_ss.buf); free(s->cand_tb.buf);
     free(s->leafbuf); free(s->lstack); free(s->bestedgeto);
+    free(s->touched); free(s->gone); free(s->expandbuf);
     free(s->patht); free(s->endpst); free(s->rott); free(s->scanpath);
     free(s);
 }
@@ -168,6 +189,8 @@ static void solver_alloc(Solver *s)
     s->childs_len = xalloc(s, 2 * n, sizeof(i64));
     s->bbe_len = xalloc(s, 2 * n, sizeof(i64));
     s->bestedge = xalloc(s, 2 * n, sizeof(i64));
+    s->troot = xalloc(s, 2 * n, sizeof(i64));
+    s->seen = xalloc(s, 2 * n, sizeof(i64));
     s->unusedb = xalloc(s, n, sizeof(i64));
     grow_init(s, &s->queue, 4 * n + 16);
     grow_init(s, &s->cand_free, 2 * n + 16);
@@ -176,6 +199,9 @@ static void solver_alloc(Solver *s)
     s->leafbuf = xalloc(s, n, sizeof(i64));
     s->lstack = xalloc(s, 2 * n, sizeof(i64));
     s->bestedgeto = xalloc(s, 2 * n, sizeof(i64));
+    s->touched = xalloc(s, 2 * n, sizeof(i64));
+    s->gone = xalloc(s, n, sizeof(i64));
+    s->expandbuf = xalloc(s, n, sizeof(i64));
     s->patht = xalloc(s, 2 * n, sizeof(i64));
     s->endpst = xalloc(s, 2 * n, sizeof(i64));
     s->rott = xalloc(s, 2 * n, sizeof(i64));
@@ -197,6 +223,12 @@ static inline void materialize(Solver *s, i64 x, i64 sgn)
 static inline i64 slack(const Solver *s, i64 k)
 {
     return vdual(s, s->eu[k]) + vdual(s, s->ev[k]) - s->weight[k];
+}
+
+static inline void least_slack(Solver *s, i64 x, i64 k2)
+{
+    if (s->bestedge[x] == -1 || slack(s, k2) < slack(s, s->bestedge[x]))
+        s->bestedge[x] = k2;
 }
 
 /* Fill buf with the vertices inside blossom b, in child order. */
@@ -236,6 +268,7 @@ static void assign_label(Solver *s, i64 w, i64 t, i64 p)
         s->labelend[b] = p;
         s->bestedge[w] = -1;
         s->bestedge[b] = -1;
+        s->troot[b] = p == -1 ? w : s->troot[s->inblossom[s->endpoint[p]]];
         cnt = leaves(s, b, s->leafbuf);
         if (t == L_S) {
             if (b >= s->n)
@@ -299,10 +332,15 @@ static inline void consider_best(Solver *s, i64 b, i64 k2)
         j = i;
     }
     bj = s->inblossom[j];
-    if (bj != b && s->label[bj] == L_S
-        && (s->bestedgeto[bj] == -1
-            || slack(s, k2) < slack(s, s->bestedgeto[bj])))
+    if (bj == b || s->label[bj] != L_S)
+        return;
+    if (s->bestedgeto[bj] == -1) {
+        s->touched[s->ntouched] = bj;
+        s->ntouched += 1;
         s->bestedgeto[bj] = k2;
+    } else if (slack(s, k2) < slack(s, s->bestedgeto[bj])) {
+        s->bestedgeto[bj] = k2;
+    }
 }
 
 /* Shrink the odd cycle through edge k and blossom base into a new
@@ -313,7 +351,7 @@ static void add_blossom(Solver *s, i64 base, i64 k)
     i64 bb = s->inblossom[base];
     i64 bv = s->inblossom[v];
     i64 bw = s->inblossom[w];
-    i64 b, nv = 0, nw = 0, nch, i, j, leaf, cnt, k2, nbbe, p;
+    i64 b, nv = 0, nw = 0, nch, i, j, leaf, cnt, nbbe, p;
     i64 *ch, *ep, *lst;
     s->unusedb_top -= 1;
     b = s->unusedb[s->unusedb_top];
@@ -356,12 +394,14 @@ static void add_blossom(Solver *s, i64 base, i64 k)
     s->childs_len[b] = nch;
     s->label[b] = L_S;
     s->labelend[b] = s->labelend[bb];
+    s->troot[b] = s->troot[bb];
     s->dualvar[b] = 0;
     s->dsgn[b] = 1;
     s->dt0[b] = s->cum;
     /* Children stop being top-level: freeze their blossom duals; every
      * vertex inside is now (or stays) an S-vertex. */
     for (i = 0; i < nch; i++) {
+        s->troot[ch[i]] = -1;
         if (ch[i] >= s->n)
             materialize(s, ch[i], 0);
     }
@@ -373,9 +413,9 @@ static void add_blossom(Solver *s, i64 base, i64 k)
         materialize(s, leaf, -1);
         s->inblossom[leaf] = b;
     }
-    /* Merge least-slack edges toward other top-level S-blossoms. */
-    for (i = 0; i < 2 * s->n; i++)
-        s->bestedgeto[i] = -1;
+    /* Merge least-slack edges toward other top-level S-blossoms, keyed
+     * by the far top-level blossom in the order first reached. */
+    s->ntouched = 0;
     for (i = 0; i < nch; i++) {
         bv = ch[i];
         if (s->bbe[bv] == NULL) {
@@ -393,34 +433,25 @@ static void add_blossom(Solver *s, i64 base, i64 k)
         }
         s->bestedge[bv] = -1;
     }
-    nbbe = 0;
-    for (i = 0; i < 2 * s->n; i++) {
-        if (s->bestedgeto[i] != -1)
-            nbbe += 1;
-    }
+    nbbe = s->ntouched;
     lst = s->bbe[b] = xalloc(s, nbbe, sizeof(i64));
-    nbbe = 0;
-    for (i = 0; i < 2 * s->n; i++) {
-        if (s->bestedgeto[i] != -1) {
-            lst[nbbe] = s->bestedgeto[i];
-            nbbe += 1;
-        }
+    for (i = 0; i < nbbe; i++) {
+        lst[i] = s->bestedgeto[s->touched[i]];
+        s->bestedgeto[s->touched[i]] = -1;
     }
     s->bbe_len[b] = nbbe;
     s->bestedge[b] = -1;
-    for (i = 0; i < nbbe; i++) {
-        k2 = lst[i];
-        if (s->bestedge[b] == -1 || slack(s, k2) < slack(s, s->bestedge[b]))
-            s->bestedge[b] = k2;
-    }
+    for (i = 0; i < nbbe; i++)
+        least_slack(s, b, lst[i]);
     if (s->bestedge[b] != -1)
         grow_push(s, &s->cand_ss, b);
 }
 
-/* Undo blossom b: promote its children to top level.  During a stage
- * (endstage = 0) b is a T-blossom with zero dual; the path from its entry
- * child to its base is relabeled. */
-static void expand_blossom(Solver *s, i64 b, int endstage)
+/* Undo blossom b: promote its children to top level.  In a live tree
+ * (dissolving = 0) b is a T-blossom with zero dual; the path from its
+ * entry child to its base is relabeled.  In a dissolved tree, children
+ * with zero dual are expanded too. */
+static void expand_blossom(Solver *s, i64 b, int dissolving)
 {
     i64 i, j, sb, v, cnt, jstep, endptrick, p, bv, length, idx, mb;
     i64 *ch = s->childs[b];
@@ -431,9 +462,9 @@ static void expand_blossom(Solver *s, i64 b, int endstage)
         if (sb < s->n) {
             s->inblossom[sb] = sb;
             materialize(s, sb, 0);
-        } else if (endstage
+        } else if (dissolving
                    && s->dualvar[sb] + s->dsgn[sb] * (s->cum - s->dt0[sb]) == 0) {
-            expand_blossom(s, sb, endstage);
+            expand_blossom(s, sb, dissolving);
         } else {
             cnt = leaves(s, sb, s->leafbuf);
             for (j = 0; j < cnt; j++) {
@@ -442,7 +473,7 @@ static void expand_blossom(Solver *s, i64 b, int endstage)
             }
         }
     }
-    if (!endstage && s->label[b] == L_T) {
+    if (!dissolving && s->label[b] == L_T) {
         length = nch;
         sb = s->inblossom[s->endpoint[s->labelend[b] ^ 1]];  /* entry child */
         j = 0;
@@ -481,6 +512,7 @@ static void expand_blossom(Solver *s, i64 b, int endstage)
         s->labelend[s->endpoint[p ^ 1]] = p;
         s->labelend[bv] = p;
         s->bestedge[bv] = -1;
+        s->troot[bv] = s->troot[b];
         if (bv >= s->n) {
             materialize(s, bv, -1);
             grow_push(s, &s->cand_tb, bv);
@@ -517,6 +549,7 @@ static void expand_blossom(Solver *s, i64 b, int endstage)
     }
     s->label[b] = -1;
     s->labelend[b] = -1;
+    s->troot[b] = -1;
     free(s->childs[b]);
     s->childs[b] = NULL;
     free(s->endps[b]);
@@ -662,194 +695,285 @@ static void greedy_start(Solver *s)
     }
 }
 
-/* One full solve from the initial matching and duals already in s. */
-static void run_stages(Solver *s)
+/* Recompute the least-slack edge of kept top-level S-blossom b to the
+ * other S-blossoms, dropping those of dissolved trees. */
+static void refresh_s_bestedge(Solver *s, i64 b)
 {
-    i64 n = s->n, nedge = s->nedge;
-    i64 i, v, w, k, p, b, stage, base;
+    int had = s->bestedge[b] != -1;
+    i64 i, j, k2, nkept, cnt, leaf, p, bj;
+    s->bestedge[b] = -1;
+    if (s->bbe[b] != NULL) {
+        nkept = 0;
+        for (i = 0; i < s->bbe_len[b]; i++) {
+            k2 = s->bbe[b][i];
+            j = s->inblossom[s->eu[k2]] == b ? s->ev[k2] : s->eu[k2];
+            if (s->label[s->inblossom[j]] == L_S) {
+                s->bbe[b][nkept] = k2;
+                nkept += 1;
+                least_slack(s, b, k2);
+            }
+        }
+        s->bbe_len[b] = nkept;
+    } else {
+        cnt = leaves(s, b, s->leafbuf);
+        for (i = 0; i < cnt; i++) {
+            leaf = s->leafbuf[i];
+            for (p = s->nb_start[leaf]; p < s->nb_start[leaf + 1]; p++) {
+                bj = s->inblossom[s->endpoint[s->nb_flat[p]]];
+                if (bj != b && s->label[bj] == L_S)
+                    least_slack(s, b, s->nb_flat[p] >> 1);
+            }
+        }
+    }
+    if (s->bestedge[b] != -1 && !had)
+        grow_push(s, &s->cand_ss, b);
+}
+
+/* Drop w's inner T mark if a dissolved vertex set it; then, if w is
+ * unlabeled, recompute its least-slack edge to an S-vertex. */
+static void refresh_free_bestedge(Solver *s, i64 w)
+{
+    int had;
+    i64 p, bj;
+    if (s->label[w] == L_T
+        && s->label[s->inblossom[s->endpoint[s->labelend[w]]]] != L_S) {
+        s->label[w] = L_FREE;
+        s->labelend[w] = -1;
+    }
+    if (s->label[w] != L_FREE)
+        return;
+    had = s->bestedge[w] != -1;
+    s->bestedge[w] = -1;
+    for (p = s->nb_start[w]; p < s->nb_start[w + 1]; p++) {
+        bj = s->inblossom[s->endpoint[s->nb_flat[p]]];
+        if (bj != s->inblossom[w] && s->label[bj] == L_S)
+            least_slack(s, w, s->nb_flat[p] >> 1);
+    }
+    if (s->bestedge[w] != -1 && !had)
+        grow_push(s, &s->cand_free, w);
+}
+
+/* Unlabel the trees rooted at r1 and r2, just joined by an augmenting
+ * path, and repair the kept trees' view of them. */
+static void dissolve(Solver *s, i64 r1, i64 r2)
+{
+    i64 n = s->n, b, x, top, i, p, v, w, bw, ngone = 0, nexp = 0;
+    for (b = 0; b < 2 * n; b++) {
+        if (s->troot[b] != r1 && s->troot[b] != r2)
+            continue;
+        if (b >= n) {
+            materialize(s, b, 0);
+            if (s->label[b] == L_S) {
+                s->expandbuf[nexp] = b;
+                nexp += 1;
+            }
+        }
+        s->troot[b] = -1;
+        free(s->bbe[b]);
+        s->bbe[b] = NULL;
+        s->lstack[0] = b;
+        top = 1;
+        while (top) {
+            top -= 1;
+            x = s->lstack[top];
+            s->label[x] = L_FREE;
+            s->labelend[x] = -1;
+            s->bestedge[x] = -1;
+            if (x < n) {
+                materialize(s, x, 0);
+                s->gone[ngone] = x;
+                ngone += 1;
+            } else {
+                for (i = 0; i < s->childs_len[x]; i++) {
+                    s->lstack[top] = s->childs[x][i];
+                    top += 1;
+                }
+            }
+        }
+    }
+    /* Expand the dissolved S-blossoms whose dual is zero, as the classic
+     * algorithm does at the end of each stage. */
+    for (i = 0; i < nexp; i++) {
+        if (s->dualvar[s->expandbuf[i]] == 0)
+            expand_blossom(s, s->expandbuf[i], 1);
+    }
+    s->epoch += 1;
+    for (i = 0; i < ngone; i++) {
+        v = s->gone[i];
+        for (p = s->nb_start[v]; p < s->nb_start[v + 1]; p++) {
+            s->allowedge[s->nb_flat[p] >> 1] = 0;
+            w = s->endpoint[s->nb_flat[p]];
+            bw = s->inblossom[w];
+            if (s->label[bw] == L_S) {
+                if (s->seen[w] != s->epoch) {
+                    s->seen[w] = s->epoch;
+                    grow_push(s, &s->queue, w);
+                    if (bw == w)
+                        refresh_s_bestedge(s, bw);
+                }
+                if (bw != w && s->seen[bw] != s->epoch) {
+                    s->seen[bw] = s->epoch;
+                    refresh_s_bestedge(s, bw);
+                }
+            } else if (s->seen[w] != s->epoch) {
+                s->seen[w] = s->epoch;
+                refresh_free_bestedge(s, w);
+            }
+        }
+    }
+}
+
+/* Grow, shrink, augment and adjust duals until no adjustment exists. */
+static void run(Solver *s)
+{
+    i64 n = s->n;
+    i64 i, v, w, k, p, b, base, r1, r2;
     i64 kslack, d, delta, deltatype, deltaedge, deltablossom;
-    int augmented;
 
-    for (stage = 0; stage < n; stage++) {
-        /* Materialize all duals, then reset per-stage structures and
-         * label unmatched vertices S. */
-        for (v = 0; v < n; v++) {
-            s->dualvar[v] += s->dsgn[v] * (s->cum - s->dt0[v]);
-            s->dsgn[v] = 0;
-            s->dt0[v] = 0;
-        }
-        for (b = n; b < 2 * n; b++) {
-            if (s->blossombase[b] >= 0)
-                s->dualvar[b] += s->dsgn[b] * (s->cum - s->dt0[b]);
-            s->dsgn[b] = 0;
-            s->dt0[b] = 0;
-        }
-        s->cum = 0;
-        for (i = 0; i < 2 * n; i++) {
-            s->label[i] = L_FREE;
-            s->bestedge[i] = -1;
-        }
-        for (b = n; b < 2 * n; b++) {
-            free(s->bbe[b]);
-            s->bbe[b] = NULL;
-        }
-        for (k = 0; k < nedge; k++)
-            s->allowedge[k] = 0;
-        s->queue.length = 0;
-        s->cand_free.length = 0;
-        s->cand_ss.length = 0;
-        s->cand_tb.length = 0;
-        for (v = 0; v < n; v++) {
-            if (s->mate[v] == -1 && s->label[s->inblossom[v]] == L_FREE)
-                assign_label(s, v, L_S, -1);
-        }
+    /* Every unmatched vertex roots a tree. */
+    for (v = 0; v < n; v++) {
+        if (s->mate[v] == -1 && s->label[s->inblossom[v]] == L_FREE)
+            assign_label(s, v, L_S, -1);
+    }
 
-        augmented = 0;
-        for (;;) {
-            while (s->queue.length > 0 && !augmented) {
-                s->queue.length -= 1;
-                v = s->queue.buf[s->queue.length];
-                for (p = s->nb_start[v]; p < s->nb_start[v + 1]; p++) {
-                    k = s->nb_flat[p] >> 1;
-                    w = s->endpoint[s->nb_flat[p]];
-                    if (s->inblossom[v] == s->inblossom[w])
-                        continue;
-                    kslack = 0;
-                    if (!s->allowedge[k]) {
-                        kslack = slack(s, k);
-                        if (kslack <= 0)
-                            s->allowedge[k] = 1;
-                    }
-                    if (s->allowedge[k]) {
-                        if (s->label[s->inblossom[w]] == L_FREE) {
-                            assign_label(s, w, L_T, s->nb_flat[p] ^ 1);
-                        } else if (s->label[s->inblossom[w]] == L_S) {
-                            base = scan_blossom(s, v, w);
-                            if (base >= 0) {
-                                add_blossom(s, base, k);
-                            } else {
-                                augment_matching(s, k);
-                                augmented = 1;
-                                break;
-                            }
-                        } else if (s->label[w] == L_FREE) {
-                            s->label[w] = L_T;
-                            s->labelend[w] = s->nb_flat[p] ^ 1;
-                        }
+    for (;;) {
+        while (s->queue.length > 0) {
+            s->queue.length -= 1;
+            v = s->queue.buf[s->queue.length];
+            if (s->label[s->inblossom[v]] != L_S)
+                continue;  /* its tree was dissolved */
+            for (p = s->nb_start[v]; p < s->nb_start[v + 1]; p++) {
+                k = s->nb_flat[p] >> 1;
+                w = s->endpoint[s->nb_flat[p]];
+                if (s->inblossom[v] == s->inblossom[w])
+                    continue;
+                kslack = 0;
+                if (!s->allowedge[k]) {
+                    kslack = slack(s, k);
+                    if (kslack <= 0)
+                        s->allowedge[k] = 1;
+                }
+                if (s->allowedge[k]) {
+                    if (s->label[s->inblossom[w]] == L_FREE) {
+                        assign_label(s, w, L_T, s->nb_flat[p] ^ 1);
                     } else if (s->label[s->inblossom[w]] == L_S) {
-                        b = s->inblossom[v];
-                        if (s->bestedge[b] == -1) {
-                            s->bestedge[b] = k;
-                            grow_push(s, &s->cand_ss, b);
-                        } else if (kslack < slack(s, s->bestedge[b])) {
-                            s->bestedge[b] = k;
+                        base = scan_blossom(s, v, w);
+                        if (base >= 0) {
+                            add_blossom(s, base, k);
+                        } else {
+                            r1 = s->troot[s->inblossom[v]];
+                            r2 = s->troot[s->inblossom[w]];
+                            augment_matching(s, k);
+                            dissolve(s, r1, r2);
+                            break;
                         }
                     } else if (s->label[w] == L_FREE) {
-                        if (s->bestedge[w] == -1) {
-                            s->bestedge[w] = k;
-                            grow_push(s, &s->cand_free, w);
-                        } else if (kslack < slack(s, s->bestedge[w])) {
-                            s->bestedge[w] = k;
-                        }
+                        s->label[w] = L_T;
+                        s->labelend[w] = s->nb_flat[p] ^ 1;
+                    }
+                } else if (s->label[s->inblossom[w]] == L_S) {
+                    b = s->inblossom[v];
+                    if (s->bestedge[b] == -1) {
+                        s->bestedge[b] = k;
+                        grow_push(s, &s->cand_ss, b);
+                    } else if (kslack < slack(s, s->bestedge[b])) {
+                        s->bestedge[b] = k;
+                    }
+                } else if (s->label[w] == L_FREE) {
+                    if (s->bestedge[w] == -1) {
+                        s->bestedge[w] = k;
+                        grow_push(s, &s->cand_free, w);
+                    } else if (kslack < slack(s, s->bestedge[w])) {
+                        s->bestedge[w] = k;
                     }
                 }
-            }
-            if (augmented)
-                break;
-
-            /* Queue exhausted: find the binding dual adjustment among the
-             * candidates.  An entry is dropped only once its bestedge has
-             * been cleared (re-setting it re-registers the entry); a merely
-             * mislabeled entry is kept, since expansion can revalidate it
-             * without touching bestedge. */
-            deltatype = -1;
-            delta = 0;
-            deltaedge = -1;
-            deltablossom = -1;
-            i = 0;
-            while (i < s->cand_free.length) {
-                v = s->cand_free.buf[i];
-                if (s->bestedge[v] == -1) {
-                    s->cand_free.length -= 1;
-                    s->cand_free.buf[i] = s->cand_free.buf[s->cand_free.length];
-                    continue;
-                }
-                if (s->label[s->inblossom[v]] == L_FREE) {
-                    d = slack(s, s->bestedge[v]);
-                    if (deltatype == -1 || d < delta) {
-                        delta = d;
-                        deltatype = 2;
-                        deltaedge = s->bestedge[v];
-                    }
-                }
-                i += 1;
-            }
-            i = 0;
-            while (i < s->cand_ss.length) {
-                b = s->cand_ss.buf[i];
-                if (s->bestedge[b] == -1) {
-                    s->cand_ss.length -= 1;
-                    s->cand_ss.buf[i] = s->cand_ss.buf[s->cand_ss.length];
-                    continue;
-                }
-                if (s->blossomparent[b] == -1 && s->label[b] == L_S) {
-                    kslack = slack(s, s->bestedge[b]);
-                    d = kslack / 2;  /* S-S slack is even and >= 0 */
-                    if (deltatype == -1 || d < delta) {
-                        delta = d;
-                        deltatype = 3;
-                        deltaedge = s->bestedge[b];
-                    }
-                }
-                i += 1;
-            }
-            i = 0;
-            while (i < s->cand_tb.length) {
-                b = s->cand_tb.buf[i];
-                if (s->blossombase[b] >= 0 && s->blossomparent[b] == -1
-                    && s->label[b] == L_T) {
-                    d = s->dualvar[b] + s->dsgn[b] * (s->cum - s->dt0[b]);
-                    if (deltatype == -1 || d < delta) {
-                        delta = d;
-                        deltatype = 4;
-                        deltablossom = b;
-                    }
-                    i += 1;
-                } else {
-                    s->cand_tb.length -= 1;
-                    s->cand_tb.buf[i] = s->cand_tb.buf[s->cand_tb.length];
-                }
-            }
-
-            if (deltatype == -1)
-                break;  /* maximum cardinality reached */
-
-            /* All labeled duals move together; one accumulator records it. */
-            s->cum += delta;
-
-            if (deltatype == 2) {
-                s->allowedge[deltaedge] = 1;
-                i = s->eu[deltaedge];
-                if (s->label[s->inblossom[i]] == L_FREE)
-                    i = s->ev[deltaedge];
-                grow_push(s, &s->queue, i);
-            } else if (deltatype == 3) {
-                s->allowedge[deltaedge] = 1;
-                grow_push(s, &s->queue, s->eu[deltaedge]);
-            } else {
-                expand_blossom(s, deltablossom, 0);
             }
         }
 
-        if (!augmented)
-            break;
+        /* Queue exhausted: find the binding dual adjustment among the
+         * candidates.  An entry is dropped only once its bestedge has
+         * been cleared (re-setting it re-registers the entry); a merely
+         * mislabeled entry is kept, since expansion can revalidate it
+         * without touching bestedge. */
+        deltatype = -1;
+        delta = 0;
+        deltaedge = -1;
+        deltablossom = -1;
+        i = 0;
+        while (i < s->cand_free.length) {
+            v = s->cand_free.buf[i];
+            if (s->bestedge[v] == -1) {
+                s->cand_free.length -= 1;
+                s->cand_free.buf[i] = s->cand_free.buf[s->cand_free.length];
+                continue;
+            }
+            if (s->label[s->inblossom[v]] == L_FREE) {
+                d = slack(s, s->bestedge[v]);
+                if (deltatype == -1 || d < delta) {
+                    delta = d;
+                    deltatype = 2;
+                    deltaedge = s->bestedge[v];
+                }
+            }
+            i += 1;
+        }
+        i = 0;
+        while (i < s->cand_ss.length) {
+            b = s->cand_ss.buf[i];
+            if (s->bestedge[b] == -1) {
+                s->cand_ss.length -= 1;
+                s->cand_ss.buf[i] = s->cand_ss.buf[s->cand_ss.length];
+                continue;
+            }
+            if (s->blossomparent[b] == -1 && s->label[b] == L_S) {
+                kslack = slack(s, s->bestedge[b]);
+                d = kslack / 2;  /* S-S slack is even and >= 0 */
+                if (deltatype == -1 || d < delta) {
+                    delta = d;
+                    deltatype = 3;
+                    deltaedge = s->bestedge[b];
+                }
+            }
+            i += 1;
+        }
+        i = 0;
+        while (i < s->cand_tb.length) {
+            b = s->cand_tb.buf[i];
+            if (s->blossombase[b] >= 0 && s->blossomparent[b] == -1
+                && s->label[b] == L_T) {
+                d = s->dualvar[b] + s->dsgn[b] * (s->cum - s->dt0[b]);
+                if (deltatype == -1 || d < delta) {
+                    delta = d;
+                    deltatype = 4;
+                    deltablossom = b;
+                }
+                i += 1;
+            } else {
+                s->cand_tb.length -= 1;
+                s->cand_tb.buf[i] = s->cand_tb.buf[s->cand_tb.length];
+            }
+        }
 
-        /* End of a successful stage: expand S-blossoms whose dual hit 0. */
-        for (b = n; b < 2 * n; b++) {
-            if (s->blossomparent[b] == -1 && s->blossombase[b] >= 0
-                && s->label[b] == L_S
-                && s->dualvar[b] + s->dsgn[b] * (s->cum - s->dt0[b]) == 0)
-                expand_blossom(s, b, 1);
+        if (deltatype == -1)
+            break;  /* maximum cardinality reached */
+
+        /* All labeled duals move together; one accumulator records it. */
+        s->cum += delta;
+
+        if (deltatype == 2) {
+            s->allowedge[deltaedge] = 1;
+            i = s->eu[deltaedge];
+            if (s->label[s->inblossom[i]] == L_FREE)
+                i = s->ev[deltaedge];
+            check(s, s->label[s->inblossom[i]] == L_S);
+            grow_push(s, &s->queue, i);
+        } else if (deltatype == 3) {
+            s->allowedge[deltaedge] = 1;
+            check(s, s->label[s->inblossom[s->eu[deltaedge]]] == L_S
+                     && s->label[s->inblossom[s->ev[deltaedge]]] == L_S);
+            grow_push(s, &s->queue, s->eu[deltaedge]);
+        } else {
+            expand_blossom(s, deltablossom, 0);
         }
     }
 }
@@ -886,7 +1010,10 @@ static void setup(Solver *s, const i64 *ew)
         fill[v] += 1;
     }
 
+    for (k = 0; k < nedge; k++)
+        s->allowedge[k] = 0;
     s->cum = 0;
+    s->epoch = 0;
     for (v = 0; v < n; v++) {
         s->mate[v] = -1;
         s->inblossom[v] = v;
@@ -898,6 +1025,12 @@ static void setup(Solver *s, const i64 *ew)
         s->dualvar[b] = 0;
     }
     for (i = 0; i < 2 * n; i++) {
+        s->label[i] = L_FREE;
+        s->labelend[i] = -1;
+        s->bestedge[i] = -1;
+        s->troot[i] = -1;
+        s->seen[i] = 0;
+        s->bestedgeto[i] = -1;
         s->blossomparent[i] = -1;
         s->dsgn[i] = 0;
         s->dt0[i] = 0;
@@ -913,9 +1046,27 @@ static void setup(Solver *s, const i64 *ew)
     }
 }
 
+/* The whole solve; an allocation failure or a failed check longjmps
+ * out of it. */
+static void solve(Solver *s, const i64 *ew, i64 *mate_out, i64 *duals_out)
+{
+    i64 v;
+    solver_alloc(s);
+    setup(s, ew);
+    greedy_start(s);
+    run(s);
+    /* Materialize final duals; translate endpoint mates to vertices. */
+    for (v = 0; v < s->n; v++) {
+        s->dualvar[v] += s->dsgn[v] * (s->cum - s->dt0[v]);
+        mate_out[v] = s->mate[v] >= 0 ? s->endpoint[s->mate[v]] : -1;
+        duals_out[v] = s->dualvar[v];
+    }
+}
+
 /*
- * Maximum-weight maximum-cardinality matching of the graph with n vertices
- * and edges (eu[k], ev[k]) of integer weight ew[k]; same contract as
+ * Maximum-cardinality matching of the graph with n vertices and edges
+ * (eu[k], ev[k]) of integer weight ew[k], of maximum weight among the
+ * perfect matchings when one exists; same contract as
  * _blossom_py.solve_max_weight_matching.  The graph must be simple.
  *
  * On BLOSSOM_OK, mate_out[v] is the partner of v or -1, and duals_out[v]
@@ -926,8 +1077,8 @@ int blossom_solve(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
                   const i64 *ew, i64 *mate_out, i64 *duals_out)
 {
     Solver *s;
-    i64 k, v;
-    int rc = BLOSSOM_OK;
+    i64 k;
+    int rc;
 
     if (n < 0 || nedge < 0)
         return BLOSSOM_INPUT;
@@ -947,18 +1098,15 @@ int blossom_solve(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
     s->nedge = nedge;
     s->eu = eu;
     s->ev = ev;
-    if (setjmp(s->fail) == 0) {
-        solver_alloc(s);
-        setup(s, ew);
-        greedy_start(s);
-        run_stages(s);
-        /* Materialize final duals; translate endpoint mates to vertices. */
-        for (v = 0; v < n; v++) {
-            s->dualvar[v] += s->dsgn[v] * (s->cum - s->dt0[v]);
-            mate_out[v] = s->mate[v] >= 0 ? s->endpoint[s->mate[v]] : -1;
-            duals_out[v] = s->dualvar[v];
-        }
-    } else {
+    switch (setjmp(s->fail)) {
+    case 0:
+        solve(s, ew, mate_out, duals_out);
+        rc = BLOSSOM_OK;
+        break;
+    case BLOSSOM_BROKEN:
+        rc = BLOSSOM_BROKEN;
+        break;
+    default:
         rc = BLOSSOM_NOMEM;
     }
     solver_free(s);

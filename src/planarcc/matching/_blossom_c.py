@@ -30,7 +30,7 @@ COMPILER = "cc"
 CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 
 # Return codes of blossom_solve() in _blossom.c.
-_OK, _NOMEM, _INPUT = 0, 1, 2
+_OK, _NOMEM, _INPUT, _BROKEN = 0, 1, 2, 3
 
 
 def _cache_dir() -> Path:
@@ -144,6 +144,8 @@ class Kernel:
             )
         if rc == _NOMEM:
             raise MemoryError(f"blossom kernel: out of memory for n={n}")
+        if rc == _BROKEN:
+            raise RuntimeError("blossom kernel: an internal invariant failed")
         if rc != _OK:
             raise RuntimeError(f"blossom kernel returned unknown code {rc}")
         return mate.tolist(), duals.tolist()

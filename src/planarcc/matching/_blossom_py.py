@@ -1,13 +1,21 @@
-"""Pure-Python blossom kernel for maximum-weight maximum-cardinality matching.
+"""Pure-Python blossom kernel: maximum-cardinality matching, of maximum weight
+among the perfect matchings when the graph has one.
 
 This is the primal-dual blossom algorithm (Edmonds' algorithm with Galil's
 bookkeeping): alternating trees are grown from unmatched vertices, odd
 cycles are shrunk into blossoms, and dual variables are adjusted between
-growth steps.  Two refinements keep the per-stage cost low:
+growth steps.  Three refinements keep the cost per augmentation low:
 
+  - Persistent trees (the Blossom IV scheme of Cook & Rohe, INFORMS J.
+    Comput. 1999): every unmatched vertex roots a tree once, at the start,
+    and trees survive augmentations.  An augmentation dissolves only the
+    two trees it joins (``troot`` names each labeled top-level blossom's
+    tree), and repairs what the kept trees recorded about them: tight-edge
+    marks, least-slack edges and inner T marks.  All trees share one dual
+    adjustment.
   - Lazy dual updates: instead of sweeping every vertex after each dual
-    adjustment, a per-stage accumulator ``cum`` advances and each vertex
-    stores (value, sign, timestamp); the effective dual is reconstructed on
+    adjustment, an accumulator ``cum`` advances and each vertex stores
+    (value, sign, timestamp); the effective dual is reconstructed on
     demand and materialized whenever the vertex's tree role changes.
   - Candidate lists: the three dual-adjustment bounds (free vertex edges,
     S-S edges, T-blossom duals) are tracked in explicit lists fed during
@@ -24,16 +32,18 @@ Conventions:
     slack of an S-S edge is always even).
   - mate[v] is an edge *endpoint* index p (edge p//2, side p%2), or -1.
   - Blossoms are numbered n..2n-1; vertices double as trivial blossoms.
-  - Max-cardinality semantics: vertex duals may go negative, so among all
-    maximum-cardinality matchings a maximum-weight one is returned.  Used
-    for minimum-weight perfect matching by negating weights.
+  - The result is a maximum-cardinality matching, and a maximum-weight
+    perfect matching whenever the graph has a perfect matching.  Without
+    one, its weight need not be the largest among maximum-cardinality
+    matchings, because the greedy start gives each vertex its own starting
+    dual.  Used for minimum-weight perfect matching by negating weights.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-# Labels of top-level blossoms within a stage.
+# Labels of top-level blossoms.
 _FREE = 0
 _S = 1
 _T = 2
@@ -47,6 +57,9 @@ def solve_max_weight_matching(
 ) -> tuple[list[int], list[int]]:
     """Return (mate, duals): mate[v] is the matched partner of v or -1;
     duals are the final vertex duals in internal (4x) units.
+
+    mate is a maximum-cardinality matching; when the graph has a perfect
+    matching, it is a maximum-weight perfect matching.
 
     eu, ev and ew are lists or int64 arrays.  The caller guarantees a
     simple graph (no self-loops or duplicates); weights must be integers.
@@ -87,6 +100,12 @@ def solve_max_weight_matching(
     dualvar = [0] * (2 * n)
     allowedge = [False] * nedge
     queue: list[int] = []
+    # troot[b]: root vertex of the tree that labeled top-level blossom b
+    # belongs to; -1 for unlabeled and non-top-level blossoms.
+    troot = [-1] * (2 * n)
+    # Per-dissolution marks: seen[x] == epoch once x has been repaired.
+    seen = [0] * (2 * n)
+    epoch = 0
 
     # Lazy dual bookkeeping: effective dual of entity x is
     # dualvar[x] + dsgn[x] * (cum - dt0[x]).  Vertices use sign -1 when
@@ -106,6 +125,10 @@ def solve_max_weight_matching(
 
     def slack(k: int) -> int:
         return vdual(eu[k]) + vdual(ev[k]) - weight[k]
+
+    def least_slack(x: int, k2: int) -> None:
+        if bestedge[x] == -1 or slack(k2) < slack(bestedge[x]):
+            bestedge[x] = k2
 
     # Dual-adjustment candidates, fed during scanning and purged lazily:
     # cand_free: free vertices with a least-slack edge to an S-vertex;
@@ -161,6 +184,7 @@ def solve_max_weight_matching(
         label[w] = label[b] = t
         labelend[w] = labelend[b] = p
         bestedge[w] = bestedge[b] = -1
+        troot[b] = w if p == -1 else troot[inblossom[endpoint[p]]]
         if t == _S:
             if b >= n:
                 materialize(b, 1)
@@ -247,12 +271,14 @@ def solve_max_weight_matching(
         assert label[bb] == _S
         label[b] = _S
         labelend[b] = labelend[bb]
+        troot[b] = troot[bb]
         dualvar[b] = 0
         dsgn[b] = 1
         dt0[b] = cum
         # Children stop being top-level: freeze their blossom duals; every
         # vertex inside is now (or stays) an S-vertex.
         for c in path:
+            troot[c] = -1
             if c >= n:
                 materialize(c, 0)
         for leaf in blossom_leaves(b):
@@ -261,8 +287,9 @@ def solve_max_weight_matching(
                 queue.append(leaf)
             materialize(leaf, -1)
             inblossom[leaf] = b
-        # Merge least-slack edge lists toward other S-blossoms.
-        bestedgeto = [-1] * (2 * n)
+        # Merge least-slack edge lists toward other S-blossoms, keyed by
+        # the far top-level blossom in the order first reached.
+        bestedgeto: dict[int, int] = {}
         for bv in path:
             if blossombestedges[bv] is None:
                 nblists = [
@@ -280,35 +307,35 @@ def solve_max_weight_matching(
                     if (
                         bj != b
                         and label[bj] == _S
-                        and (bestedgeto[bj] == -1 or slack(k2) < slack(bestedgeto[bj]))
+                        and (bj not in bestedgeto or slack(k2) < slack(bestedgeto[bj]))
                     ):
                         bestedgeto[bj] = k2
             blossombestedges[bv] = None
             bestedge[bv] = -1
-        blossombestedges[b] = [k2 for k2 in bestedgeto if k2 != -1]
+        blossombestedges[b] = list(bestedgeto.values())
         bestedge[b] = -1
         for k2 in blossombestedges[b]:
-            if bestedge[b] == -1 or slack(k2) < slack(bestedge[b]):
-                bestedge[b] = k2
+            least_slack(b, k2)
         if bestedge[b] != -1:
             cand_ss.append(b)
 
-    def expand_blossom(b: int, endstage: bool) -> None:
-        """Undo blossom b: promote its children to top level.  During a
-        stage (endstage=False) b is a T-blossom with zero dual; the path
-        from its entry child to its base is relabeled."""
+    def expand_blossom(b: int, dissolving: bool) -> None:
+        """Undo blossom b: promote its children to top level.  In a live
+        tree (dissolving=False) b is a T-blossom with zero dual; the path
+        from its entry child to its base is relabeled.  In a dissolved
+        tree, children with zero dual are expanded too."""
         for s in blossomchilds[b]:
             blossomparent[s] = -1
             if s < n:
                 inblossom[s] = s
                 materialize(s, 0)
-            elif endstage and dualvar[s] + dsgn[s] * (cum - dt0[s]) == 0:
-                expand_blossom(s, endstage)
+            elif dissolving and dualvar[s] + dsgn[s] * (cum - dt0[s]) == 0:
+                expand_blossom(s, dissolving)
             else:
                 for v in blossom_leaves(s):
                     inblossom[v] = s
                     materialize(v, 0)
-        if (not endstage) and label[b] == _T:
+        if (not dissolving) and label[b] == _T:
             entrychild = inblossom[endpoint[labelend[b] ^ 1]]
             j = blossomchilds[b].index(entrychild)
             if j & 1:
@@ -334,6 +361,7 @@ def solve_max_weight_matching(
             label[endpoint[p ^ 1]] = label[bv] = _T
             labelend[endpoint[p ^ 1]] = labelend[bv] = p
             bestedge[bv] = -1
+            troot[bv] = troot[b]
             if bv >= n:
                 materialize(bv, -1)
                 cand_tb.append(bv)
@@ -358,6 +386,7 @@ def solve_max_weight_matching(
                 j += jstep
         label[b] = -1
         labelend[b] = -1
+        troot[b] = -1
         blossomchilds[b] = None
         blossomendps[b] = None
         blossombase[b] = -1
@@ -422,171 +451,224 @@ def solve_max_weight_matching(
                 mate[j] = labelend[bt]
                 p = labelend[bt] ^ 1
 
-    for _stage in range(n):
-        # Materialize all duals, then reset per-stage structures and label
-        # unmatched vertices S.
-        for v in range(n):
-            dualvar[v] += dsgn[v] * (cum - dt0[v])
-            dsgn[v] = 0
-            dt0[v] = 0
-        for b in range(n, 2 * n):
-            if blossombase[b] >= 0:
-                dualvar[b] += dsgn[b] * (cum - dt0[b])
-            dsgn[b] = 0
-            dt0[b] = 0
-        cum = 0
-        for i in range(2 * n):
-            label[i] = _FREE
-            bestedge[i] = -1
-        for i in range(n, 2 * n):
-            blossombestedges[i] = None
-        for i in range(nedge):
-            allowedge[i] = False
-        queue.clear()
-        cand_free.clear()
-        cand_ss.clear()
-        cand_tb.clear()
-        for v in range(n):
-            if mate[v] == -1 and label[inblossom[v]] == _FREE:
-                assign_label(v, _S, -1)
+    def refresh_s_bestedge(b: int) -> None:
+        """Recompute the least-slack edge of kept top-level S-blossom b to
+        the other S-blossoms, dropping those of dissolved trees."""
+        had = bestedge[b] != -1
+        bestedge[b] = -1
+        if blossombestedges[b] is not None:
+            kept = []
+            for k2 in blossombestedges[b]:
+                j = ev[k2] if inblossom[eu[k2]] == b else eu[k2]
+                if label[inblossom[j]] == _S:
+                    kept.append(k2)
+                    least_slack(b, k2)
+            blossombestedges[b] = kept
+        else:
+            for leaf in blossom_leaves(b):
+                for p in neighbend[leaf]:
+                    bj = inblossom[endpoint[p]]
+                    if bj != b and label[bj] == _S:
+                        least_slack(b, p // 2)
+        if bestedge[b] != -1 and not had:
+            cand_ss.append(b)
 
-        augmented = False
-        while True:
-            while queue and not augmented:
-                v = queue.pop()
-                assert label[inblossom[v]] == _S
-                for p in neighbend[v]:
-                    k = p // 2
-                    w = endpoint[p]
-                    if inblossom[v] == inblossom[w]:
-                        continue
-                    kslack = 0
-                    if not allowedge[k]:
-                        kslack = slack(k)
-                        if kslack <= 0:
-                            allowedge[k] = True
-                    if allowedge[k]:
-                        if label[inblossom[w]] == _FREE:
-                            assign_label(w, _T, p ^ 1)
-                        elif label[inblossom[w]] == _S:
-                            base = scan_blossom(v, w)
-                            if base >= 0:
-                                add_blossom(base, k)
-                            else:
-                                augment_matching(k)
-                                augmented = True
-                                break
-                        elif label[w] == _FREE:
-                            assert label[inblossom[w]] == _T
-                            label[w] = _T
-                            labelend[w] = p ^ 1
-                    elif label[inblossom[w]] == _S:
-                        b = inblossom[v]
-                        if bestedge[b] == -1:
-                            bestedge[b] = k
-                            cand_ss.append(b)
-                        elif kslack < slack(bestedge[b]):
-                            bestedge[b] = k
-                    elif label[w] == _FREE:
-                        if bestedge[w] == -1:
-                            bestedge[w] = k
-                            cand_free.append(w)
-                        elif kslack < slack(bestedge[w]):
-                            bestedge[w] = k
-            if augmented:
-                break
+    def refresh_free_bestedge(w: int) -> None:
+        """Drop w's inner T mark if a dissolved vertex set it; then, if w is
+        unlabeled, recompute its least-slack edge to an S-vertex."""
+        if label[w] == _T and label[inblossom[endpoint[labelend[w]]]] != _S:
+            label[w] = _FREE
+            labelend[w] = -1
+        if label[w] != _FREE:
+            return
+        had = bestedge[w] != -1
+        bestedge[w] = -1
+        for p in neighbend[w]:
+            bj = inblossom[endpoint[p]]
+            if bj != inblossom[w] and label[bj] == _S:
+                least_slack(w, p // 2)
+        if bestedge[w] != -1 and not had:
+            cand_free.append(w)
 
-            # Queue exhausted: find the binding dual adjustment among the
-            # candidates, purging entries whose condition lapsed.  In
-            # max-cardinality mode vertex duals themselves give no bound.
-            # An entry is dropped only once its bestedge has been cleared
-            # (re-setting it re-registers the entry); a merely mislabeled
-            # entry is kept, since expansion can revalidate it without
-            # touching bestedge.
-            deltatype = -1
-            delta = deltaedge = deltablossom = 0
-            i = 0
-            while i < len(cand_free):
-                v = cand_free[i]
-                if bestedge[v] == -1:
-                    cand_free[i] = cand_free[-1]
-                    cand_free.pop()
-                    continue
-                if label[inblossom[v]] == _FREE:
-                    d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-                i += 1
-            i = 0
-            while i < len(cand_ss):
-                b = cand_ss[i]
-                if bestedge[b] == -1:
-                    cand_ss[i] = cand_ss[-1]
-                    cand_ss.pop()
-                    continue
-                if blossomparent[b] == -1 and label[b] == _S:
-                    kslack = slack(bestedge[b])
-                    assert kslack % 2 == 0
-                    d = kslack // 2
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
-                i += 1
-            i = 0
-            while i < len(cand_tb):
-                b = cand_tb[i]
-                if (
-                    blossombase[b] >= 0
-                    and blossomparent[b] == -1
-                    and label[b] == _T
-                ):
-                    d = dualvar[b] + dsgn[b] * (cum - dt0[b])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 4
-                        deltablossom = b
-                    i += 1
+    def dissolve(r1: int, r2: int) -> None:
+        """Unlabel the trees rooted at r1 and r2, just joined by an
+        augmenting path, and repair the kept trees' view of them."""
+        nonlocal epoch
+        tops = [b for b in range(2 * n) if troot[b] == r1 or troot[b] == r2]
+        expand = []
+        gone = []
+        for b in tops:
+            if b >= n:
+                materialize(b, 0)
+                if label[b] == _S:
+                    expand.append(b)
+            troot[b] = -1
+            blossombestedges[b] = None
+            stack = [b]
+            while stack:
+                x = stack.pop()
+                label[x] = _FREE
+                labelend[x] = -1
+                bestedge[x] = -1
+                if x < n:
+                    materialize(x, 0)
+                    gone.append(x)
                 else:
-                    cand_tb[i] = cand_tb[-1]
-                    cand_tb.pop()
+                    stack.extend(blossomchilds[x])
+        # Expand the dissolved S-blossoms whose dual is zero, as the
+        # classic algorithm does at the end of each stage.
+        for b in expand:
+            if dualvar[b] == 0:
+                expand_blossom(b, True)
+        epoch += 1
+        for v in gone:
+            for p in neighbend[v]:
+                allowedge[p // 2] = False
+                w = endpoint[p]
+                bw = inblossom[w]
+                if label[bw] == _S:
+                    if seen[w] != epoch:
+                        seen[w] = epoch
+                        queue.append(w)
+                        if bw == w:
+                            refresh_s_bestedge(bw)
+                    if bw != w and seen[bw] != epoch:
+                        seen[bw] = epoch
+                        refresh_s_bestedge(bw)
+                elif seen[w] != epoch:
+                    seen[w] = epoch
+                    refresh_free_bestedge(w)
 
-            if deltatype == -1:
-                # No further progress possible: maximum cardinality reached.
-                break
+    # Every unmatched vertex roots a tree.
+    for v in range(n):
+        if mate[v] == -1 and label[inblossom[v]] == _FREE:
+            assign_label(v, _S, -1)
 
-            # All labeled duals move together; one accumulator records it.
-            cum += delta
+    while True:
+        while queue:
+            v = queue.pop()
+            if label[inblossom[v]] != _S:
+                continue  # its tree was dissolved
+            for p in neighbend[v]:
+                k = p // 2
+                w = endpoint[p]
+                if inblossom[v] == inblossom[w]:
+                    continue
+                kslack = 0
+                if not allowedge[k]:
+                    kslack = slack(k)
+                    if kslack <= 0:
+                        allowedge[k] = True
+                if allowedge[k]:
+                    if label[inblossom[w]] == _FREE:
+                        assign_label(w, _T, p ^ 1)
+                    elif label[inblossom[w]] == _S:
+                        base = scan_blossom(v, w)
+                        if base >= 0:
+                            add_blossom(base, k)
+                        else:
+                            r1 = troot[inblossom[v]]
+                            r2 = troot[inblossom[w]]
+                            augment_matching(k)
+                            dissolve(r1, r2)
+                            break
+                    elif label[w] == _FREE:
+                        assert label[inblossom[w]] == _T
+                        label[w] = _T
+                        labelend[w] = p ^ 1
+                elif label[inblossom[w]] == _S:
+                    b = inblossom[v]
+                    if bestedge[b] == -1:
+                        bestedge[b] = k
+                        cand_ss.append(b)
+                    elif kslack < slack(bestedge[b]):
+                        bestedge[b] = k
+                elif label[w] == _FREE:
+                    if bestedge[w] == -1:
+                        bestedge[w] = k
+                        cand_free.append(w)
+                    elif kslack < slack(bestedge[w]):
+                        bestedge[w] = k
 
-            if deltatype == 2:
-                allowedge[deltaedge] = True
-                i = eu[deltaedge]
-                if label[inblossom[i]] == _FREE:
-                    i = ev[deltaedge]
-                assert label[inblossom[i]] == _S
-                queue.append(i)
-            elif deltatype == 3:
-                allowedge[deltaedge] = True
-                i = eu[deltaedge]
-                assert label[inblossom[i]] == _S
-                queue.append(i)
+        # Queue exhausted: find the binding dual adjustment among the
+        # candidates, purging entries whose condition lapsed.  In
+        # max-cardinality mode vertex duals themselves give no bound.
+        # An entry is dropped only once its bestedge has been cleared
+        # (re-setting it re-registers the entry); a merely mislabeled
+        # entry is kept, since expansion can revalidate it without
+        # touching bestedge.
+        deltatype = -1
+        delta = deltaedge = deltablossom = 0
+        i = 0
+        while i < len(cand_free):
+            v = cand_free[i]
+            if bestedge[v] == -1:
+                cand_free[i] = cand_free[-1]
+                cand_free.pop()
+                continue
+            if label[inblossom[v]] == _FREE:
+                d = slack(bestedge[v])
+                if deltatype == -1 or d < delta:
+                    delta = d
+                    deltatype = 2
+                    deltaedge = bestedge[v]
+            i += 1
+        i = 0
+        while i < len(cand_ss):
+            b = cand_ss[i]
+            if bestedge[b] == -1:
+                cand_ss[i] = cand_ss[-1]
+                cand_ss.pop()
+                continue
+            if blossomparent[b] == -1 and label[b] == _S:
+                kslack = slack(bestedge[b])
+                assert kslack % 2 == 0
+                d = kslack // 2
+                if deltatype == -1 or d < delta:
+                    delta = d
+                    deltatype = 3
+                    deltaedge = bestedge[b]
+            i += 1
+        i = 0
+        while i < len(cand_tb):
+            b = cand_tb[i]
+            if (
+                blossombase[b] >= 0
+                and blossomparent[b] == -1
+                and label[b] == _T
+            ):
+                d = dualvar[b] + dsgn[b] * (cum - dt0[b])
+                if deltatype == -1 or d < delta:
+                    delta = d
+                    deltatype = 4
+                    deltablossom = b
+                i += 1
             else:
-                expand_blossom(deltablossom, False)
+                cand_tb[i] = cand_tb[-1]
+                cand_tb.pop()
 
-        if not augmented:
+        if deltatype == -1:
+            # No further progress possible: maximum cardinality reached.
             break
 
-        # End of a successful stage: expand S-blossoms whose dual hit zero.
-        for b in range(n, 2 * n):
-            if (
-                blossomparent[b] == -1
-                and blossombase[b] >= 0
-                and label[b] == _S
-                and dualvar[b] + dsgn[b] * (cum - dt0[b]) == 0
-            ):
-                expand_blossom(b, True)
+        # All labeled duals move together; one accumulator records it.
+        cum += delta
+
+        if deltatype == 2:
+            allowedge[deltaedge] = True
+            i = eu[deltaedge]
+            if label[inblossom[i]] == _FREE:
+                i = ev[deltaedge]
+            assert label[inblossom[i]] == _S
+            queue.append(i)
+        elif deltatype == 3:
+            allowedge[deltaedge] = True
+            i = eu[deltaedge]
+            assert label[inblossom[i]] == _S
+            assert label[inblossom[ev[deltaedge]]] == _S
+            queue.append(i)
+        else:
+            expand_blossom(deltablossom, False)
 
     # Materialize final duals and translate endpoint mates to vertex mates.
     for v in range(n):

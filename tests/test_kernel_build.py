@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,18 @@ from planarcc import matching
 from planarcc.matching import _blossom_c, _blossom_py
 
 SRC_ROOT = Path(planarcc.__file__).resolve().parent.parent
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no system C compiler")
+
+
+def compile_kernel(target: Path, *flags: str) -> subprocess.CompletedProcess:
+    """Compile ``_blossom.c`` into ``target`` with the package's flags,
+    its optimization level replaced by ``flags``."""
+    base = [f for f in _blossom_c.CFLAGS if not f.startswith("-O")]
+    return subprocess.run(
+        ["cc", *base, *flags, "-o", str(target), str(_blossom_c.SOURCE)],
+        capture_output=True, text=True,
+    )
 
 
 def fake_compiler(tmp_path: Path, status: int = 0) -> tuple[Path, Path]:
@@ -34,7 +47,7 @@ def fake_compiler(tmp_path: Path, status: int = 0) -> tuple[Path, Path]:
     return cc, log
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no system C compiler")
+@needs_cc
 def test_real_build_loads_solves_and_is_reused(tmp_path, monkeypatch):
     kernel, reason = _blossom_c.try_load(tmp_path)
     assert reason is None
@@ -120,3 +133,48 @@ def test_no_ext_selects_python_in_a_fresh_interpreter():
     )
     assert out.returncode != 0
     assert "ImportError" in out.stderr and "PLANARCC_NO_EXT is set" in out.stderr
+
+
+@needs_cc
+@pytest.mark.parametrize("opt", ["-O1", "-O3"])
+def test_kernel_builds_without_warnings(tmp_path, opt):
+    # -Wclobbered (in -Wextra) only fires with optimization on.
+    proc = compile_kernel(tmp_path / "k.so", opt, "-Wall", "-Wextra", "-Werror")
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_cc
+def test_kernel_has_no_undefined_behaviour_at_the_weight_limit(tmp_path):
+    # The dual accumulator runs for the whole solve, so int64 overflow is
+    # the risk: solve graphs with many trees at +-MAX_ABS_WEIGHT under
+    # UBSan, which aborts on the first signed overflow.
+    lib = tmp_path / "k.so"
+    proc = compile_kernel(
+        lib, "-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"
+    )
+    if proc.returncode != 0:
+        pytest.skip(f"cc cannot build with UBSan: {proc.stderr.strip()}")
+    code = textwrap.dedent(f"""
+        import random
+        from planarcc.matching import MAX_ABS_WEIGHT, _blossom_c, _blossom_py
+
+        kernel = _blossom_c.Kernel({str(lib)!r})
+        rng = random.Random(11)
+        big = MAX_ABS_WEIGHT
+        for _ in range(40):
+            n = rng.choice([6, 12, 24, 40])
+            density = rng.uniform(0.1, 0.6)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < density]
+            if not edges:
+                continue
+            eu, ev = (list(col) for col in zip(*edges))
+            ew = [rng.choice((-big, big, rng.randint(-big, big))) for _ in edges]
+            assert kernel.solve(n, eu, ev, ew) == _blossom_py.solve_max_weight_matching(n, eu, ev, ew)
+    """)
+    env = dict(os.environ, PLANARCC_NO_EXT="1", PYTHONPATH=str(SRC_ROOT))
+    env.pop("PLANARCC_MATCHING", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

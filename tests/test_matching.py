@@ -1,5 +1,7 @@
+import functools
 import random
 
+import numpy as np
 import pytest
 
 from planarcc import (
@@ -18,8 +20,9 @@ from planarcc.matching import (
     verify_min_weight_perfect_matching,
 )
 from planarcc.oracle import brute_force_mwpm
+from planarcc.pcc import build_pcc
 
-from conftest import random_match_graph
+from conftest import random_grid_model, random_match_graph
 
 needs_compiled = pytest.mark.skipif(
     not has_compiled_kernel(),
@@ -195,3 +198,91 @@ def test_cross_check_against_networkx():
         want = sum(-G[u][v]["weight"] for (u, v) in pairs)
         assert min_weight_perfect_matching(g).total_weight == want
         checked += 1
+
+
+def max_cardinality(n, edges):
+    """Size of a maximum matching, by brute force (small n only)."""
+    adj = [[] for _ in range(n)]
+    for (i, j, _) in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+
+    @functools.lru_cache(maxsize=None)
+    def best(used):
+        i = next((v for v in range(n) if not used >> v & 1), None)
+        if i is None:
+            return 0
+        used |= 1 << i
+        return max(
+            [best(used)]
+            + [1 + best(used | 1 << j) for j in adj[i] if not used >> j & 1]
+        )
+
+    return best(0)
+
+
+def test_max_cardinality_without_perfect_matching(engine):
+    # Without a perfect matching only the cardinality is promised: the
+    # greedy start gives each vertex its own dual, so the weight may fall
+    # short of the best among maximum-cardinality matchings (here 4, not 5).
+    cases = [(6, [(0, 4, 0), (1, 2, 4), (1, 3, 2), (2, 4, 3)])]
+    rng = random.Random(404)
+    while len(cases) < 150:
+        n = rng.randint(3, 14)
+        edges = random_match_graph(rng, n, rng.uniform(0.1, 0.5))
+        if 2 * max_cardinality(n, edges) < n:
+            cases.append((n, edges))
+    kernel = engine_kernel(engine)
+    for (n, edges) in cases:
+        eu = [i for (i, j, w) in edges]
+        ev = [j for (i, j, w) in edges]
+        ew = [w for (i, j, w) in edges]
+        mate, _ = kernel.solve_max_weight_matching(n, eu, ev, ew)
+        pairs = {(v, mate[v]) for v in range(n) if v < mate[v]}
+        assert all(m == -1 or mate[m] == v for v, m in enumerate(mate))
+        assert pairs <= {(min(i, j), max(i, j)) for (i, j, w) in edges}
+        assert len(pairs) == max_cardinality(n, edges)
+
+
+def planted_graph(rng, n, density, lo, hi):
+    """Random graph with a perfect matching planted on a random pairing."""
+    edges = {(i, j): w for (i, j, w) in random_match_graph(rng, n, density, lo, hi)}
+    order = list(range(n))
+    rng.shuffle(order)
+    for a in range(0, n, 2):
+        i, j = sorted(order[a:a + 2])
+        edges.setdefault((i, j), rng.randint(lo, hi))
+    return n, [(i, j, w) for (i, j), w in sorted(edges.items())]
+
+
+def test_many_trees_agree_with_networkx():
+    # Port graphs and planted random graphs leave dozens of free vertices
+    # after the greedy start, so many alternating trees live at once and
+    # augmentations dissolve some while others are kept.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(606)
+    graphs = []
+    for _ in range(4):
+        model, emb = random_grid_model(rng, 6, 6, 300)
+        dual = build_pcc(model, emb).dual
+        weights = np.array([rng.randint(-800, 800) for _ in range(len(dual.edge_u))])
+        port_w = dual.port_weights(weights)
+        graphs.append((dual.num_ports, list(zip(
+            dual.port_u.tolist(), dual.port_v.tolist(), (-port_w).tolist()
+        ))))
+    for n in (30, 40, 60):
+        for (lo, hi) in ((-50, 50), (-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)):
+            for _ in range(2):
+                graphs.append(planted_graph(rng, n, rng.uniform(0.05, 0.3), lo, hi))
+    for (n, edges) in graphs:
+        G = nx.Graph()
+        G.add_weighted_edges_from(edges)
+        want = sum(G[u][v]["weight"] for (u, v) in nx.max_weight_matching(G, maxcardinality=True))
+        weight = {(min(i, j), max(i, j)): w for (i, j, w) in edges}
+        for engine in available_engines():
+            mate, _ = engine_kernel(engine).solve_max_weight_matching(
+                n, *(list(col) for col in zip(*edges))
+            )
+            assert all(mate[v] >= 0 for v in range(n)), engine
+            got = sum(weight[min(v, m), max(v, m)] for v, m in enumerate(mate) if v < m)
+            assert got == want, (engine, n)
