@@ -10,9 +10,30 @@ systems of non-planar graphs fail that check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotPlanarEmbeddingError
+
+
+def _dart_arrays(rotations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offset, tail, head) of a rotation system's darts.
+
+    Dart d is entry d of the concatenated rotations, so darts are ordered
+    by (vertex id, rotation position): it runs from tail[d] to head[d], and
+    vertex v's darts are offset[v] to offset[v + 1] - 1.
+    """
+    n = len(rotations)
+    deg = np.fromiter(map(len, rotations), dtype=np.int64, count=n)
+    offset = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=offset[1:])
+    head = np.array([j for rot in rotations for j in rot])
+    if head.size and head.dtype.kind not in "iu":
+        raise NotPlanarEmbeddingError("rotations must list integer vertex ids")
+    tail = np.repeat(np.arange(n, dtype=np.int64), deg)
+    return offset, tail, head.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -24,23 +45,30 @@ class PlanarEmbedding:
 
     def __post_init__(self):
         n = len(self.rotations)
-        for i, rot in enumerate(self.rotations):
-            seen = set()
-            for j in rot:
-                if j == i:
-                    raise NotPlanarEmbeddingError(f"vertex {i} appears in its own rotation")
-                if not (0 <= j < n):
-                    raise NotPlanarEmbeddingError(f"rotation of {i} mentions invalid vertex {j}")
-                if j in seen:
-                    raise NotPlanarEmbeddingError(f"vertex {j} repeated in rotation of {i}")
-                seen.add(j)
-        for i, rot in enumerate(self.rotations):
-            for j in rot:
-                if i not in self.rotations[j]:
-                    raise NotPlanarEmbeddingError(
-                        f"rotations not symmetric: {j} lists {i}? "
-                        f"edge ({i},{j}) present only one way"
-                    )
+        _, tail, head = _dart_arrays(self.rotations)
+        loop = np.flatnonzero(head == tail)
+        if loop.size:
+            raise NotPlanarEmbeddingError(f"vertex {tail[loop[0]]} appears in its own rotation")
+        bad = np.flatnonzero((head < 0) | (head >= n))
+        if bad.size:
+            d = bad[0]
+            raise NotPlanarEmbeddingError(
+                f"rotation of {tail[d]} mentions invalid vertex {head[d]}"
+            )
+        keys = np.sort(tail * n + head, kind="stable")
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            i, j = divmod(int(keys[repeated[0]]), n)
+            raise NotPlanarEmbeddingError(f"vertex {j} repeated in rotation of {i}")
+        twins = head * n + tail
+        if not np.array_equal(keys, np.sort(twins, kind="stable")):
+            at = np.minimum(np.searchsorted(keys, twins), len(keys) - 1)
+            d = np.flatnonzero(keys[at] != twins)[0]
+            i, j = tail[d], head[d]
+            raise NotPlanarEmbeddingError(
+                f"rotations not symmetric: {j} lists {i}? "
+                f"edge ({i},{j}) present only one way"
+            )
 
     @property
     def num_vertices(self) -> int:
@@ -49,9 +77,6 @@ class PlanarEmbedding:
     @property
     def num_edges(self) -> int:
         return sum(len(r) for r in self.rotations) // 2
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(min(i, j), max(i, j)) for i, rot in enumerate(self.rotations) for j in rot}
 
 
 @dataclass(frozen=True)
@@ -70,6 +95,54 @@ class Face:
 
     def __len__(self) -> int:
         return len(self.boundary)
+
+
+class Faces(Sequence[Face]):
+    """The faces of a connected embedded graph, backed by dart arrays.
+
+    Dart d runs from tail[d] to head[d]; darts are numbered by (vertex id,
+    rotation position), and vertex v's darts are offset[v] to
+    offset[v + 1] - 1.  Face f's boundary is the darts
+    walk[starts[f]:starts[f + 1]] in walk order, and face_of[d] is the face
+    of dart d.  A ``Face`` is built only when indexed or iterated.
+    """
+
+    def __init__(self, offset, tail, head, walk, starts, face_of, keys, by_key):
+        self.offset = offset
+        self.tail = tail
+        self.head = head
+        self.walk = walk
+        self.starts = starts
+        self.face_of = face_of
+        # keys[k] = tail * n + head of dart by_key[k], ascending.
+        self._keys = keys
+        self._by_key = by_key
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, f):
+        if isinstance(f, slice):
+            return [self[k] for k in range(len(self))[f]]
+        f = range(len(self))[f]
+        darts = self.walk[self.starts[f] : self.starts[f + 1]]
+        tails = self.tail[darts].tolist()
+        # Only the single-vertex graph has a face without darts; vertex 0
+        # lies on it.
+        verts = tuple(dict.fromkeys(tails)) or (0,)
+        return Face(f, tuple(zip(tails, self.head[darts].tolist())), verts)
+
+    def darts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Index of dart u[t] -> v[t] for each t; each pair must be an edge."""
+        n = len(self.offset) - 1
+        return self._by_key[np.searchsorted(self._keys, u * n + v)]
+
+    def has_edges(self, u: np.ndarray, v: np.ndarray) -> bool:
+        """True when the embedded graph's edges are exactly the pairs
+        (u[t], v[t]), given with u < v and without repeats."""
+        n = len(self.offset) - 1
+        own = self._keys[self.tail[self._by_key] < self.head[self._by_key]]
+        return np.array_equal(own, np.sort(u * n + v, kind="stable"))
 
 
 def euler_check(num_vertices: int, num_edges: int, num_faces: int) -> bool:
@@ -96,53 +169,63 @@ def _check_connected(embedding: PlanarEmbedding) -> None:
         raise NotPlanarEmbeddingError("graph is disconnected; split components first")
 
 
-def faces(embedding: PlanarEmbedding) -> list[Face]:
-    """Enumerate the faces of a connected embedded graph.
+def faces(embedding: PlanarEmbedding) -> Faces:
+    """Enumerate the faces of a connected embedded graph, by one walk over
+    integer darts, as a lazy ``Faces`` sequence.
 
     Deterministic: faces are numbered in order of their smallest starting
-    dart (vertex id, then rotation position).  Raises
-    NotPlanarEmbeddingError when the rotation system does not describe a
-    plane graph (Euler check fails).
+    dart (vertex id, then rotation position).  A single vertex lies on one
+    face without darts.  Raises NotPlanarEmbeddingError when the rotation
+    system does not describe a plane graph (Euler check fails).
     """
     _check_connected(embedding)
-    rotations = embedding.rotations
     n = embedding.num_vertices
-    if n == 1:
-        # A single vertex has no darts but lies on the one (outer) face.
-        return [Face(0, (), (0,))]
+    offset, tail, head = _dart_arrays(embedding.rotations)
+    keys = tail * n + head
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+    twin = by_key[np.searchsorted(keys, head * n + tail)]
+    # After dart a -> b comes b -> (the neighbour after a in b's rotation);
+    # twin[d] - offset[b] is a's position in b's rotation.
+    start, deg = offset[head], np.diff(offset)[head]
+    nxt = (start + (twin - start + 1) % deg).tolist()
 
-    # Position of i within rotations[j], for O(1) next-dart steps.
-    pos = [{v: k for k, v in enumerate(rot)} for rot in rotations]
+    m = len(nxt)
+    face_of = [-1] * m
+    walk: list[int] = []
+    starts: list[int] = []
+    for d in range(m):
+        if face_of[d] >= 0:
+            continue
+        f = len(starts)
+        starts.append(len(walk))
+        e = d
+        while face_of[e] < 0:
+            face_of[e] = f
+            walk.append(e)
+            e = nxt[e]
+        if e != d:
+            raise NotPlanarEmbeddingError("face walk did not close on its first dart")
+    if not starts:
+        starts.append(0)
+    starts.append(m)
 
-    visited: set[tuple[int, int]] = set()
-    result: list[Face] = []
-    for i in range(n):
-        for j in rotations[i]:
-            if (i, j) in visited:
-                continue
-            walk = []
-            a, b = i, j
-            while (a, b) not in visited:
-                visited.add((a, b))
-                walk.append((a, b))
-                rot = rotations[b]
-                a, b = b, rot[(pos[b][a] + 1) % len(rot)]
-            if (a, b) != (i, j):
-                raise NotPlanarEmbeddingError("face walk did not close on its first dart")
-            verts = []
-            seen_v = set()
-            for (u, _) in walk:
-                if u not in seen_v:
-                    seen_v.add(u)
-                    verts.append(u)
-            result.append(Face(len(result), tuple(walk), tuple(verts)))
-
-    if not euler_check(n, embedding.num_edges, len(result)):
+    num_faces = len(starts) - 1
+    if not euler_check(n, m // 2, num_faces):
         raise NotPlanarEmbeddingError(
-            f"Euler check failed: V={n} E={embedding.num_edges} F={len(result)}; "
+            f"Euler check failed: V={n} E={m // 2} F={num_faces}; "
             "rotation system is not a planar embedding"
         )
-    return result
+    return Faces(
+        offset,
+        tail,
+        head,
+        np.array(walk, dtype=np.int64),
+        np.array(starts, dtype=np.int64),
+        np.array(face_of, dtype=np.int64),
+        keys,
+        by_key,
+    )
 
 
 def grid(rows: int, cols: int) -> tuple[list[tuple[int, int]], PlanarEmbedding]:

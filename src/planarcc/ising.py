@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -161,26 +160,53 @@ class GroundState:
     energy: int
 
 
+def _endpoints(
+    edges: Sequence[tuple[int, int, object]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) columns of an edge list, as int64 arrays."""
+    u, v, _ = zip(*edges) if edges else ((), (), ())
+    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+
+
 def _spanning_tree(
-    num_nodes: int, edges: Sequence[tuple[int, int, int]]
+    num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray
 ) -> tuple[tuple[int, int, int], ...]:
     """Breadth-first (vertex, parent, edge index) triples from node 0 of a
-    connected graph."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-    for t, (i, j, _) in enumerate(edges):
-        adj[i].append((j, t))
-        adj[j].append((i, t))
+    connected graph; each vertex scans its edges in index order."""
+    num_edges = len(edge_u)
+    ends = np.concatenate((edge_u, edge_v))
+    key = ends * num_edges + np.tile(np.arange(num_edges), 2)
+    by_end = np.argsort(key, kind="stable")
+    other = np.concatenate((edge_v, edge_u))[by_end].tolist()
+    edge = (by_end % max(num_edges, 1)).tolist()
+    bounds = np.searchsorted(ends[by_end], np.arange(num_nodes + 1)).tolist()
     seen = [False] * num_nodes
     seen[0] = True
     order = [0]
     tree = []
     for v in order:
-        for (u, t) in adj[v]:
+        for k in range(bounds[v], bounds[v + 1]):
+            u = other[k]
             if not seen[u]:
                 seen[u] = True
                 order.append(u)
-                tree.append((u, v, t))
+                tree.append((u, v, edge[k]))
     return tuple(tree)
+
+
+def _face_cliques(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (u, v), u < v, of a clique on each face's ports starts[f] to
+    starts[f + 1] - 1, sorted by (u, v)."""
+    lengths = np.diff(starts)
+    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for length in sorted(set(lengths.tolist())):
+        first = starts[:-1][lengths == length, None]
+        a, b = np.triu_indices(length, 1)
+        us.append((first + a).ravel())
+        vs.append((first + b).ravel())
+    u, v = np.concatenate(us), np.concatenate(vs)
+    order = np.argsort(u * int(starts[-1]) + v, kind="stable")
+    return u[order], v[order]
 
 
 def build_expanded_dual(
@@ -191,53 +217,43 @@ def build_expanded_dual(
     if not ising.is_integer:
         raise ValueError("matching reduction requires integer weights; scale first")
     weights = tuple(w for (_, _, w) in ising.edges)
-    if any(abs(w) > MAX_ABS_WEIGHT for w in weights):
+    if max(map(abs, weights), default=0) > MAX_ABS_WEIGHT:
         raise WeightRangeError("edge weight outside the matching kernel's safe range")
     if embedding.num_vertices != ising.num_nodes:
         raise NotPlanarEmbeddingError(
             f"embedding has {embedding.num_vertices} vertices, model has {ising.num_nodes}"
         )
-    model_edges = {(i, j) for (i, j, _) in ising.edges}
-    if embedding.edge_set() != model_edges:
+    # faces() also rejects disconnected graphs, so the tree below spans.
+    fs = faces(embedding)
+    edge_u, edge_v = _endpoints(ising.edges)
+    if not fs.has_edges(edge_u, edge_v):
         raise NotPlanarEmbeddingError("embedding edge set differs from model edge set")
 
-    # faces() also rejects disconnected graphs, so the tree below spans.
-    face_list = faces(embedding)
-
-    # One port per (face, dart).
-    port_of_dart: dict[tuple[int, int], int] = {}
-    face_of_dart: dict[tuple[int, int], int] = {}
-    face_ports = []
-    for f in face_list:
-        ports = []
-        for dart in f.boundary:
-            port_of_dart[dart] = len(port_of_dart)
-            face_of_dart[dart] = f.id
-            ports.append(port_of_dart[dart])
-        face_ports.append(ports)
-
-    # Port edge t joins the two ports of model edge t; a bridge's ports
-    # share a face, and its edge replaces their clique edge.
-    port_edges: list[tuple[int, int]] = []
-    bridge = []
-    for (i, j, _) in ising.edges:
-        p1, p2 = port_of_dart[(i, j)], port_of_dart[(j, i)]
-        port_edges.append((p1, p2))
-        bridge.append(face_of_dart[(i, j)] == face_of_dart[(j, i)])
-    merged = {(min(e), max(e)) for e, b in zip(port_edges, bridge) if b}
-    for ports in face_ports:
-        port_edges += [e for e in combinations(ports, 2) if e not in merged]
+    # A dart's port is its position in the face walk, so each face's ports
+    # are consecutive.  Port edge t joins the ports of model edge t's two
+    # darts; a bridge's darts share a face, and its edge replaces their
+    # clique edge.
+    num_ports = len(fs.walk)
+    port = np.empty(num_ports, dtype=np.int64)
+    port[fs.walk] = np.arange(num_ports)
+    forward, backward = fs.darts(edge_u, edge_v), fs.darts(edge_v, edge_u)
+    p1, p2 = port[forward], port[backward]
+    bridge = fs.face_of[forward] == fs.face_of[backward]
+    clique_u, clique_v = _face_cliques(fs.starts)
+    merged = np.minimum(p1, p2)[bridge] * num_ports + np.maximum(p1, p2)[bridge]
+    keep = np.ones(len(clique_u), dtype=bool)
+    keep[np.searchsorted(clique_u * num_ports + clique_v, merged)] = False
 
     return ExpandedDual(
         weights=weights,
         offset=sum(weights),
-        num_ports=len(port_of_dart),
-        port_u=np.array([u for (u, _) in port_edges], dtype=np.int64),
-        port_v=np.array([v for (_, v) in port_edges], dtype=np.int64),
-        bridge=np.array(bridge, dtype=bool),
-        edge_u=np.array([i for (i, _, _) in ising.edges], dtype=np.int64),
-        edge_v=np.array([j for (_, j, _) in ising.edges], dtype=np.int64),
-        tree=_spanning_tree(ising.num_nodes, ising.edges),
+        num_ports=num_ports,
+        port_u=np.concatenate((p1, clique_u[keep])),
+        port_v=np.concatenate((p2, clique_v[keep])),
+        bridge=bridge,
+        edge_u=edge_u,
+        edge_v=edge_v,
+        tree=_spanning_tree(ising.num_nodes, edge_u, edge_v),
     )
 
 

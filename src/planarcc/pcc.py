@@ -29,7 +29,7 @@ import numpy as np
 
 from .embedding import PlanarEmbedding, faces
 from .errors import WeightRangeError
-from .ising import ExpandedDual, build_expanded_dual
+from .ising import ExpandedDual, _endpoints, build_expanded_dual
 from .matching import MAX_ABS_WEIGHT
 from .model import BinaryMRF, Labels, SymmetricIsing, complement, energy
 
@@ -155,54 +155,55 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         raise ValueError(
             f"embedding has {embedding.num_vertices} vertices, model has {model.num_nodes}"
         )
-    if embedding.edge_set() != {(i, j) for (i, j, _) in model.edges}:
+    fs = faces(embedding)
+    if not fs.has_edges(*_endpoints(model.edges)):
         raise ValueError("embedding edge set differs from model edge set")
-    face_list = faces(embedding)
     n = model.num_nodes
-    num_faces = len(face_list)
-    face_vertex = tuple(n + f.id for f in face_list)
+    num_faces = len(fs)
+    face_vertex = tuple(range(n, n + num_faces))
 
-    inc_node: list[int] = []
-    inc_face: list[int] = []
-    node_incidences: list[list[int]] = [[] for _ in range(n)]
-    # Corner at which each face connects to each boundary vertex: the
-    # departure dart of the vertex's first visit on the face walk.
-    corner: dict[tuple[int, int], tuple[int, int]] = {}
-    for f in face_list:
-        for dart in f.boundary:
-            u = dart[0]
-            if (f.id, u) not in corner:
-                corner[(f.id, u)] = dart
-        for u in f.boundary_vertices:
-            node_incidences[u].append(len(inc_node))
-            inc_node.append(u)
-            inc_face.append(f.id)
-
-    face_of_dart = {}
-    for f in face_list:
-        for dart in f.boundary:
-            face_of_dart[dart] = f.id
-
-    rotations: list[tuple[int, ...]] = []
     if n == 1:
         # Single vertex: no darts; its one face connects to it directly.
-        rotations.append((face_vertex[0],))
+        inc_node, inc_face = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        rotations = [face_vertex, (0,)]
     else:
-        for v in range(n):
-            rot = embedding.rotations[v]
-            new_rot: list[int] = []
-            for t, u in enumerate(rot):
-                new_rot.append(u)
-                w = rot[(t + 1) % len(rot)]
-                fid = face_of_dart[(v, w)]
-                if corner[(fid, v)] == (v, w):
-                    new_rot.append(face_vertex[fid])
-            rotations.append(tuple(new_rot))
-    for f in face_list:
+        # A face connects to each boundary vertex at the corner where its
+        # walk first visits the vertex: incidences are those first visits,
+        # in walk order, and their departure darts are the corners.
+        m = len(fs.walk)
+        walk_face, walk_tail = fs.face_of[fs.walk], fs.tail[fs.walk]
+        key = walk_face * n + walk_tail
+        by_key = np.argsort(key, kind="stable")
+        first = np.ones(m, dtype=bool)
+        first[1:] = key[by_key[1:]] != key[by_key[:-1]]
+        visit = np.sort(by_key[first], kind="stable")
+        inc_node, inc_face = walk_tail[visit], walk_face[visit]
+        corner = np.zeros(m, dtype=bool)
+        corner[fs.walk[visit]] = True
+
+        # Face vertex f goes after neighbour u in v's rotation when the
+        # rotation successor of dart v -> u is a corner of face f.
+        start = fs.offset[fs.tail]
+        succ = start + (np.arange(m) - start + 1) % np.diff(fs.offset)[fs.tail]
+        insert = corner[succ]
+        at = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(1 + insert, out=at[1:])
+        flat = np.empty(at[-1], dtype=np.int64)
+        flat[at[:-1]] = fs.head
+        flat[at[:-1][insert] + 1] = n + fs.face_of[succ[insert]]
+        flat_list, bounds = flat.tolist(), at[fs.offset].tolist()
+        rotations = [tuple(flat_list[a:b]) for a, b in zip(bounds, bounds[1:])]
         # Face walks run clockwise under the traversal rule, so a vertex
         # placed inside the face sees the boundary counterclockwise in
         # reversed walk order.
-        rotations.append(tuple(reversed(f.boundary_vertices)))
+        node_list = inc_node.tolist()
+        bounds = np.searchsorted(inc_face, np.arange(num_faces + 1)).tolist()
+        rotations += [tuple(node_list[a:b][::-1]) for a, b in zip(bounds, bounds[1:])]
+
+    by_node = np.argsort(inc_node, kind="stable").tolist()
+    bounds = np.searchsorted(inc_node[by_node], np.arange(n + 1)).tolist()
+    node_incidences = tuple(tuple(by_node[a:b]) for a, b in zip(bounds, bounds[1:]))
+    inc_node, inc_face = tuple(inc_node.tolist()), tuple(inc_face.tolist())
     aug_embedding = PlanarEmbedding(tuple(rotations))
 
     # Only the topology matters: each solve supplies the edge weights.
@@ -215,9 +216,9 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         base_embedding=embedding,
         num_faces=num_faces,
         face_vertex=face_vertex,
-        inc_node=tuple(inc_node),
-        inc_face=tuple(inc_face),
-        node_incidences=tuple(tuple(t) for t in node_incidences),
+        inc_node=inc_node,
+        inc_face=inc_face,
+        node_incidences=node_incidences,
         embedding=aug_embedding,
         dual=build_expanded_dual(topology, aug_embedding),
     )

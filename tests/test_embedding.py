@@ -81,6 +81,12 @@ def test_invalid_rotations_rejected():
         PlanarEmbedding(((1,), ()))  # asymmetric
     with pytest.raises(NotPlanarEmbeddingError):
         PlanarEmbedding(((1, 1), (0,)))  # repeated neighbor
+    with pytest.raises(NotPlanarEmbeddingError, match="invalid vertex -1"):
+        PlanarEmbedding(((1, -1), (0,)))
+    with pytest.raises(NotPlanarEmbeddingError, match="invalid vertex 2"):
+        PlanarEmbedding(((1, 2), (0,)))
+    with pytest.raises(NotPlanarEmbeddingError, match="integer vertex ids"):
+        PlanarEmbedding(((1.5,), (0,)))
 
 
 def test_disconnected_rejected():

@@ -1,0 +1,240 @@
+"""The setup structures built on integer darts against reference builders.
+
+``faces``, ``build_expanded_dual`` and ``build_pcc`` walk dart arrays.  The
+reference functions below are the dict-based builders they replaced, kept
+here verbatim in substance: the new code must reproduce their faces, port
+graphs and augmented rotation systems element by element, so the matching
+kernel sees the same graphs and traces stay identical.
+"""
+
+import math
+import random
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from planarcc import (
+    BinaryMRF,
+    PlanarEmbedding,
+    SymmetricIsing,
+    build_expanded_dual,
+    build_pcc,
+    cycle,
+    faces,
+    grid,
+)
+
+from conftest import random_polygon_triangulation, random_tree
+
+
+def reference_faces(rotations):
+    """[(boundary, boundary_vertices)] by the next-dart rule on dicts."""
+    n = len(rotations)
+    if n == 1:
+        return [((), (0,))]
+    pos = [{v: k for k, v in enumerate(rot)} for rot in rotations]
+    visited = set()
+    result = []
+    for i in range(n):
+        for j in rotations[i]:
+            if (i, j) in visited:
+                continue
+            walk = []
+            a, b = i, j
+            while (a, b) not in visited:
+                visited.add((a, b))
+                walk.append((a, b))
+                rot = rotations[b]
+                a, b = b, rot[(pos[b][a] + 1) % len(rot)]
+            assert (a, b) == (i, j)
+            verts = tuple(dict.fromkeys(u for (u, _) in walk))
+            result.append((tuple(walk), verts))
+    return result
+
+
+def reference_port_graph(edges, rotations):
+    """(num_ports, port_u, port_v, bridge): one port per (face, dart), model
+    edge t's port pair first, then each face's clique minus merged bridges."""
+    face_list = reference_faces(rotations)
+    port_of_dart, face_of_dart, face_ports = {}, {}, []
+    for fid, (boundary, _) in enumerate(face_list):
+        ports = []
+        for dart in boundary:
+            port_of_dart[dart] = len(port_of_dart)
+            face_of_dart[dart] = fid
+            ports.append(port_of_dart[dart])
+        face_ports.append(ports)
+    port_edges, bridge = [], []
+    for (i, j, _) in edges:
+        port_edges.append((port_of_dart[(i, j)], port_of_dart[(j, i)]))
+        bridge.append(face_of_dart[(i, j)] == face_of_dart[(j, i)])
+    merged = {(min(e), max(e)) for e, b in zip(port_edges, bridge) if b}
+    for ports in face_ports:
+        port_edges += [e for e in combinations(ports, 2) if e not in merged]
+    return (
+        len(port_of_dart),
+        [u for (u, _) in port_edges],
+        [v for (_, v) in port_edges],
+        bridge,
+    )
+
+
+def reference_tree(num_nodes, edges):
+    """Breadth-first (vertex, parent, edge index) triples from node 0."""
+    adj = [[] for _ in range(num_nodes)]
+    for t, (i, j, _) in enumerate(edges):
+        adj[i].append((j, t))
+        adj[j].append((i, t))
+    seen = [False] * num_nodes
+    seen[0] = True
+    order, tree = [0], []
+    for v in order:
+        for (u, t) in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                tree.append((u, v, t))
+    return tuple(tree)
+
+
+def reference_pcc(rotations):
+    """(inc_node, inc_face, node_incidences, augmented rotations)."""
+    face_list = reference_faces(rotations)
+    n = len(rotations)
+    face_vertex = [n + f for f in range(len(face_list))]
+    inc_node, inc_face = [], []
+    node_incidences = [[] for _ in range(n)]
+    corner, face_of_dart = {}, {}
+    for fid, (boundary, verts) in enumerate(face_list):
+        for dart in boundary:
+            corner.setdefault((fid, dart[0]), dart)
+            face_of_dart[dart] = fid
+        for u in verts:
+            node_incidences[u].append(len(inc_node))
+            inc_node.append(u)
+            inc_face.append(fid)
+    if n == 1:
+        aug = [(face_vertex[0],)]
+    else:
+        aug = []
+        for v, rot in enumerate(rotations):
+            new_rot = []
+            for t, u in enumerate(rot):
+                new_rot.append(u)
+                w = rot[(t + 1) % len(rot)]
+                fid = face_of_dart[(v, w)]
+                if corner[(fid, v)] == (v, w):
+                    new_rot.append(face_vertex[fid])
+            aug.append(tuple(new_rot))
+    aug += [tuple(reversed(verts)) for (_, verts) in face_list]
+    return (
+        tuple(inc_node),
+        tuple(inc_face),
+        tuple(tuple(t) for t in node_incidences),
+        tuple(aug),
+    )
+
+
+def by_angle(points, edges):
+    """Counterclockwise rotations of a straight-line drawing."""
+    nbrs = [[] for _ in points]
+    for (i, j) in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+
+    def angle(v, u):
+        return math.atan2(points[u][1] - points[v][1], points[u][0] - points[v][0])
+
+    return tuple(tuple(sorted(nb, key=lambda u: angle(v, u))) for v, nb in enumerate(nbrs))
+
+
+def bowtie_with_pendant_path():
+    """Triangles 0-1-2 and 0-3-4 share the cut vertex 0, and the path
+    1-5-6 hangs off 1: the path edges are bridges, 0 and 1 cut vertices."""
+    points = [(0, 0), (2, 1), (2, -1), (-2, 1), (-2, -1), (3, 2), (4, 3)]
+    edges = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (1, 5), (5, 6)]
+    return edges, by_angle(points, edges)
+
+
+def graphs():
+    """(name, edges, rotations) over every family the builders must match."""
+    for rows, cols in [(1, 2), (1, 5), (2, 2), (2, 3), (3, 3), (4, 6), (8, 8)]:
+        edges, emb = grid(rows, cols)
+        yield f"grid{rows}x{cols}", edges, emb.rotations
+    rng = random.Random(11)
+    for k in range(12):
+        edges, rotations = random_tree(rng, rng.randint(2, 14))
+        yield f"tree{k}", [(min(e), max(e)) for e in edges], rotations
+    for k in range(10):
+        edges, rotations = random_polygon_triangulation(rng, rng.randint(3, 12))
+        yield f"triangulation{k}", edges, tuple(rotations)
+    for length in (3, 4, 7):
+        edges, emb = cycle(length)
+        yield f"cycle{length}", edges, emb.rotations
+    k4 = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 1, 2))
+    yield "K4", [(i, j) for i in range(4) for j in range(i + 1, 4)], k4
+    yield "single", [], ((),)
+    yield ("bowtie", *bowtie_with_pendant_path())
+
+
+GRAPHS = list(graphs())
+
+
+@pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])
+def test_faces_match_reference(name, edges, rotations):
+    fs = faces(PlanarEmbedding(rotations))
+    want = reference_faces(rotations)
+    assert len(fs) == len(want)
+    assert [(f.id, f.boundary, f.boundary_vertices) for f in fs] == [
+        (k, b, v) for k, (b, v) in enumerate(want)
+    ]
+    assert fs[-1] == fs[len(fs) - 1]
+    assert fs[:2] == [fs[k] for k in range(min(2, len(fs)))]
+
+
+@pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])
+def test_port_graph_matches_reference(name, edges, rotations):
+    rng = random.Random(name)
+    shuffled = edges[:]
+    rng.shuffle(shuffled)
+    ising = SymmetricIsing(
+        len(rotations), tuple((i, j, rng.randint(-9, 9)) for (i, j) in shuffled)
+    )
+    dual = build_expanded_dual(ising, PlanarEmbedding(rotations))
+    num_ports, port_u, port_v, bridge = reference_port_graph(ising.edges, rotations)
+    assert dual.num_ports == num_ports
+    assert dual.port_u.tolist() == port_u
+    assert dual.port_v.tolist() == port_v
+    assert dual.bridge.tolist() == bridge
+    assert dual.tree == reference_tree(len(rotations), ising.edges)
+    assert dual.edge_u.tolist() == [i for (i, _, _) in ising.edges]
+    assert dual.edge_v.tolist() == [j for (_, j, _) in ising.edges]
+    for a in (dual.port_u, dual.port_v, dual.edge_u, dual.edge_v):
+        assert a.dtype == np.int64
+    assert dual.bridge.dtype == bool
+    if name == "bowtie":
+        assert sum(bridge) == 2
+
+
+@pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])
+def test_pcc_graph_matches_reference(name, edges, rotations):
+    n = len(rotations)
+    model = BinaryMRF(n, tuple((i, j, 1) for (i, j) in edges), (1,) * n, 0)
+    g = build_pcc(model, PlanarEmbedding(rotations))
+    inc_node, inc_face, node_incidences, aug = reference_pcc(rotations)
+    assert g.inc_node == inc_node
+    assert g.inc_face == inc_face
+    assert g.node_incidences == node_incidences
+    assert g.embedding.rotations == aug
+    assert g.face_vertex == tuple(range(n, n + g.num_faces))
+    aug_edges = list(edges) + [(u, n + f) for u, f in zip(inc_node, inc_face)]
+    num_ports, port_u, port_v, bridge = reference_port_graph(
+        [(i, j, 0) for (i, j) in aug_edges], aug
+    )
+    assert g.augmented_edges() == aug_edges
+    assert (g.dual.num_ports, g.dual.port_u.tolist(), g.dual.port_v.tolist()) == (
+        num_ports, port_u, port_v,
+    )
+    assert g.dual.bridge.tolist() == bridge
+    assert g.dual.tree == reference_tree(n + g.num_faces, [(i, j, 0) for (i, j) in aug_edges])

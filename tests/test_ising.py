@@ -182,7 +182,7 @@ def test_embedding_model_mismatch():
     # same vertex count, different edges
     edges, emb = cycle(4)
     other = SymmetricIsing(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 2, 1)))
-    with pytest.raises(NotPlanarEmbeddingError):
+    with pytest.raises(NotPlanarEmbeddingError, match="edge set differs"):
         build_expanded_dual(other, emb)
 
 

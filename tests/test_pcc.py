@@ -87,6 +87,16 @@ def test_build_pcc_trees_and_single_vertex():
         faces(g.embedding)
 
 
+def test_build_pcc_rejects_another_edge_set_of_the_same_size():
+    # The 4-cycle's embedding against a model that swaps edge (0,3) for the
+    # chord (0,2): same vertex and edge counts, one edge different.
+    edges, emb = cycle(4)
+    model = BinaryMRF(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 2, 1)), (1,) * 4, 0)
+    assert len(model.edges) == len(edges)
+    with pytest.raises(ValueError, match="edge set differs"):
+        build_pcc(model, emb)
+
+
 def test_init_params_examples():
     model, emb = unit_grid_model(3, 3, unary=4)
     g = build_pcc(model, emb)

@@ -36,4 +36,5 @@ def test_tracer_sees_kernel_and_port_graph(tracing, engine):
     for spans, ports in runs:
         names = {name for (name, _, _) in spans}
         assert {"matching.solve", "ising.build_expanded_dual"} <= names
+        assert "embedding.faces" in names
         assert ports and all(p > 0 for (p, _) in ports)
