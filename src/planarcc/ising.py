@@ -27,13 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import PlanarEmbedding, faces
-from .errors import NoPerfectMatchingError, NotPlanarEmbeddingError, WeightRangeError
+from .errors import NotPlanarEmbeddingError, WeightRangeError
 from .matching import (
     MAX_ABS_WEIGHT,
     Matching,
     WeightedMatchGraph,
-    engine_kernel,
     min_weight_perfect_matching,  # noqa: F401  (perfbench/tracing.py wraps it here)
+    perfect_matching,
 )
 from .model import Labels, SymmetricIsing
 
@@ -95,22 +95,14 @@ class ExpandedDual:
         ``engine``'s kernel, decoded.  Node 0 is labeled 0.
 
         Raises NoPerfectMatchingError when the kernel leaves a port
-        unmatched or pairs ports that share no port edge.
+        unmatched or pairs ports that share no port edge (see
+        ``perfect_matching``).
         """
-        # The kernel maximizes, so it gets the negated port weights.  Every
-        # solve is cold: between PCC iterates subgradient steps perturb most
-        # incidence weights, so a warm start repairs more than it reuses.
+        # Every solve is cold: between PCC iterates subgradient steps perturb
+        # most incidence weights, so a warm start repairs more than it reuses.
         w = np.asarray(weights, dtype=np.int64)
         port_w = self.port_weights(w)
-        mate, _ = engine_kernel(engine).solve_max_weight_matching(
-            self.num_ports, self.port_u, self.port_v, -port_w
-        )
-        mate = np.asarray(mate, dtype=np.int64)
-        matched = (mate[self.port_u] == self.port_v) & (mate[self.port_v] == self.port_u)
-        if 2 * matched.sum() != self.num_ports:
-            raise NoPerfectMatchingError(
-                "matching kernel returned no perfect matching of the port graph"
-            )
+        matched = perfect_matching(self.num_ports, self.port_u, self.port_v, port_w, engine)
         return self._decode(w, port_w, matched)
 
     def decode(

@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import NoPerfectMatchingError, PlanarCCError, WeightRangeError
 from . import _blossom_c, _blossom_py
 
@@ -104,37 +106,30 @@ class Matching:
     total_weight: int
 
 
-def _solve(g: WeightedMatchGraph, engine: str | None) -> list[int]:
-    impl = engine_kernel(engine)
-    eu = [u for (u, v, w) in g.edges]
-    ev = [v for (u, v, w) in g.edges]
-    ew = [w for (u, v, w) in g.edges]
-    if g.num_vertices % 2 != 0:
-        raise NoPerfectMatchingError(
-            f"odd vertex count {g.num_vertices}: no perfect matching exists"
-        )
+def perfect_matching(
+    num_vertices: int,
+    eu: np.ndarray,
+    ev: np.ndarray,
+    weights: np.ndarray,
+    engine: str | None,
+) -> np.ndarray:
+    """Mask over the edges (eu[k], ev[k]) of a minimum-weight perfect
+    matching at int64 ``weights``, found by one call to ``engine``'s
+    kernel.  The kernel is looked up at call time.
+
+    Raises NoPerfectMatchingError when the kernel leaves a vertex unmatched
+    or pairs vertices that share no edge.
+    """
     # Maximum-weight maximum-cardinality matching on negated weights is a
     # minimum-weight perfect matching whenever a perfect matching exists.
-    mate, _ = impl.solve_max_weight_matching(
-        g.num_vertices, eu, ev, [-w for w in ew]
+    mate, _ = engine_kernel(engine).solve_max_weight_matching(
+        num_vertices, eu, ev, -weights
     )
-    if any(m < 0 for m in mate):
-        raise NoPerfectMatchingError("graph admits no perfect matching")
-    return mate
-
-
-def _matching_from_mate(g: WeightedMatchGraph, mate: list[int]) -> Matching:
-    pairs = tuple((v, mate[v]) for v in range(g.num_vertices) if v < mate[v])
-    matched = {(u, v) for (u, v) in pairs}
-    total = 0
-    for (u, v, w) in g.edges:
-        key = (u, v) if u < v else (v, u)
-        if key in matched:
-            total += w
-            matched.discard(key)
-    if matched:
-        raise AssertionError(f"matching used non-edges: {sorted(matched)}")
-    return Matching(pairs, total)
+    mate = np.asarray(mate, dtype=np.int64)
+    matched = (mate[eu] == ev) & (mate[ev] == eu)
+    if 2 * matched.sum() != num_vertices:
+        raise NoPerfectMatchingError("matching kernel returned no perfect matching")
+    return matched
 
 
 def min_weight_perfect_matching(
@@ -145,9 +140,13 @@ def min_weight_perfect_matching(
     Raises NoPerfectMatchingError when the vertex count is odd or no perfect
     matching exists.  total_weight is computed in exact integer arithmetic.
     """
-    if g.num_vertices == 0:
-        return Matching((), 0)
-    return _matching_from_mate(g, _solve(g, engine))
+    eu, ev, w = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T
+    matched = perfect_matching(g.num_vertices, eu, ev, w, engine)
+    lo = np.minimum(eu, ev)[matched]
+    hi = np.maximum(eu, ev)[matched]
+    order = np.argsort(lo, kind="stable")
+    pairs = tuple(zip(lo[order].tolist(), hi[order].tolist()))
+    return Matching(pairs, sum(w[matched].tolist()))
 
 
 def verify_min_weight_perfect_matching(

@@ -31,6 +31,26 @@ def _check_binary_labels(x: Sequence[int], n: int) -> Labels:
     return out
 
 
+def _check_edges(num_nodes: int, edges: Sequence[tuple[int, int, float]]) -> None:
+    """Reject self-loops, endpoints not 0 <= i < j < num_nodes, duplicate
+    edges and non-finite weights."""
+    seen = set()
+    for (i, j, w) in edges:
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        if not (0 <= i < j < num_nodes):
+            raise ValueError(f"edge ({i},{j}) out of range or not i<j")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i},{j})")
+        seen.add((i, j))
+        if not math.isfinite(w):
+            raise ValueError(f"edge ({i},{j}) has non-finite weight")
+
+
+def _integer_edges(edges: Sequence[tuple[int, int, float]]) -> bool:
+    return all(isinstance(w, int) for (_, _, w) in edges)
+
+
 @dataclass(frozen=True)
 class BinaryMRF:
     """Pairwise binary MRF with disagreement costs and unary terms.
@@ -54,17 +74,7 @@ class BinaryMRF:
             raise SizeMismatchError(
                 f"unary has {len(self.unary)} entries, expected {self.num_nodes}"
             )
-        seen = set()
-        for (i, j, w) in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < j < self.num_nodes):
-                raise ValueError(f"edge ({i},{j}) out of range or not i<j")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({i},{j}) has non-finite weight")
+        _check_edges(self.num_nodes, self.edges)
         for i, w in enumerate(self.unary):
             if not math.isfinite(w):
                 raise ValueError(f"unary {i} is non-finite")
@@ -74,9 +84,9 @@ class BinaryMRF:
     @property
     def is_integer(self) -> bool:
         """True when every weight (and the constant) is an exact integer."""
-        return all(isinstance(w, int) for (_, _, w) in self.edges) and all(
-            isinstance(w, int) for w in self.unary
-        ) and isinstance(self.constant, int)
+        return _integer_edges(self.edges) and all(
+            isinstance(w, int) for w in (*self.unary, self.constant)
+        )
 
 
 @dataclass(frozen=True)
@@ -91,21 +101,11 @@ class SymmetricIsing:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        seen = set()
-        for (i, j, w) in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < j < self.num_nodes):
-                raise ValueError(f"edge ({i},{j}) out of range or not i<j")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({i},{j}) has non-finite weight")
+        _check_edges(self.num_nodes, self.edges)
 
     @property
     def is_integer(self) -> bool:
-        return all(isinstance(w, int) for (_, _, w) in self.edges)
+        return _integer_edges(self.edges)
 
 
 @dataclass(frozen=True)

@@ -36,26 +36,26 @@ from .model import BinaryMRF, Labels, SymmetricIsing, complement, energy
 DEFAULT_MATCHING_SCALE = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PCCGraph:
     """The augmented graph: one auxiliary vertex per face of the base model.
 
-    Incidences are (node, face) pairs in face order (walk order within each
-    face); node_incidences[i] indexes the incidences of node i (its N_i).
-    ``embedding`` is the combined rotation system of the augmented graph,
-    which is planar by construction; ``dual`` is its port-graph reduction,
-    whose model edges are listed by ``augmented_edges``.
+    Incidence t joins node inc_node[t] to face inc_face[t], whose vertex is
+    num_nodes + inc_face[t]; incidences run in face order (walk order within
+    each face), and inc_count[i] is the number of incidences of node i (the
+    size of its N_i).  All three are int64 arrays.  ``embedding`` is the
+    combined rotation system of the augmented graph, which is planar by
+    construction; ``dual`` is its port-graph reduction, whose model edges
+    are listed by ``augmented_edges``.
     """
 
     model: BinaryMRF
-    base_embedding: PlanarEmbedding
     num_faces: int
-    face_vertex: tuple[int, ...]
-    inc_node: tuple[int, ...]
-    inc_face: tuple[int, ...]
-    node_incidences: tuple[tuple[int, ...], ...]
+    inc_node: np.ndarray
+    inc_face: np.ndarray
+    inc_count: np.ndarray
     embedding: PlanarEmbedding
-    dual: ExpandedDual = field(compare=False, repr=False)
+    dual: ExpandedDual = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -83,26 +83,17 @@ class VariationalParams:
     values: np.ndarray
 
     def node_sums(self) -> np.ndarray:
-        n = self.pcc.model.num_nodes
+        pcc = self.pcc
         return np.bincount(
-            np.asarray(self.pcc.inc_node), weights=self.values, minlength=n
+            pcc.inc_node, weights=self.values, minlength=pcc.model.num_nodes
         )
-
-    def max_sum_violation(self) -> float:
-        """max_i |sum_f theta_i^f - theta_i|, absolute."""
-        unary = np.asarray(self.pcc.model.unary, dtype=np.float64)
-        return float(np.max(np.abs(self.node_sums() - unary), initial=0.0))
 
     def apply_step(self, step: float, direction: np.ndarray) -> None:
         self.values += step * direction
         # Exact re-projection: distribute each node's residual uniformly.
-        counts = np.bincount(
-            np.asarray(self.pcc.inc_node), minlength=self.pcc.model.num_nodes
-        )
-        unary = np.asarray(self.pcc.model.unary, dtype=np.float64)
-        residual = unary - self.node_sums()
-        inc_node = np.asarray(self.pcc.inc_node)
-        self.values += residual[inc_node] / counts[inc_node]
+        pcc = self.pcc
+        residual = np.asarray(pcc.model.unary, dtype=np.float64) - self.node_sums()
+        self.values += residual[pcc.inc_node] / pcc.inc_count[pcc.inc_node]
 
 
 @dataclass(frozen=True)
@@ -160,12 +151,11 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         raise ValueError("embedding edge set differs from model edge set")
     n = model.num_nodes
     num_faces = len(fs)
-    face_vertex = tuple(range(n, n + num_faces))
 
     if n == 1:
         # Single vertex: no darts; its one face connects to it directly.
         inc_node, inc_face = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        rotations = [face_vertex, (0,)]
+        rotations = [(n,), (0,)]
     else:
         # A face connects to each boundary vertex at the corner where its
         # walk first visits the vertex: incidences are those first visits,
@@ -200,39 +190,31 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         bounds = np.searchsorted(inc_face, np.arange(num_faces + 1)).tolist()
         rotations += [tuple(node_list[a:b][::-1]) for a, b in zip(bounds, bounds[1:])]
 
-    by_node = np.argsort(inc_node, kind="stable").tolist()
-    bounds = np.searchsorted(inc_node[by_node], np.arange(n + 1)).tolist()
-    node_incidences = tuple(tuple(by_node[a:b]) for a, b in zip(bounds, bounds[1:]))
-    inc_node, inc_face = tuple(inc_node.tolist()), tuple(inc_face.tolist())
     aug_embedding = PlanarEmbedding(tuple(rotations))
 
     # Only the topology matters: each solve supplies the edge weights.
     aug_edges = [(i, j, 0) for (i, j, _) in model.edges]
-    aug_edges += [(u, face_vertex[f], 0) for u, f in zip(inc_node, inc_face)]
+    aug_edges += [(u, n + f, 0) for u, f in zip(inc_node.tolist(), inc_face.tolist())]
     topology = SymmetricIsing(n + num_faces, tuple(aug_edges))
 
     return PCCGraph(
         model=model,
-        base_embedding=embedding,
         num_faces=num_faces,
-        face_vertex=face_vertex,
         inc_node=inc_node,
         inc_face=inc_face,
-        node_incidences=node_incidences,
+        inc_count=np.bincount(inc_node, minlength=n),
         embedding=aug_embedding,
         dual=build_expanded_dual(topology, aug_embedding),
     )
 
 
 def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
-    """Uniform split: theta_i^f = theta_i / |N_i|."""
-    inc_node = np.asarray(pcc.inc_node)
-    counts = np.bincount(inc_node, minlength=model.num_nodes)
-    if any(counts[i] == 0 and model.unary[i] != 0 for i in range(model.num_nodes)):
-        raise ValueError("a node with nonzero unary weight lies on no face")
+    """Uniform split: theta_i^f = theta_i / |N_i|.  Raises ValueError when
+    ``model`` is not the model ``pcc`` was built for."""
+    if model != pcc.model:
+        raise ValueError("model differs from the model the PCC graph was built for")
     unary = np.asarray(model.unary, dtype=np.float64)
-    values = unary[inc_node] / counts[inc_node]
-    return VariationalParams(pcc, values)
+    return VariationalParams(pcc, unary[pcc.inc_node] / pcc.inc_count[pcc.inc_node])
 
 
 def _scale_base(model: BinaryMRF, matching_scale: int) -> tuple[np.ndarray, float]:
@@ -272,11 +254,12 @@ def _bound(
     inc_scaled_f = params.values * scale
     inc_rounded = np.rint(inc_scaled_f)
     err_units = base_err_units + float(np.abs(inc_scaled_f - inc_rounded).sum())
-    w = np.concatenate((base_scaled, inc_rounded.astype(np.int64)))
-    if np.abs(w).max(initial=0) > MAX_ABS_WEIGHT:
+    # Checked as floats: a cast to int64 would wrap values beyond 2**63.
+    if np.abs(inc_rounded).max(initial=0) > MAX_ABS_WEIGHT:
         raise WeightRangeError(
             "scaled split weight exceeds safe range; lower matching_scale"
         )
+    w = np.concatenate((base_scaled, inc_rounded.astype(np.int64)))
     gs_energy, labels = pcc.dual.solve(w, engine)
     value = gs_energy / scale + pcc.model.constant - err_units / scale
     return value, labels
@@ -325,12 +308,10 @@ def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
         raise ValueError(
             f"config has {len(cfg)} labels, expected {pcc.num_vertices}"
         )
-    inc_node = np.asarray(pcc.inc_node)
-    face_vert = np.asarray(pcc.face_vertex)[np.asarray(pcc.inc_face)]
-    disagree = (cfg[inc_node] != cfg[face_vert]).astype(np.float64)
-    counts = np.bincount(inc_node, minlength=pcc.model.num_nodes)
-    sums = np.bincount(inc_node, weights=disagree, minlength=pcc.model.num_nodes)
-    return disagree - (sums / counts)[inc_node]
+    n = pcc.model.num_nodes
+    disagree = (cfg[pcc.inc_node] != cfg[n + pcc.inc_face]).astype(np.float64)
+    sums = np.bincount(pcc.inc_node, weights=disagree, minlength=n)
+    return disagree - (sums / pcc.inc_count)[pcc.inc_node]
 
 
 def polyak_step(

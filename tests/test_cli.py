@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,15 @@ from planarcc import load_model
 from planarcc.cli import main
 
 RUN = [sys.executable, "-m", "planarcc.cli"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def cli(*args):
+    # The child finds planarcc under src/ whether or not PYTHONPATH is set.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        RUN + list(args), capture_output=True, text=True, timeout=300
+        RUN + list(args), capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

@@ -223,11 +223,14 @@ def test_pcc_graph_matches_reference(name, edges, rotations):
     model = BinaryMRF(n, tuple((i, j, 1) for (i, j) in edges), (1,) * n, 0)
     g = build_pcc(model, PlanarEmbedding(rotations))
     inc_node, inc_face, node_incidences, aug = reference_pcc(rotations)
-    assert g.inc_node == inc_node
-    assert g.inc_face == inc_face
-    assert g.node_incidences == node_incidences
+    assert g.inc_node.tolist() == list(inc_node)
+    assert g.inc_face.tolist() == list(inc_face)
+    assert g.inc_count.tolist() == [len(ts) for ts in node_incidences]
+    for i, ts in enumerate(node_incidences):
+        assert np.flatnonzero(g.inc_node == i).tolist() == list(ts)
+    for a in (g.inc_node, g.inc_face, g.inc_count):
+        assert a.dtype == np.int64
     assert g.embedding.rotations == aug
-    assert g.face_vertex == tuple(range(n, n + g.num_faces))
     aug_edges = list(edges) + [(u, n + f) for u, f in zip(inc_node, inc_face)]
     num_ports, port_u, port_v, bridge = reference_port_graph(
         [(i, j, 0) for (i, j) in aug_edges], aug

@@ -281,5 +281,5 @@ def test_solve_rejects_a_mate_that_is_no_port_graph_matching(
     solve = call(engine)
     solve()
     monkeypatch.setattr(kernel, "solve_max_weight_matching", broken)
-    with pytest.raises(NoPerfectMatchingError, match="no perfect matching of the port graph"):
+    with pytest.raises(NoPerfectMatchingError, match="matching kernel returned no perfect matching"):
         solve()

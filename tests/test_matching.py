@@ -286,3 +286,32 @@ def test_many_trees_agree_with_networkx():
             assert all(mate[v] >= 0 for v in range(n)), engine
             got = sum(weight[min(v, m), max(v, m)] for v, m in enumerate(mate) if v < m)
             assert got == want, (engine, n)
+
+
+def tied_sparse_graph(seed):
+    """40, 48 or 64 vertices, sparse, weights in {-1, 0, 1}: the greedy start
+    leaves many free vertices, so many trees live at once and augmentations
+    dissolve trees next to kept ones."""
+    rng = random.Random(seed)
+    n = rng.choice([40, 48, 64])
+    density = rng.uniform(0.04, 0.2)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    eu, ev = (list(col) for col in zip(*edges))
+    return n, eu, ev, [rng.randint(-1, 1) for _ in edges]
+
+
+# Mates of the seed-60204 graph (48 vertices, 73 edges, 22 pairs).  When an
+# augmentation dissolves two trees, both kernels requeue the kept S-vertices
+# next to them and drop inner T marks set from them; dropping either repair
+# changes this mate in both kernels.  A seeded search over 100,000 graphs of
+# this family found it.
+DISSOLVE_REPAIR_MATE = [
+    15, 32, 21, 36, 38, 23, 8, 20, 6, 10, 9, 25, 19, 27, 33, 0,
+    24, 34, 47, 12, 7, 2, 35, 5, 16, 11, 37, 13, 29, 28, 40, 46,
+    1, 14, 17, 22, 3, 26, 4, -1, 30, -1, -1, 44, 43, -1, 31, 18,
+]
+
+
+def test_dissolve_repairs_keep_the_pinned_mate(engine):
+    mate, _ = engine_kernel(engine).solve_max_weight_matching(*tied_sparse_graph(60204))
+    assert list(mate) == DISSOLVE_REPAIR_MATE

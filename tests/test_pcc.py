@@ -19,6 +19,7 @@ from planarcc import (
     polyak_step,
     subgradient,
 )
+from planarcc.errors import WeightRangeError
 from planarcc.harness import InstanceSpec, generate_grid_instance
 from planarcc.matching import COMPILED_UNAVAILABLE, has_compiled_kernel
 from planarcc.oracle import brute_force_map
@@ -40,8 +41,8 @@ def test_build_pcc_3x3_counts():
     g = build_pcc(model, emb)
     assert g.num_vertices == 14
     assert g.num_edges == 36
-    assert len(g.node_incidences[4]) == 4  # center: four interior faces
-    assert len(g.node_incidences[0]) == 2  # corner: one interior + outer
+    assert g.inc_count[4] == 4  # center: four interior faces
+    assert g.inc_count[0] == 2  # corner: one interior + outer
 
 
 def test_build_pcc_structural_invariant_grids():
@@ -61,9 +62,8 @@ def test_build_pcc_cycle():
     model = BinaryMRF(6, tuple((i, j, 1) for (i, j) in edges), (1,) * 6, 0)
     g = build_pcc(model, emb)
     assert g.num_faces == 2
-    assert all(len(ni) == 2 for ni in g.node_incidences)
-    for f in range(2):
-        assert sum(1 for t in range(len(g.inc_node)) if g.inc_face[t] == f) == 6
+    assert g.inc_count.tolist() == [2] * 6
+    assert np.bincount(g.inc_face).tolist() == [6, 6]
 
 
 def test_build_pcc_trees_and_single_vertex():
@@ -102,8 +102,7 @@ def test_init_params_examples():
     g = build_pcc(model, emb)
     params = init_params(model, g)
     # center node has four faces: each split is 1
-    for t in g.node_incidences[4]:
-        assert params.values[t] == 1.0
+    assert params.values[g.inc_node == 4].tolist() == [1.0] * 4
     zero_model, _ = unit_grid_model(3, 3, unary=0)
     zp = init_params(zero_model, build_pcc(zero_model, emb))
     assert np.all(zp.values == 0)
@@ -116,7 +115,7 @@ def test_init_params_sum_constraint_random():
         model, emb = random_grid_model(rng, rows, cols, a_scaled=400)
         g = build_pcc(model, emb)
         params = init_params(model, g)
-        assert params.max_sum_violation() == 0.0
+        assert np.array_equal(params.node_sums(), np.asarray(model.unary, dtype=float))
 
 
 def test_lower_bound_unary_free_is_exact():
@@ -167,6 +166,27 @@ def test_lower_bound_rejects_a_model_the_pcc_graph_was_not_built_for():
     assert lower_bound(same, g, params) == lower_bound(model, g, params)
 
 
+def test_init_params_rejects_a_model_the_pcc_graph_was_not_built_for():
+    model, emb = unit_grid_model(3, 3, unary=1)
+    g = build_pcc(model, emb)
+    other = BinaryMRF(model.num_nodes, model.edges, (7,) * model.num_nodes, 0)
+    with pytest.raises(ValueError, match="differs"):
+        init_params(other, g)
+    # An equal model built apart is the same model.
+    same, _ = unit_grid_model(3, 3, unary=1)
+    assert np.array_equal(init_params(same, g).values, init_params(model, g).values)
+
+
+def test_lower_bound_rejects_a_split_beyond_int64(engine):
+    # Node 0's one split scales to 2e13 * 10**6 = 2e19 matching units, past
+    # 2**63: a range check made after the cast to int64 sees a wrapped value.
+    emb = PlanarEmbedding(((1,), (0, 2), (1,)))
+    model = BinaryMRF(3, ((0, 1, 1), (1, 2, 1)), (2e13, 0, 0), 0)
+    g = build_pcc(model, emb)
+    with pytest.raises(WeightRangeError, match="split weight"):
+        lower_bound(model, g, init_params(model, g), engine=engine)
+
+
 def test_subgradient_example():
     # node 0 on a path has a single face; build a cycle to get two faces
     edges, emb = cycle(4)
@@ -174,10 +194,10 @@ def test_subgradient_example():
     g = build_pcc(model, emb)
     # config: original nodes all 0; face node 0 labeled 1, face node 1 labeled 0
     config = [0, 0, 0, 0] + [0, 0]
-    config[g.face_vertex[0]] = 1
+    config[4] = 1
     grad = subgradient(g, config)
-    t_f = [t for t in g.node_incidences[0] if g.inc_face[t] == 0][0]
-    t_g = [t for t in g.node_incidences[0] if g.inc_face[t] == 1][0]
+    [t_f] = np.flatnonzero((g.inc_node == 0) & (g.inc_face == 0))
+    [t_g] = np.flatnonzero((g.inc_node == 0) & (g.inc_face == 1))
     assert grad[t_f] == pytest.approx(0.5)
     assert grad[t_g] == pytest.approx(-0.5)
 
@@ -200,7 +220,7 @@ def test_subgradient_rows_sum_to_zero():
         g = build_pcc(model, emb)
         config = tuple(rng.randint(0, 1) for _ in range(g.num_vertices))
         grad = subgradient(g, config)
-        sums = np.bincount(np.asarray(g.inc_node), weights=grad, minlength=12)
+        sums = np.bincount(g.inc_node, weights=grad, minlength=12)
         assert np.allclose(sums, 0.0, atol=1e-12)
 
 
