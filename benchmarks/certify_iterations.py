@@ -13,8 +13,10 @@ writes ``BENCH_<LABEL>.json`` at that tree's root.  The sets:
 - 12x12 a=3.2, seeds 0-9: the instance size of the certify-strong
   benchmark, where a few large steps certify.
 
-Per seed it records iterations, certificate, best upper bound and the wall
-time of ``optimize`` (instance generation excluded); per set, the sums.  It
+Per seed it records iterations, certificate, best upper bound, the final
+gap (best upper less best lower bound; a seed certifies when it is below 1)
+and the wall time of ``optimize`` (instance generation excluded); per set,
+the sums.  It
 also records the engine, the commit and the CPU.  Iteration counts and
 bounds are deterministic; wall times depend on the machine.
 """
@@ -80,6 +82,7 @@ def run_set(spec: dict) -> dict:
             "iterations": res.iterations,
             "certificate": res.certificate,
             "best_upper": res.best_upper,
+            "gap": res.gap,
             "wall_s": round(wall, 4),
         })
         print(f"{spec['rows']}x{spec['cols']} a={spec['a']} seed {seed}: "

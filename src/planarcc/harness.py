@@ -23,8 +23,7 @@ import numpy as np
 
 from .embedding import PlanarEmbedding, grid
 from .model import BinaryMRF, scale_to_integer
-from .pcc import DEFAULT_MATCHING_SCALE, BoundTrace, SolveResult, TraceRow
-from .pcc import certificate_of, optimize
+from .pcc import DEFAULT_MATCHING_SCALE, BoundTrace, SolveResult, TraceRow, optimize
 
 RESULTS_HEADER = [
     "rows", "cols", "a", "seed", "converged", "iters", "gap", "wall_ms", "error",
@@ -168,8 +167,9 @@ def solve_model(
 
     Isolated nodes are folded analytically (label 1 exactly when the unary
     weight is negative); remaining connected components are solved
-    independently and their bounds summed.  A single-component model goes
-    straight to the optimizer.
+    independently and their bounds summed.  The model is certified optimal
+    when it is integer and every component is.  A single-component model
+    goes straight to the optimizer.
     """
     if embedding is None:
         raise ValueError("an embedding (rotation system) is required")
@@ -219,13 +219,13 @@ def solve_model(
         best_upper = best_lower = extra
         iterations = 1
         trace = BoundTrace([TraceRow(1, extra, extra, extra, 0.0, 0.0, 0.0)])
-    gap = float(best_upper - best_lower)
+    certified = model.is_integer and all(r.certificate == "optimal" for r in results)
     return SolveResult(
         best_assignment=tuple(labels),
         best_upper=best_upper,
         best_lower=best_lower,
-        certificate=certificate_of(gap, model),
-        gap=gap,
+        certificate="optimal" if certified else "gap",
+        gap=float(best_upper - best_lower),
         iterations=iterations,
         trace=trace,
     )

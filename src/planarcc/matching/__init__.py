@@ -148,22 +148,3 @@ def min_weight_perfect_matching(
     pairs = tuple(zip(lo[order].tolist(), hi[order].tolist()))
     return Matching(pairs, sum(w[matched].tolist()))
 
-
-def verify_min_weight_perfect_matching(
-    g: WeightedMatchGraph, matching: Matching
-) -> None:
-    """Cheap structural validation: perfectness and exact weight."""
-    covered = [0] * g.num_vertices
-    for (u, v) in matching.pairs:
-        covered[u] += 1
-        covered[v] += 1
-    if any(c != 1 for c in covered):
-        raise AssertionError("matching is not perfect")
-    weights = {}
-    for (u, v, w) in g.edges:
-        weights[(min(u, v), max(u, v))] = w
-    total = sum(weights[(min(u, v), max(u, v))] for (u, v) in matching.pairs)
-    if total != matching.total_weight:
-        raise AssertionError(
-            f"total weight mismatch: {total} != {matching.total_weight}"
-        )

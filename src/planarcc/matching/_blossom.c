@@ -304,14 +304,17 @@ static i64 scan_blossom(Solver *s, i64 v, i64 w)
             base = s->blossombase[b];
             break;
         }
+        check(s, s->label[b] == L_S);
         s->scanpath[npath] = b;
         npath += 1;
         s->label[b] = 5;
+        check(s, s->labelend[b] == s->mate[s->blossombase[b]]);
         if (s->labelend[b] == -1) {
             v = -1;
         } else {
             v = s->endpoint[s->labelend[b]];
             b = s->inblossom[v];
+            check(s, s->label[b] == L_T && s->labelend[b] >= 0);
             v = s->endpoint[s->labelend[b]];
         }
         if (w != -1) {

@@ -7,8 +7,9 @@ disagree, the augmented model's exact ground state (computable by matching,
 the graph stays planar) is a lower bound on the original minimum energy.
 The split weights are then improved by projected subgradient steps with
 Polyak's step size, while each iterate's restriction to the original nodes
-supplies an upper bound; on integer-scaled models a gap below 1 certifies
-optimality.
+supplies an upper bound.  The augmented weights are integers, floored, with
+each node's splits summing exactly to its floored unary, so the bound holds by
+construction and "optimal" is proved in integers (see ``certificate_of``).
 
 The step factor follows Held, Wolfe & Crowder ("Validation of subgradient
 optimization", Math. Prog. 1974): it starts at 1.5 and is halved, down to
@@ -43,7 +44,9 @@ class PCCGraph:
     Incidence t joins node inc_node[t] to face inc_face[t], whose vertex is
     num_nodes + inc_face[t]; incidences run in face order (walk order within
     each face), and inc_count[i] is the number of incidences of node i (the
-    size of its N_i).  All three are int64 arrays.  ``embedding`` is the
+    size of its N_i); by_node lists them grouped by node, node i's group
+    from by_node[node_start[i]].  These are int64 arrays; ``unary`` is the
+    model's, as float64.  ``embedding`` is the
     combined rotation system of the augmented graph, which is planar by
     construction; ``dual`` is its port-graph reduction, whose model edges
     are listed by ``augmented_edges``.
@@ -54,6 +57,9 @@ class PCCGraph:
     inc_node: np.ndarray
     inc_face: np.ndarray
     inc_count: np.ndarray
+    by_node: np.ndarray
+    node_start: np.ndarray
+    unary: np.ndarray
     embedding: PlanarEmbedding
     dual: ExpandedDual = field(repr=False)
 
@@ -92,7 +98,7 @@ class VariationalParams:
         self.values += step * direction
         # Exact re-projection: distribute each node's residual uniformly.
         pcc = self.pcc
-        residual = np.asarray(pcc.model.unary, dtype=np.float64) - self.node_sums()
+        residual = pcc.unary - self.node_sums()
         self.values += residual[pcc.inc_node] / pcc.inc_count[pcc.inc_node]
 
 
@@ -197,12 +203,16 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     aug_edges += [(u, n + f, 0) for u, f in zip(inc_node.tolist(), inc_face.tolist())]
     topology = SymmetricIsing(n + num_faces, tuple(aug_edges))
 
+    inc_count = np.bincount(inc_node, minlength=n)
     return PCCGraph(
         model=model,
         num_faces=num_faces,
         inc_node=inc_node,
         inc_face=inc_face,
-        inc_count=np.bincount(inc_node, minlength=n),
+        inc_count=inc_count,
+        by_node=np.argsort(inc_node, kind="stable"),
+        node_start=np.cumsum(inc_count) - inc_count,
+        unary=np.asarray(model.unary, dtype=np.float64),
         embedding=aug_embedding,
         dual=build_expanded_dual(topology, aug_embedding),
     )
@@ -213,56 +223,53 @@ def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
     ``model`` is not the model ``pcc`` was built for."""
     if model != pcc.model:
         raise ValueError("model differs from the model the PCC graph was built for")
-    unary = np.asarray(model.unary, dtype=np.float64)
-    return VariationalParams(pcc, unary[pcc.inc_node] / pcc.inc_count[pcc.inc_node])
+    return VariationalParams(pcc, pcc.unary[pcc.inc_node] / pcc.inc_count[pcc.inc_node])
 
 
-def _scale_base(model: BinaryMRF, matching_scale: int) -> tuple[np.ndarray, float]:
-    """Base edge weights in matching-scale units (exact integers when the
-    model is integral) and their total absolute rounding error in those
-    units."""
+def _scale_base(model: BinaryMRF, matching_scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Base edge weights and each node's unary target in matching-scale
+    units, as int64 arrays: the floor of each exact scaled value."""
     if matching_scale < 1:
         raise ValueError("matching_scale must be >= 1")
     scale = int(matching_scale)
-    base_scaled: list[int] = []
-    err_units = 0.0
-    for (_, _, w) in model.edges:
+
+    def floor_scaled(w: float) -> int:
         if isinstance(w, int):
-            sw = w * scale
-        else:
-            sw = int(np.rint(w * scale))
-            err_units += abs(w * scale - sw)
-        if abs(sw) > MAX_ABS_WEIGHT:
-            raise WeightRangeError(
-                "scaled edge weight exceeds safe range; lower matching_scale"
-            )
-        base_scaled.append(sw)
-    return np.array(base_scaled, dtype=np.int64), err_units
+            return w * scale
+        num, den = float(w).as_integer_ratio()  # exact
+        return num * scale // den
+
+    base = [floor_scaled(w) for (_, _, w) in model.edges]
+    target = [floor_scaled(w) for w in model.unary]
+    if max(map(abs, base), default=0) > MAX_ABS_WEIGHT:
+        raise WeightRangeError("scaled edge weight exceeds safe range; lower matching_scale")
+    if max(map(abs, target), default=0) > MAX_ABS_WEIGHT:
+        raise WeightRangeError("sum of scaled split weights exceeds safe range; lower matching_scale")
+    return np.array(base, dtype=np.int64), np.array(target, dtype=np.int64)
 
 
 def _bound(
     pcc: PCCGraph,
     params: VariationalParams,
     matching_scale: int,
-    base: tuple[np.ndarray, float],
+    base: tuple[np.ndarray, np.ndarray],
     engine: str | None,
-) -> tuple[float, Labels]:
+) -> tuple[int, Labels]:
     """One exact solve of the augmented model at the current splits, with
-    ``base`` from ``_scale_base``: (lower bound, augmented labels)."""
-    scale = int(matching_scale)
-    base_scaled, base_err_units = base
-    inc_scaled_f = params.values * scale
-    inc_rounded = np.rint(inc_scaled_f)
-    err_units = base_err_units + float(np.abs(inc_scaled_f - inc_rounded).sum())
-    # Checked as floats: a cast to int64 would wrap values beyond 2**63.
-    if np.abs(inc_rounded).max(initial=0) > MAX_ABS_WEIGHT:
-        raise WeightRangeError(
-            "scaled split weight exceeds safe range; lower matching_scale"
-        )
-    w = np.concatenate((base_scaled, inc_rounded.astype(np.int64)))
-    gs_energy, labels = pcc.dual.solve(w, engine)
-    value = gs_energy / scale + pcc.model.constant - err_units / scale
-    return value, labels
+    ``base`` from ``_scale_base``: (integer ground-state energy, augmented
+    labels).  Each node's splits are rounded to matching-scale units and
+    its first one takes up the difference to the node's unary target."""
+    base_scaled, target = base
+    # Clipped so that the cast cannot wrap: a clipped split fails the range
+    # check, unless it is a node's first, which the difference overwrites.
+    limit = MAX_ABS_WEIGHT + 1
+    units = np.clip(np.rint(params.values * matching_scale), -limit, limit).astype(np.int64)
+    grouped = units[pcc.by_node]
+    grouped[pcc.node_start] += target - np.add.reduceat(grouped, pcc.node_start)
+    units[pcc.by_node] = grouped
+    if np.abs(units).max(initial=0) > MAX_ABS_WEIGHT:
+        raise WeightRangeError("scaled split weight exceeds safe range; lower matching_scale")
+    return pcc.dual.solve(np.concatenate((base_scaled, units)), engine)
 
 
 def lower_bound(
@@ -276,24 +283,29 @@ def lower_bound(
     lower bound on the original minimum energy.
 
     Returns (value, config); config labels the original nodes followed by
-    the face nodes.  Split weights are quantized to matching-scale units for
-    the solver and the worst-case quantization error is subtracted from the
-    reported value, so validity never depends on rounding luck.  The
-    port-graph reduction is built once per ``PCCGraph``, by ``build_pcc``;
-    each call scales the weights and runs one matching.  Raises ValueError
-    when ``model`` is not the model ``pcc`` was built for.
+    the face nodes.  value is gs / matching_scale + constant, with gs the
+    augmented model's integer ground-state energy; its weights are floored
+    and each node's splits sum exactly to its floored unary, so the bound
+    holds by construction.  The port-graph reduction is built once per
+    ``PCCGraph``, by ``build_pcc``; each call scales the weights and runs
+    one matching.  Raises ValueError when ``model`` is not the model
+    ``pcc`` was built for.
     """
     if model != pcc.model:
         raise ValueError("model differs from the model the PCC graph was built for")
-    base = _scale_base(pcc.model, matching_scale)
-    return _bound(pcc, params, matching_scale, base, engine)
+    scale = int(matching_scale)
+    gs, labels = _bound(pcc, params, scale, _scale_base(pcc.model, scale), engine)
+    return gs / scale + pcc.model.constant, labels
 
 
-def certificate_of(gap: float, model: BinaryMRF) -> str:
-    """"optimal" when the gap is below the integer quantum of an
-    exact-integer model, else "gap".  It is a proof, not a stopping
-    decision: tol plays no part."""
-    return "optimal" if (gap < 1.0 and model.is_integer) else "gap"
+def certificate_of(model: BinaryMRF, best_gs: int, scale: int, best_upper: float) -> str:
+    """"optimal" when ``model`` is integer and its optimum, at least
+    ceil(best_gs / scale) + constant for a best augmented ground state
+    best_gs at matching scale ``scale``, is best_upper; else "gap".  Decided
+    in Python integers.  It is a proof, not a stopping decision: tol plays
+    no part."""
+    ceil_gs = -(-best_gs // scale)
+    return "optimal" if model.is_integer and ceil_gs + model.constant >= best_upper else "gap"
 
 
 def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
@@ -353,8 +365,8 @@ def optimize(
     is step_size * subgrad_norm2 / (best_upper - lower_bound).
 
     Stops when best_upper - best_lower < tol, at max_iters, or on a zero
-    subgradient.  The certificate reads "optimal" only for integer-weight
-    models (energies are then exact).
+    subgradient.  The certificate is ``certificate_of`` at the best integer
+    ground state; it reads "optimal" only for integer-weight models.
     """
     if not model.is_integer:
         warnings.warn(
@@ -364,11 +376,13 @@ def optimize(
         )
     pcc = build_pcc(model, embedding)
     params = init_params(model, pcc)
-    base = _scale_base(model, matching_scale)
+    scale = int(matching_scale)
+    base = _scale_base(model, scale)
 
     trace = BoundTrace()
     best_upper: float | None = None
     best_assignment: Labels = ()
+    best_gs: int | None = None
     best_lower = -np.inf
     factor = 1.5
     stalls = 0
@@ -377,13 +391,14 @@ def optimize(
     iteration = 0
     while iteration < limit:
         iteration += 1
-        lb, config = _bound(pcc, params, matching_scale, base, engine)
+        gs, config = _bound(pcc, params, scale, base, engine)
+        lb = gs / scale + model.constant
         x, ub = decode_upper(model, config)
         if best_upper is None or ub < best_upper:
             best_upper = ub
             best_assignment = x
-        if lb > best_lower:
-            best_lower = lb
+        if best_gs is None or gs > best_gs:
+            best_gs, best_lower = gs, lb
             stalls = 0
         else:
             stalls += 1
@@ -420,7 +435,7 @@ def optimize(
         best_assignment=best_assignment,
         best_upper=best_upper,
         best_lower=best_lower,
-        certificate=certificate_of(gap, model),
+        certificate=certificate_of(model, best_gs, scale, best_upper),
         gap=gap,
         iterations=iteration,
         trace=trace,

@@ -159,6 +159,25 @@ def test_solve_model_disconnected_components():
     assert len(res.trace.rows) >= 1
 
 
+def test_solve_model_certifies_when_every_component_is_certified():
+    # A 4x4 and a 2x3 grid, then an isolated node: each grid certifies on its
+    # own, but their float gaps add up to 1.125, so a gap-below-1 rule on the
+    # summed bounds would report "gap" at an optimal best_upper.
+    parts = [
+        generate_grid_instance(InstanceSpec(r, c, 0.2, 41, 500)) for r, c in ((4, 4), (2, 3))
+    ]
+    edges, unary, rotations, offset = [], [], [], 0
+    for model, emb in parts:
+        edges += [(i + offset, j + offset, w) for (i, j, w) in model.edges]
+        unary += model.unary
+        rotations += [tuple(u + offset for u in rot) for rot in emb.rotations]
+        offset += model.num_nodes
+    model = BinaryMRF(offset + 1, tuple(edges), tuple(unary) + (-7,), 3)
+    res = solve_model(model, PlanarEmbedding(tuple(rotations) + ((),)))
+    assert res.certificate == "optimal"
+    assert res.best_upper == brute_force_map(model).energy
+
+
 def test_solve_model_single_component_passthrough():
     model, emb = generate_grid_instance(InstanceSpec(3, 3, 0.8, 11, 500))
     res = solve_model(model, emb, SolverOptions(max_iters=200))

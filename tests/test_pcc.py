@@ -23,6 +23,7 @@ from planarcc.errors import WeightRangeError
 from planarcc.harness import InstanceSpec, generate_grid_instance
 from planarcc.matching import COMPILED_UNAVAILABLE, has_compiled_kernel
 from planarcc.oracle import brute_force_map
+from planarcc.pcc import certificate_of
 
 from conftest import random_grid_model, random_tree
 
@@ -187,6 +188,91 @@ def test_lower_bound_rejects_a_split_beyond_int64(engine):
         lower_bound(model, g, init_params(model, g), engine=engine)
 
 
+def random_float_grid_model(rng, rows, cols):
+    edges, emb = grid(rows, cols)
+    model = BinaryMRF(
+        rows * cols,
+        tuple((i, j, rng.uniform(-3, 3)) for (i, j) in edges),
+        tuple(rng.uniform(-2, 2) for _ in range(rows * cols)),
+        rng.uniform(-5, 5),
+    )
+    return model, emb
+
+
+def test_lower_bound_valid_for_float_weights_after_steps():
+    # Float weights are floored to matching units and each node's integer
+    # splits sum exactly to its floored unary, so the bound holds at any
+    # matching scale, coarse ones included.
+    rng = random.Random(211)
+    for trial in range(24):
+        model, emb = random_float_grid_model(rng, *rng.choice([(2, 3), (3, 3), (3, 4)]))
+        want = brute_force_map(model).energy
+        g = build_pcc(model, emb)
+        params = init_params(model, g)
+        for _ in range(rng.randint(0, 6)):
+            direction = np.array([rng.uniform(-1, 1) for _ in range(len(g.inc_node))])
+            params.apply_step(rng.uniform(0, 3), direction)
+        for scale in (1, 7, 1000, 10**6):
+            value, _ = lower_bound(model, g, params, matching_scale=scale)
+            assert value <= want + 1e-9 * (1 + abs(want)), (trial, scale)
+
+
+def test_integer_splits_sum_exactly_to_each_scaled_unary(monkeypatch):
+    from planarcc.ising import ExpandedDual
+
+    sent = []
+    solve = ExpandedDual.solve
+
+    def record(self, weights, engine=None):
+        sent.append(np.array(weights))
+        return solve(self, weights, engine)
+
+    monkeypatch.setattr(ExpandedDual, "solve", record)
+    rng = random.Random(223)
+    scale = 10**6
+    for _ in range(10):
+        model, emb = random_grid_model(rng, 4, 4, a_scaled=400)
+        g = build_pcc(model, emb)
+        params = init_params(model, g)
+        for _ in range(5):
+            direction = np.array([rng.uniform(-1, 1) for _ in range(len(g.inc_node))])
+            params.apply_step(rng.uniform(0, 50), direction)
+            lower_bound(model, g, params, matching_scale=scale)
+            w = sent[-1].tolist()
+            base, splits = w[: len(model.edges)], w[len(model.edges):]
+            assert base == [wt * scale for (_, _, wt) in model.edges]
+            sums = [0] * model.num_nodes
+            for i, split in zip(g.inc_node.tolist(), splits):
+                sums[i] += split
+            assert sums == [u * scale for u in model.unary]
+    assert len(sent) == 50
+
+
+def one_node_model(constant):
+    return BinaryMRF(1, (), (0,), constant)
+
+
+def test_certificate_at_the_threshold():
+    scale = 10**6
+    for best_upper, constant in ((-43231, 0), (17, 3), (0, -12)):
+        model = one_node_model(constant)
+        gs = scale * (best_upper - 1 - constant)
+        assert certificate_of(model, gs, scale, best_upper) == "gap"
+        assert certificate_of(model, gs + 1, scale, best_upper) == "optimal"
+        assert certificate_of(model, gs + scale, scale, best_upper) == "optimal"
+    # No certificate for a model with a non-integer weight.
+    assert certificate_of(one_node_model(0.5), 10**6, scale, 1) == "gap"
+
+
+def test_certificate_where_a_float_gap_reads_one():
+    # The optimum is at least ceil(gs / scale) = best_upper, so the model is
+    # certified; in floats the gap is exactly 1.0 and a gap-below-1 rule
+    # withholds the certificate.
+    scale, gs, best_upper = 10**6, 10**17 + 1, 10**11 + 1
+    assert best_upper - gs / scale == 1.0
+    assert certificate_of(one_node_model(0), gs, scale, best_upper) == "optimal"
+
+
 def test_subgradient_example():
     # node 0 on a path has a single face; build a cycle to get two faces
     edges, emb = cycle(4)
@@ -234,9 +320,12 @@ def test_polyak_step():
 
 def test_step_factor_schedule_in_trace():
     # tol=0 keeps the loop going past certification, so the lower bound
-    # stalls often enough for the factor to reach its floor.
+    # stalls often enough for the factor to reach its floor.  The coarse
+    # matching scale keeps the exact integer bound 0.01 below the optimum,
+    # where at the default scale it reaches the optimum and every later
+    # step is 0.
     model, emb = generate_grid_instance(InstanceSpec(10, 10, 0.2, 31, 500))
-    rows = optimize(model, emb, max_iters=100, tol=0.0).trace.rows
+    rows = optimize(model, emb, max_iters=100, tol=0.0, matching_scale=100).trace.rows
     assert len(rows) == 100 and rows[-1].step_size == 0.0
     # Replay the schedule on the trace's own lower bounds: the factor starts
     # at 1.5 and halves, never below 0.05, exactly when 3 iterations in a
