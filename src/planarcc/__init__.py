@@ -33,7 +33,6 @@ from .model import (
     reparameterize,
     save_model,
     scale_to_integer,
-    symmetrize,
 )
 from .oracle import OracleResult, brute_force_map, brute_force_map_ising, brute_force_mwpm
 from .pcc import (

@@ -6,6 +6,10 @@ directed edge i->j, continue with (j, k) where k follows i in the rotation of
 j.  For a rotation system that corresponds to a plane drawing this partitions
 all directed edges into face boundaries and V - E + F = 2 holds; rotation
 systems of non-planar graphs fail that check.
+
+A ``PlanarEmbedding`` indexes its directed edges (darts) once, when it is
+validated; ``faces`` walks that index and, in the same call, finds the
+breadth-first spanning tree that decodes cuts into labels.
 """
 
 from __future__ import annotations
@@ -32,20 +36,31 @@ def _dart_arrays(rotations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     head = np.array([j for rot in rotations for j in rot])
     if head.size and head.dtype.kind not in "iu":
         raise NotPlanarEmbeddingError("rotations must list integer vertex ids")
-    tail = np.repeat(np.arange(n, dtype=np.int64), deg)
-    return offset, tail, head.astype(np.int64)
+    return offset, _tails(offset), head.astype(np.int64)
+
+
+def _tails(offset: np.ndarray) -> np.ndarray:
+    """tail[d] of every dart, from the dart offsets of ``_dart_arrays``."""
+    return np.repeat(np.arange(len(offset) - 1, dtype=np.int64), np.diff(offset))
 
 
 @dataclass(frozen=True)
 class PlanarEmbedding:
     """Rotation system: rotations[i] lists the neighbors of vertex i in
-    counterclockwise order."""
+    counterclockwise order.
+
+    Validation indexes the darts once (see ``_dart_arrays``) and keeps, for
+    ``faces``, the dart offsets, each dart's twin (j -> i for dart i -> j)
+    and the darts in order of their key tail * n + head.  Tails, heads and
+    rotation successors follow from these without a sort, so they are not
+    kept.
+    """
 
     rotations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = len(self.rotations)
-        _, tail, head = _dart_arrays(self.rotations)
+        offset, tail, head = _dart_arrays(self.rotations)
         loop = np.flatnonzero(head == tail)
         if loop.size:
             raise NotPlanarEmbeddingError(f"vertex {tail[loop[0]]} appears in its own rotation")
@@ -55,20 +70,24 @@ class PlanarEmbedding:
             raise NotPlanarEmbeddingError(
                 f"rotation of {tail[d]} mentions invalid vertex {head[d]}"
             )
-        keys = np.sort(tail * n + head, kind="stable")
+        keys = tail * n + head
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if repeated.size:
             i, j = divmod(int(keys[repeated[0]]), n)
             raise NotPlanarEmbeddingError(f"vertex {j} repeated in rotation of {i}")
-        twins = head * n + tail
-        if not np.array_equal(keys, np.sort(twins, kind="stable")):
-            at = np.minimum(np.searchsorted(keys, twins), len(keys) - 1)
-            d = np.flatnonzero(keys[at] != twins)[0]
-            i, j = tail[d], head[d]
+        twin_keys = head * n + tail
+        at = np.minimum(np.searchsorted(keys, twin_keys), len(keys) - 1)
+        missing = np.flatnonzero(keys[at] != twin_keys)
+        if missing.size:
+            i, j = tail[missing[0]], head[missing[0]]
             raise NotPlanarEmbeddingError(
                 f"rotations not symmetric: {j} lists {i}? "
                 f"edge ({i},{j}) present only one way"
             )
+        # Plain attributes, not fields: equality and hashing see rotations only.
+        self.__dict__.update(_offset=offset, _twin=by_key[at], _by_key=by_key)
 
     @property
     def num_vertices(self) -> int:
@@ -101,22 +120,26 @@ class Faces(Sequence[Face]):
     """The faces of a connected embedded graph, backed by dart arrays.
 
     Dart d runs from tail[d] to head[d]; darts are numbered by (vertex id,
-    rotation position), and vertex v's darts are offset[v] to
-    offset[v + 1] - 1.  Face f's boundary is the darts
-    walk[starts[f]:starts[f + 1]] in walk order, and face_of[d] is the face
-    of dart d.  A ``Face`` is built only when indexed or iterated.
+    rotation position), vertex v's darts are offset[v] to offset[v + 1] - 1,
+    and succ[d] is the dart after d in its tail's rotation.  Face f's
+    boundary is the darts walk[starts[f]:starts[f + 1]] in walk order, and
+    face_of[d] is the face of dart d.  ``tree`` is a spanning tree as
+    (vertex, parent, dart parent -> vertex) triples, in breadth-first order
+    from vertex 0 with each rotation scanned in order.  A ``Face`` is built
+    only when indexed or iterated.
     """
 
-    def __init__(self, offset, tail, head, walk, starts, face_of, keys, by_key):
+    def __init__(self, offset, tail, head, succ, by_key, walk, starts, face_of, tree):
         self.offset = offset
         self.tail = tail
         self.head = head
+        self.succ = succ
+        # The darts in order of their key tail * n + head.
+        self._by_key = by_key
         self.walk = walk
         self.starts = starts
         self.face_of = face_of
-        # keys[k] = tail * n + head of dart by_key[k], ascending.
-        self._keys = keys
-        self._by_key = by_key
+        self.tree = tree
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -135,13 +158,14 @@ class Faces(Sequence[Face]):
     def darts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Index of dart u[t] -> v[t] for each t; each pair must be an edge."""
         n = len(self.offset) - 1
-        return self._by_key[np.searchsorted(self._keys, u * n + v)]
+        key = self.tail * n + self.head
+        return self._by_key[np.searchsorted(key, u * n + v, sorter=self._by_key)]
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> bool:
         """True when the embedded graph's edges are exactly the pairs
         (u[t], v[t]), given with u < v and without repeats."""
-        n = len(self.offset) - 1
-        own = self._keys[self.tail[self._by_key] < self.head[self._by_key]]
+        n, d = len(self.offset) - 1, self._by_key
+        own = (self.tail[d] * n + self.head[d])[self.tail[d] < self.head[d]]
         return np.array_equal(own, np.sort(u * n + v, kind="stable"))
 
 
@@ -150,46 +174,45 @@ def euler_check(num_vertices: int, num_edges: int, num_faces: int) -> bool:
     return num_vertices - num_edges + num_faces == 2
 
 
-def _check_connected(embedding: PlanarEmbedding) -> None:
-    n = embedding.num_vertices
-    if n == 0:
-        raise NotPlanarEmbeddingError("empty embedding")
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in embedding.rotations[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    if count != n:
-        raise NotPlanarEmbeddingError("graph is disconnected; split components first")
-
-
 def faces(embedding: PlanarEmbedding) -> Faces:
     """Enumerate the faces of a connected embedded graph, by one walk over
-    integer darts, as a lazy ``Faces`` sequence.
+    the embedding's dart index, as a lazy ``Faces`` sequence.
 
     Deterministic: faces are numbered in order of their smallest starting
     dart (vertex id, then rotation position).  A single vertex lies on one
-    face without darts.  Raises NotPlanarEmbeddingError when the rotation
-    system does not describe a plane graph (Euler check fails).
+    face without darts.  The breadth-first search that checks connectivity
+    also yields ``Faces.tree``.  Raises NotPlanarEmbeddingError when the
+    graph is empty or disconnected, or when the rotation system does not
+    describe a plane graph (Euler check fails).
     """
-    _check_connected(embedding)
     n = embedding.num_vertices
-    offset, tail, head = _dart_arrays(embedding.rotations)
-    keys = tail * n + head
-    by_key = np.argsort(keys, kind="stable")
-    keys = keys[by_key]
-    twin = by_key[np.searchsorted(keys, head * n + tail)]
-    # After dart a -> b comes b -> (the neighbour after a in b's rotation);
-    # twin[d] - offset[b] is a's position in b's rotation.
-    start, deg = offset[head], np.diff(offset)[head]
-    nxt = (start + (twin - start + 1) % deg).tolist()
+    if n == 0:
+        raise NotPlanarEmbeddingError("empty embedding")
+    offset, twin = embedding._offset, embedding._twin
+    tail = _tails(offset)
+    head = tail[twin]
+    start = offset[tail]
+    succ = start + (np.arange(len(tail)) - start + 1) % np.diff(offset)[tail]
 
+    offset_list, head_list = offset.tolist(), head.tolist()
+    seen = [False] * n
+    seen[0] = True
+    order: list[int] = [0]
+    tree = []
+    for v in order:
+        for d in range(offset_list[v], offset_list[v + 1]):
+            u = head_list[d]
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                tree.append((u, v, d))
+    if len(order) != n:
+        raise NotPlanarEmbeddingError("graph is disconnected; split components first")
+
+    # After dart a -> b comes the successor of its twin b -> a in b's
+    # rotation.  Twins and successors are permutations of the darts, so
+    # each walk closes on its first dart.
+    nxt = succ[twin].tolist()
     m = len(nxt)
     face_of = [-1] * m
     walk: list[int] = []
@@ -204,8 +227,6 @@ def faces(embedding: PlanarEmbedding) -> Faces:
             face_of[e] = f
             walk.append(e)
             e = nxt[e]
-        if e != d:
-            raise NotPlanarEmbeddingError("face walk did not close on its first dart")
     if not starts:
         starts.append(0)
     starts.append(m)
@@ -220,11 +241,12 @@ def faces(embedding: PlanarEmbedding) -> Faces:
         offset,
         tail,
         head,
+        succ,
+        embedding._by_key,
         np.array(walk, dtype=np.int64),
         np.array(starts, dtype=np.int64),
         np.array(face_of, dtype=np.int64),
-        keys,
-        by_key,
+        tuple(tree),
     )
 
 

@@ -173,13 +173,17 @@ def solve_model(
     """
     if embedding is None:
         raise ValueError("an embedding (rotation system) is required")
-    comps = _components(model)
-    if len(comps) == 1:
+
+    def solve(m: BinaryMRF, emb: PlanarEmbedding) -> SolveResult:
         return optimize(
-            model, embedding,
+            m, emb,
             max_iters=options.max_iters, tol=options.tol,
             matching_scale=options.matching_scale, engine=options.engine,
         )
+
+    comps = _components(model)
+    if len(comps) == 1:
+        return solve(model, embedding)
 
     labels: list[int] = [0] * model.num_nodes
     folded = 0
@@ -200,11 +204,7 @@ def solve_model(
         sub_rot = tuple(
             tuple(index[u] for u in embedding.rotations[v]) for v in comp
         )
-        res = optimize(
-            sub_model, PlanarEmbedding(sub_rot),
-            max_iters=options.max_iters, tol=options.tol,
-            matching_scale=options.matching_scale, engine=options.engine,
-        )
+        res = solve(sub_model, PlanarEmbedding(sub_rot))
         results.append(res)
         for v, lab in zip(comp, res.best_assignment):
             labels[v] = lab
@@ -236,15 +236,21 @@ def solve_model(
 # ---------------------------------------------------------------------------
 
 
-def append_summary(path: str | Path, summaries: list[RunSummary]) -> None:
+def _write_summaries(path: str | Path, summaries: list[RunSummary], mode: str) -> None:
+    """Write result rows to ``path`` opened with ``mode`` ("w" or "a"),
+    after the header unless they are appended to an existing file."""
     path = Path(path)
-    new_file = not path.exists()
-    with open(path, "a", newline="") as fh:
+    header = mode == "w" or not path.exists()
+    with open(path, mode, newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        if header:
             writer.writerow(RESULTS_HEADER)
         for s in summaries:
             writer.writerow(s.row())
+
+
+def append_summary(path: str | Path, summaries: list[RunSummary]) -> None:
+    _write_summaries(path, summaries, "a")
 
 
 def run(
@@ -257,11 +263,7 @@ def run(
     """Generate, solve, and record one instance."""
     model, embedding = generate_grid_instance(spec)
     t0 = time.perf_counter()
-    result = optimize(
-        model, embedding,
-        max_iters=options.max_iters, tol=options.tol,
-        matching_scale=options.matching_scale, engine=options.engine,
-    )
+    result = solve_model(model, embedding, options)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     converged = result.certificate == "optimal"
     if trace_path is not None:
@@ -297,12 +299,7 @@ def batch(
     else:
         summaries = [_run_one(w) for w in work]
     if out is not None:
-        path = Path(out)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULTS_HEADER)
-            for s in summaries:
-                writer.writerow(s.row())
+        _write_summaries(out, summaries, "w")
     return summaries
 
 

@@ -14,8 +14,11 @@ its cut state is parity-free: its two ports get a single merged edge with
 weight min(-w, 0), and the bridge is decoded as cut exactly when w < 0.
 
 ``ground_state`` and the PCC loop share this one reduction: the port graph
-is built once per embedded topology, and ``ExpandedDual.solve`` maps edge
-weights to port weights, runs the matching kernel and decodes the matching.
+is built once per embedded topology, from the darts and faces of
+``faces(embedding)``, and ``ExpandedDual.solve`` maps edge weights to port
+weights, runs the matching kernel and decodes the matching.  The decode
+labels node 0 with 0 and propagates the cut along ``Faces.tree``, the
+breadth-first tree that ``faces`` finds while checking connectivity.
 """
 
 from __future__ import annotations
@@ -44,16 +47,15 @@ class ExpandedDual:
 
     Port edge t joins ports port_u[t] and port_v[t].  For t below the
     model's edge count it stands for model edge t (bridge[t] marks merged
-    bridge edges); the rest are the zero-weight face cliques.  ``tree`` is a
-    spanning tree of the model graph as (vertex, parent, model edge)
-    triples in breadth-first order from node 0; edge_u and edge_v hold the
-    model edges' endpoints.  ``weights`` are the model's edge weights and
-    ``offset`` their sum: the minimum matching weight of ``match_graph``
-    plus ``offset`` equals the ground-state energy.
+    bridge edges); the rest are the zero-weight face cliques.  ``tree`` is
+    ``Faces.tree`` with each dart replaced by its model edge: (vertex,
+    parent, model edge) triples in breadth-first order from node 0; edge_u
+    and edge_v hold the model edges' endpoints.  ``weights`` are the
+    model's edge weights: the minimum matching weight of ``match_graph``
+    plus their sum equals the ground-state energy.
     """
 
     weights: tuple[int, ...]
-    offset: int
     num_ports: int
     port_u: np.ndarray
     port_v: np.ndarray
@@ -160,32 +162,6 @@ def _endpoints(
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
-def _spanning_tree(
-    num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> tuple[tuple[int, int, int], ...]:
-    """Breadth-first (vertex, parent, edge index) triples from node 0 of a
-    connected graph; each vertex scans its edges in index order."""
-    num_edges = len(edge_u)
-    ends = np.concatenate((edge_u, edge_v))
-    key = ends * num_edges + np.tile(np.arange(num_edges), 2)
-    by_end = np.argsort(key, kind="stable")
-    other = np.concatenate((edge_v, edge_u))[by_end].tolist()
-    edge = (by_end % max(num_edges, 1)).tolist()
-    bounds = np.searchsorted(ends[by_end], np.arange(num_nodes + 1)).tolist()
-    seen = [False] * num_nodes
-    seen[0] = True
-    order = [0]
-    tree = []
-    for v in order:
-        for k in range(bounds[v], bounds[v + 1]):
-            u = other[k]
-            if not seen[u]:
-                seen[u] = True
-                order.append(u)
-                tree.append((u, v, edge[k]))
-    return tuple(tree)
-
-
 def _face_cliques(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges (u, v), u < v, of a clique on each face's ports starts[f] to
     starts[f + 1] - 1, sorted by (u, v)."""
@@ -215,7 +191,6 @@ def build_expanded_dual(
         raise NotPlanarEmbeddingError(
             f"embedding has {embedding.num_vertices} vertices, model has {ising.num_nodes}"
         )
-    # faces() also rejects disconnected graphs, so the tree below spans.
     fs = faces(embedding)
     edge_u, edge_v = _endpoints(ising.edges)
     if not fs.has_edges(edge_u, edge_v):
@@ -229,6 +204,9 @@ def build_expanded_dual(
     port = np.empty(num_ports, dtype=np.int64)
     port[fs.walk] = np.arange(num_ports)
     forward, backward = fs.darts(edge_u, edge_v), fs.darts(edge_v, edge_u)
+    edge_of = np.empty(num_ports, dtype=np.int64)
+    edge_of[forward] = edge_of[backward] = np.arange(len(edge_u))
+    edge_list = edge_of.tolist()
     p1, p2 = port[forward], port[backward]
     bridge = fs.face_of[forward] == fs.face_of[backward]
     clique_u, clique_v = _face_cliques(fs.starts)
@@ -238,14 +216,13 @@ def build_expanded_dual(
 
     return ExpandedDual(
         weights=weights,
-        offset=sum(weights),
         num_ports=num_ports,
         port_u=np.concatenate((p1, clique_u[keep])),
         port_v=np.concatenate((p2, clique_v[keep])),
         bridge=bridge,
         edge_u=edge_u,
         edge_v=edge_v,
-        tree=_spanning_tree(ising.num_nodes, edge_u, edge_v),
+        tree=tuple((v, parent, edge_list[d]) for v, parent, d in fs.tree),
     )
 
 

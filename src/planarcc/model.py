@@ -3,9 +3,10 @@
 A model is parameterized by pairwise disagreement costs ``theta_ij`` (paid
 when two neighbors take different labels), unary costs ``theta_i`` (paid when
 a variable takes label 1), and an additive constant accumulated by
-reparameterization.  Any pairwise binary MRF can be rewritten this way, and
-the unary terms can in turn be absorbed into pairwise edges to an auxiliary
-variable, giving a fully symmetric (flip-invariant) Ising model.
+reparameterization.  Any pairwise binary MRF can be rewritten this way
+(``reparameterize``).  A model without unary terms (``SymmetricIsing``) is
+flip-invariant; ``pcc`` absorbs unary terms into edges to one auxiliary node
+per face, which keeps the graph planar.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ class BinaryMRF:
 class SymmetricIsing:
     """Unary-free binary model: only pairwise disagreement costs.
 
-    Its energy is invariant under flipping all labels.  ``symmetrize`` places
-    the auxiliary variable absorbing the unary terms at index 0.
+    Its energy is invariant under flipping all labels.
     """
 
     num_nodes: int
@@ -192,22 +192,6 @@ def reparameterize(
         constant += p00
     edges = tuple((i, j, w) for (i, j), w in sorted(edge_theta.items()))
     return BinaryMRF(node_count, edges, tuple(unary), constant)
-
-
-def symmetrize(model: BinaryMRF) -> SymmetricIsing:
-    """Absorb unary terms into pairwise edges to a new auxiliary node 0.
-
-    Original node i becomes node i+1.  A nonzero theta_i becomes the edge
-    (0, i+1, theta_i); zero-weight unary edges are omitted.  Fixing the
-    auxiliary to label 0 recovers the original energy minus the constant.
-    """
-    edges = []
-    for i, w in enumerate(model.unary):
-        if w != 0:
-            edges.append((0, i + 1, w))
-    for (i, j, w) in model.edges:
-        edges.append((i + 1, j + 1, w))
-    return SymmetricIsing(model.num_nodes + 1, tuple(edges))
 
 
 def _round_half_away(value: float) -> int:

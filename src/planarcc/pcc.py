@@ -179,14 +179,12 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
 
         # Face vertex f goes after neighbour u in v's rotation when the
         # rotation successor of dart v -> u is a corner of face f.
-        start = fs.offset[fs.tail]
-        succ = start + (np.arange(m) - start + 1) % np.diff(fs.offset)[fs.tail]
-        insert = corner[succ]
+        insert = corner[fs.succ]
         at = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(1 + insert, out=at[1:])
         flat = np.empty(at[-1], dtype=np.int64)
         flat[at[:-1]] = fs.head
-        flat[at[:-1][insert] + 1] = n + fs.face_of[succ[insert]]
+        flat[at[:-1][insert] + 1] = n + fs.face_of[fs.succ[insert]]
         flat_list, bounds = flat.tolist(), at[fs.offset].tolist()
         rotations = [tuple(flat_list[a:b]) for a, b in zip(bounds, bounds[1:])]
         # Face walks run clockwise under the traversal rule, so a vertex
@@ -327,7 +325,7 @@ def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
 
 
 def polyak_step(
-    best_upper: float, lower: float, grad_sq_norm: float, factor: float = 0.5
+    best_upper: float, lower: float, grad_sq_norm: float, factor: float
 ) -> float:
     """Polyak's rule: factor * (best upper - current lower) / |g|^2."""
     if grad_sq_norm <= 0:

@@ -4,7 +4,9 @@
 reference functions below are the dict-based builders they replaced, kept
 here verbatim in substance: the new code must reproduce their faces, port
 graphs and augmented rotation systems element by element, so the matching
-kernel sees the same graphs and traces stay identical.
+kernel sees the same graphs and traces stay identical.  ``reference_tree``
+states the decode tree's rule: breadth-first from node 0, each vertex
+scanning its rotation in order.
 """
 
 import math
@@ -80,21 +82,20 @@ def reference_port_graph(edges, rotations):
     )
 
 
-def reference_tree(num_nodes, edges):
-    """Breadth-first (vertex, parent, edge index) triples from node 0."""
-    adj = [[] for _ in range(num_nodes)]
+def reference_tree(edges, rotations):
+    """Breadth-first (vertex, parent, edge index) triples from node 0, each
+    vertex scanning its rotation in order."""
+    edge_index = {}
     for t, (i, j, _) in enumerate(edges):
-        adj[i].append((j, t))
-        adj[j].append((i, t))
-    seen = [False] * num_nodes
-    seen[0] = True
+        edge_index[(i, j)] = edge_index[(j, i)] = t
+    seen = {0}
     order, tree = [0], []
     for v in order:
-        for (u, t) in adj[v]:
-            if not seen[u]:
-                seen[u] = True
+        for u in rotations[v]:
+            if u not in seen:
+                seen.add(u)
                 order.append(u)
-                tree.append((u, v, t))
+                tree.append((u, v, edge_index[(v, u)]))
     return tuple(tree)
 
 
@@ -207,7 +208,7 @@ def test_port_graph_matches_reference(name, edges, rotations):
     assert dual.port_u.tolist() == port_u
     assert dual.port_v.tolist() == port_v
     assert dual.bridge.tolist() == bridge
-    assert dual.tree == reference_tree(len(rotations), ising.edges)
+    assert dual.tree == reference_tree(ising.edges, rotations)
     assert dual.edge_u.tolist() == [i for (i, _, _) in ising.edges]
     assert dual.edge_v.tolist() == [j for (_, j, _) in ising.edges]
     for a in (dual.port_u, dual.port_v, dual.edge_u, dual.edge_v):
@@ -240,4 +241,4 @@ def test_pcc_graph_matches_reference(name, edges, rotations):
         num_ports, port_u, port_v,
     )
     assert g.dual.bridge.tolist() == bridge
-    assert g.dual.tree == reference_tree(n + g.num_faces, [(i, j, 0) for (i, j) in aug_edges])
+    assert g.dual.tree == reference_tree([(i, j, 0) for (i, j) in aug_edges], aug)

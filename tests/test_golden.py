@@ -1,0 +1,62 @@
+"""Pinned digests of solver output on fixed grid instances.
+
+Each digest is the sha256 of a run's trace CSV bytes (``to_csv`` with
+elapsed_ms written as 0) followed by the repr of its ``SolveResult``
+fields, or of a ground state's labels and energy.  A refactor that is meant
+to leave results alone must keep every digest; a change that alters traces
+on purpose updates the digests here and records why.  The float columns
+are IEEE-754 double results of numpy on x86-64.
+"""
+
+import hashlib
+
+import pytest
+
+from planarcc import SymmetricIsing, ground_state, optimize
+from planarcc.harness import InstanceSpec, generate_grid_instance
+
+# (side, a, seed, max_iters, tol) -> sha256 of the trace CSV and result.
+OPTIMIZE = {
+    (8, 0.2, 0, 300, 1.0): "ed80310c521bfefdd58206f461ca630d2c0acf9f73ac472aca98f70030a743f0",
+    (8, 0.2, 1, 300, 1.0): "1cd103fdb3a95a91e09e84e33620cf34adaccfbf2033664502954895a20f67cf",
+    (8, 0.2, 5, 300, 0.0): "e1f1489e8435de0f1a62f32bcb11709dffc49bbc4f776bb8b605ab002eb6e262",
+    (12, 3.2, 0, 300, 1.0): "62f208d6ba72384503c278fdb7b1ce6c656ab792b1ca1d3aff4d7bd305f50e0e",
+    (12, 3.2, 2, 300, 1.0): "3ea86ac1d10e2580d391872f8b397bfc496a7c30e6b1b0cc3a6d75759b42492c",
+    (12, 3.2, 7, 60, 0.0): "7f309534eed8369985175370e8b548e6dee9a73d37d299aea596e2485a87f685",
+}
+
+# (side, seed) -> sha256 of the unary-free model's ground state.
+GROUND_STATE = {
+    (8, 0): "c864167ed8c375dd5da05b0bae5b3d808eec53e8a735ab51bc362130b57dbba3",
+    (8, 1): "5b91d08550fd0d582cac4bcfc88487894bd7436871a9212580fed1b901538cb3",
+    (12, 0): "8f30970d33efa84a3a5c993bd4b6d5f05cdc0b480c2ed02f0e7f5a05f743d85f",
+    (12, 1): "4f0286ab186051103605244c9b17027acd2ef4cbe1dacdb69f4a53347f50137e",
+}
+
+
+def optimize_digest(tmp_path, side, a, seed, max_iters, tol):
+    model, emb = generate_grid_instance(InstanceSpec(side, side, a, seed, 500))
+    res = optimize(model, emb, max_iters=max_iters, tol=tol)
+    path = tmp_path / "trace.csv"
+    res.trace.to_csv(path)
+    fields = (
+        res.best_assignment, res.best_upper, res.best_lower,
+        res.certificate, res.gap, res.iterations,
+    )
+    return hashlib.sha256(path.read_bytes() + repr(fields).encode()).hexdigest()
+
+
+def ground_state_digest(side, seed):
+    model, emb = generate_grid_instance(InstanceSpec(side, side, 0.0, seed, 500))
+    gs = ground_state(SymmetricIsing(model.num_nodes, model.edges), emb)
+    return hashlib.sha256(repr((gs.labels, gs.energy)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", OPTIMIZE, ids=lambda k: "{}x{}-a{}-seed{}-iters{}-tol{}".format(k[0], *k))
+def test_optimize_golden(tmp_path, key):
+    assert optimize_digest(tmp_path, *key) == OPTIMIZE[key]
+
+
+@pytest.mark.parametrize("key", GROUND_STATE, ids=lambda k: "{}x{}-seed{}".format(k[0], *k))
+def test_ground_state_golden(key):
+    assert ground_state_digest(*key) == GROUND_STATE[key]

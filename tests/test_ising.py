@@ -152,7 +152,7 @@ def test_matching_feasibility_and_decode():
         dual = build_expanded_dual(ising, emb)
         matching = min_weight_perfect_matching(dual.match_graph)
         gs = decode_matching(ising, dual, matching)
-        assert gs.energy == matching.total_weight + dual.offset
+        assert gs.energy == matching.total_weight + sum(w for (_, _, w) in ising.edges)
 
 
 def test_zero_weight_edges_kept():

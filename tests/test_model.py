@@ -17,7 +17,6 @@ from planarcc import (
     reparameterize,
     save_model,
     scale_to_integer,
-    symmetrize,
 )
 
 PATH_MODEL = BinaryMRF(3, ((0, 1, 2), (1, 2, -1)), (0, 1, 0), 0)
@@ -108,31 +107,6 @@ def test_reparameterize_accumulates_parallel_tables():
     t = PairwisePotentialTable(0, 1, ((0, 1), (1, 0)))
     m = reparameterize([t, t], 2)
     assert m.edges == ((0, 1, 2),)
-
-
-def test_symmetrize_examples():
-    m = BinaryMRF(2, ((0, 1, 5),), (-3, 0), 0)
-    sym = symmetrize(m)
-    assert sym.num_nodes == 3
-    assert sym.edges == ((0, 1, -3), (1, 2, 5))
-    # fixing the auxiliary node to 0 recovers the original energy
-    assert ising_energy(sym, (0, 1, 1)) == -3 == energy(m, (1, 1))
-
-
-def test_symmetrize_energy_identity():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        edges = tuple(
-            (i, j, rng.randint(-9, 9))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.6
-        )
-        m = BinaryMRF(n, edges, tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-5, 5))
-        sym = symmetrize(m)
-        for x in itertools.product((0, 1), repeat=n):
-            assert ising_energy(sym, (0, *x)) + m.constant == energy(m, x)
 
 
 def test_flip_symmetry():

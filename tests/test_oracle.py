@@ -5,6 +5,7 @@ import pytest
 
 from planarcc import (
     BinaryMRF,
+    SymmetricIsing,
     TooLargeError,
     WeightedMatchGraph,
     brute_force_map,
@@ -12,7 +13,6 @@ from planarcc import (
     brute_force_mwpm,
     energy,
     min_weight_perfect_matching,
-    symmetrize,
 )
 from planarcc.errors import NoPerfectMatchingError
 
@@ -68,7 +68,7 @@ def test_matches_exhaustive_loop():
         assert energy(m, res.assignment) == want
 
 
-def test_symmetrize_consistency():
+def test_ising_oracle_matches_unary_free_map():
     rng = random.Random(29)
     for _ in range(20):
         n = rng.randint(1, 6)
@@ -78,9 +78,8 @@ def test_symmetrize_consistency():
             for j in range(i + 1, n)
             if rng.random() < 0.5
         )
-        m = BinaryMRF(n, edges, tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-3, 3))
-        sym = brute_force_map_ising(symmetrize(m))
-        assert sym.energy == brute_force_map(m).energy - m.constant
+        sym = brute_force_map_ising(SymmetricIsing(n, edges))
+        assert sym.energy == brute_force_map(BinaryMRF(n, edges, (0,) * n, 0)).energy
 
 
 def test_map_size_cap():

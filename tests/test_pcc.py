@@ -311,11 +311,11 @@ def test_subgradient_rows_sum_to_zero():
 
 
 def test_polyak_step():
-    assert polyak_step(10, 6, 8) == 0.25
-    assert polyak_step(5, 5, 2) == 0.0
-    assert polyak_step(7, 3, 16) > 0
+    assert polyak_step(10, 6, 8, 0.5) == 0.25
+    assert polyak_step(5, 5, 2, 0.5) == 0.0
+    assert polyak_step(7, 3, 16, 0.5) > 0
     with pytest.raises(ValueError):
-        polyak_step(10, 6, 0)
+        polyak_step(10, 6, 0, 0.5)
 
 
 def test_step_factor_schedule_in_trace():
