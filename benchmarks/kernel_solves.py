@@ -8,8 +8,8 @@ wraps the default engine's ``solve_max_weight_matching`` and runs
 
 - ``optimize(max_iters=2000, tol=1.0)`` on 8x8 a=0.2 (seeds 0-5), 12x12
   a=3.2 (seeds 0-9) and 16x16 a=0.2 (seeds 0-2), every iterate;
-- ``optimize(max_iters=3)`` on 24x24 and 32x32 a=0.2 (seed 0), the first
-  3 iterates;
+- ``optimize(max_iters=3)`` on 24x24, 32x32, 48x48 and 64x64 a=0.2
+  (seed 0), the first 3 iterates;
 - ``ground_state`` on unary-free 16x16 grids (seeds 0-9).
 
 It then solves each recorded graph cold ``REPS`` times, keeps the fastest,
@@ -41,6 +41,8 @@ SETS = [
     {"rows": 16, "a": 0.2, "seeds": list(range(3)), "max_iters": 2000},
     {"rows": 24, "a": 0.2, "seeds": [0], "max_iters": 3},
     {"rows": 32, "a": 0.2, "seeds": [0], "max_iters": 3},
+    {"rows": 48, "a": 0.2, "seeds": [0], "max_iters": 3},
+    {"rows": 64, "a": 0.2, "seeds": [0], "max_iters": 3},
     {"rows": 16, "a": 0.0, "seeds": list(range(10)), "ground": True},
 ]
 

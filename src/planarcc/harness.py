@@ -15,7 +15,6 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -294,6 +293,8 @@ def batch(
     the per-run results CSV.  Result order follows the input order."""
     work = [(spec, options) for spec in specs]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(_run_one, work))
     else:

@@ -5,12 +5,16 @@
  * Line-for-line translation of _blossom_py.py into C99 over int64 arrays;
  * keep the two in sync.  See that module for the algorithm notes and
  * conventions (scaled weights, endpoint-encoded mates, greedy
- * initialization, persistent trees, lazy dual updates, candidate lists).
+ * initialization, persistent trees, lazy dual updates, the candidate heap).
  * Every unmatched vertex roots one alternating tree for the whole solve;
  * an augmentation dissolves only the two trees it joins (troot names the
- * tree of each labeled top-level blossom) and the main loop runs until no
- * dual adjustment exists.  Blossom ids, scan order and tie-breaking are
- * the same, so both kernels return the same mates and duals.
+ * tree of each labeled top-level blossom, and each root keeps a list of
+ * the blossoms it was ever assigned) and the main loop runs until no dual
+ * adjustment exists.  Each adjustment pops a binary heap of candidates
+ * keyed by the value of cum at which they bind (Blossom V's bookkeeping,
+ * Kolmogorov, Math. Prog. Comp. 2009).  Blossom ids, scan order and
+ * tie-breaking are the same, so both kernels return the same mates and
+ * duals.
  *
  * _blossom_c.py compiles this file with the system C compiler and calls
  * blossom_solve() through ctypes.  Every allocation is checked: a failed
@@ -36,7 +40,11 @@ enum {
 };
 
 /* Largest |input weight|: weights are scaled by 4, and duals and slacks
- * stay within a small multiple of that, so all arithmetic fits in int64. */
+ * stay within a small multiple of that, so all arithmetic fits in int64.
+ * A heap key is cum plus a slack, half a slack or a blossom dual, so
+ * |key| <= |cum| + 2 max|dual| + 2^54: the same terms slack() adds, plus
+ * cum.  On graphs at +-MAX_ABS_WEIGHT keys stay below 10 * 2^54 < 2^58;
+ * test_kernel_build.py runs such graphs under UBSan. */
 #define MAX_ABS_WEIGHT (INT64_C(1) << 52)
 
 enum { L_FREE = 0, L_S = 1, L_T = 2 };
@@ -46,6 +54,11 @@ typedef struct {
     i64 length;
     i64 cap;
 } Grower;
+
+/* A dual-adjustment candidate: x of the given type binds when cum = t. */
+typedef struct {
+    i64 t, type, x;
+} Cand;
 
 typedef struct {
     i64 n, nedge;
@@ -73,11 +86,15 @@ typedef struct {
     i64 *bbe_len;
     i64 *bestedge;        /* 2n */
     i64 *troot;           /* 2n, root vertex of a labeled top-level blossom's tree */
+    Grower *members;      /* n, every b whose troot was set to root r; freed once dissolved */
     i64 *seen;            /* 2n, == epoch once repaired in this dissolution */
     i64 epoch;
     i64 *unusedb;         /* stack of free blossom ids */
     i64 unusedb_top;
-    Grower queue, cand_free, cand_ss, cand_tb;
+    Grower queue;
+    Grower tops;          /* dissolve's blossoms of the two trees */
+    Cand *heap;           /* binary min-heap of candidates */
+    i64 heap_len, heap_cap;
     i64 *leafbuf;         /* n */
     i64 *lstack;          /* 2n */
     i64 *bestedgeto;      /* 2n, all -1 between add_blossom calls */
@@ -144,6 +161,10 @@ static void solver_free(Solver *s)
             free(s->bbe[i]);
         }
     }
+    if (s->members != NULL) {
+        for (i = 0; i < s->n; i++)
+            free(s->members[i].buf);
+    }
     free(s->weight); free(s->endpoint);
     free(s->nb_start); free(s->nb_flat); free(s->mate);
     free(s->label); free(s->labelend); free(s->inblossom);
@@ -152,8 +173,8 @@ static void solver_free(Solver *s)
     free(s->allowedge); free(s->childs); free(s->childs_len);
     free(s->endps); free(s->bbe); free(s->bbe_len);
     free(s->bestedge); free(s->troot); free(s->seen); free(s->unusedb);
-    free(s->queue.buf); free(s->cand_free.buf);
-    free(s->cand_ss.buf); free(s->cand_tb.buf);
+    free(s->members);
+    free(s->queue.buf); free(s->tops.buf); free(s->heap);
     free(s->leafbuf); free(s->lstack); free(s->bestedgeto);
     free(s->touched); free(s->gone); free(s->expandbuf);
     free(s->patht); free(s->endpst); free(s->rott); free(s->scanpath);
@@ -190,12 +211,17 @@ static void solver_alloc(Solver *s)
     s->bbe_len = xalloc(s, 2 * n, sizeof(i64));
     s->bestedge = xalloc(s, 2 * n, sizeof(i64));
     s->troot = xalloc(s, 2 * n, sizeof(i64));
+    s->members = xalloc(s, n, sizeof(Grower));
+    for (i = 0; i < n; i++) {
+        s->members[i].buf = NULL;
+        s->members[i].length = 0;
+    }
     s->seen = xalloc(s, 2 * n, sizeof(i64));
     s->unusedb = xalloc(s, n, sizeof(i64));
     grow_init(s, &s->queue, 4 * n + 16);
-    grow_init(s, &s->cand_free, 2 * n + 16);
-    grow_init(s, &s->cand_ss, 2 * n + 16);
-    grow_init(s, &s->cand_tb, n + 16);
+    grow_init(s, &s->tops, 64);
+    s->heap_cap = 2 * n + 16;
+    s->heap = xalloc(s, s->heap_cap, sizeof(Cand));
     s->leafbuf = xalloc(s, n, sizeof(i64));
     s->lstack = xalloc(s, 2 * n, sizeof(i64));
     s->bestedgeto = xalloc(s, 2 * n, sizeof(i64));
@@ -229,6 +255,102 @@ static inline void least_slack(Solver *s, i64 x, i64 k2)
 {
     if (s->bestedge[x] == -1 || slack(s, k2) < slack(s, s->bestedge[x]))
         s->bestedge[x] = k2;
+}
+
+static void join_tree(Solver *s, i64 b, i64 r)
+{
+    check(s, r >= 0);  /* a stale labelend can lead to an unlabeled blossom */
+    s->troot[b] = r;
+    if (s->members[r].buf == NULL)
+        grow_init(s, &s->members[r], 8);
+    grow_push(s, &s->members[r], b);
+}
+
+/*
+ * Dual-adjustment candidates (t, type, x), where t is the value of cum at
+ * which the candidate becomes binding:
+ *   type 2: free vertex x, whose bestedge leads to an S-vertex;
+ *   type 3: top-level S-blossom x, whose bestedge leads to another;
+ *   type 4: top-level nontrivial T-blossom x (expand when its dual hits 0).
+ * While labels hold, a free-S slack falls by 1 per unit of cum, an S-S
+ * slack by 2 and a T-blossom dual by 1, so t stays fixed.  Entries are
+ * never removed in place: a pop drops an entry whose condition lapsed, and
+ * re-pushes one whose recomputed t differs.  This is exact because a
+ * stored key never exceeds its candidate's true key unless bestedge
+ * changes, and every such change pushes a new entry (as does an expansion
+ * that frees a leaf whose bestedge is still set).  Ties go to the smallest
+ * (t, type, x), as heapq orders the twin's tuples.
+ */
+static inline int cand_less(const Cand *a, const Cand *b)
+{
+    if (a->t != b->t)
+        return a->t < b->t;
+    if (a->type != b->type)
+        return a->type < b->type;
+    return a->x < b->x;
+}
+
+static void heap_push(Solver *s, i64 t, i64 type, i64 x)
+{
+    i64 i, parent;
+    Cand c, *nb;
+    if (s->heap_len == s->heap_cap) {
+        if ((uint64_t)s->heap_cap > SIZE_MAX / (2 * sizeof(Cand)))
+            longjmp(s->fail, BLOSSOM_NOMEM);
+        nb = realloc(s->heap, (size_t)s->heap_cap * 2 * sizeof(Cand));
+        if (nb == NULL)
+            longjmp(s->fail, BLOSSOM_NOMEM);
+        s->heap = nb;
+        s->heap_cap *= 2;
+    }
+    c.t = t;
+    c.type = type;
+    c.x = x;
+    i = s->heap_len;
+    s->heap_len += 1;
+    while (i > 0) {
+        parent = (i - 1) / 2;
+        if (!cand_less(&c, &s->heap[parent]))
+            break;
+        s->heap[i] = s->heap[parent];
+        i = parent;
+    }
+    s->heap[i] = c;
+}
+
+static Cand heap_pop(Solver *s)
+{
+    Cand top = s->heap[0], last;
+    i64 i = 0, child;
+    s->heap_len -= 1;
+    last = s->heap[s->heap_len];
+    for (;;) {
+        child = 2 * i + 1;
+        if (child >= s->heap_len)
+            break;
+        if (child + 1 < s->heap_len && cand_less(&s->heap[child + 1], &s->heap[child]))
+            child += 1;
+        if (!cand_less(&s->heap[child], &last))
+            break;
+        s->heap[i] = s->heap[child];
+        i = child;
+    }
+    s->heap[i] = last;
+    return top;
+}
+
+static i64 key(const Solver *s, i64 type, i64 x)
+{
+    if (type == 2)
+        return slack(s, s->bestedge[x]) + s->cum;
+    if (type == 3)
+        return slack(s, s->bestedge[x]) / 2 + s->cum;  /* S-S slack is even */
+    return s->dualvar[x] + s->dsgn[x] * (s->cum - s->dt0[x]) + s->cum;
+}
+
+static void push(Solver *s, i64 type, i64 x)
+{
+    heap_push(s, key(s, type, x), type, x);
 }
 
 /* Fill buf with the vertices inside blossom b, in child order. */
@@ -268,7 +390,7 @@ static void assign_label(Solver *s, i64 w, i64 t, i64 p)
         s->labelend[b] = p;
         s->bestedge[w] = -1;
         s->bestedge[b] = -1;
-        s->troot[b] = p == -1 ? w : s->troot[s->inblossom[s->endpoint[p]]];
+        join_tree(s, b, p == -1 ? w : s->troot[s->inblossom[s->endpoint[p]]]);
         cnt = leaves(s, b, s->leafbuf);
         if (t == L_S) {
             if (b >= s->n)
@@ -282,7 +404,7 @@ static void assign_label(Solver *s, i64 w, i64 t, i64 p)
         /* T-label: continue by labeling the base's mate S. */
         if (b >= s->n) {
             materialize(s, b, -1);
-            grow_push(s, &s->cand_tb, b);
+            push(s, 4, b);
         }
         for (i = 0; i < cnt; i++)
             materialize(s, s->leafbuf[i], 1);
@@ -397,7 +519,7 @@ static void add_blossom(Solver *s, i64 base, i64 k)
     s->childs_len[b] = nch;
     s->label[b] = L_S;
     s->labelend[b] = s->labelend[bb];
-    s->troot[b] = s->troot[bb];
+    join_tree(s, b, s->troot[bb]);
     s->dualvar[b] = 0;
     s->dsgn[b] = 1;
     s->dt0[b] = s->cum;
@@ -447,7 +569,7 @@ static void add_blossom(Solver *s, i64 base, i64 k)
     for (i = 0; i < nbbe; i++)
         least_slack(s, b, lst[i]);
     if (s->bestedge[b] != -1)
-        grow_push(s, &s->cand_ss, b);
+        push(s, 3, b);
 }
 
 /* Undo blossom b: promote its children to top level.  In a live tree
@@ -515,10 +637,10 @@ static void expand_blossom(Solver *s, i64 b, int dissolving)
         s->labelend[s->endpoint[p ^ 1]] = p;
         s->labelend[bv] = p;
         s->bestedge[bv] = -1;
-        s->troot[bv] = s->troot[b];
+        join_tree(s, bv, s->troot[b]);
         if (bv >= s->n) {
             materialize(s, bv, -1);
-            grow_push(s, &s->cand_tb, bv);
+            push(s, 4, bv);
         }
         cnt = leaves(s, bv, s->leafbuf);
         for (i = 0; i < cnt; i++)
@@ -545,6 +667,12 @@ static void expand_blossom(Solver *s, i64 b, int dissolving)
                 mb = s->mate[s->blossombase[bv]];
                 s->label[s->endpoint[mb]] = L_FREE;
                 assign_label(s, v, L_T, s->labelend[v]);
+            } else {
+                /* bv stays free: its leaves' least-slack edges bind again. */
+                for (i = 0; i < cnt; i++) {
+                    if (s->bestedge[s->leafbuf[i]] != -1)
+                        push(s, 2, s->leafbuf[i]);
+                }
             }
             j += jstep;
             idx = j >= 0 ? j : j + length;
@@ -702,7 +830,6 @@ static void greedy_start(Solver *s)
  * other S-blossoms, dropping those of dissolved trees. */
 static void refresh_s_bestedge(Solver *s, i64 b)
 {
-    int had = s->bestedge[b] != -1;
     i64 i, j, k2, nkept, cnt, leaf, p, bj;
     s->bestedge[b] = -1;
     if (s->bbe[b] != NULL) {
@@ -728,15 +855,14 @@ static void refresh_s_bestedge(Solver *s, i64 b)
             }
         }
     }
-    if (s->bestedge[b] != -1 && !had)
-        grow_push(s, &s->cand_ss, b);
+    if (s->bestedge[b] != -1)
+        push(s, 3, b);
 }
 
 /* Drop w's inner T mark if a dissolved vertex set it; then, if w is
  * unlabeled, recompute its least-slack edge to an S-vertex. */
 static void refresh_free_bestedge(Solver *s, i64 w)
 {
-    int had;
     i64 p, bj;
     if (s->label[w] == L_T
         && s->label[s->inblossom[s->endpoint[s->labelend[w]]]] != L_S) {
@@ -745,24 +871,45 @@ static void refresh_free_bestedge(Solver *s, i64 w)
     }
     if (s->label[w] != L_FREE)
         return;
-    had = s->bestedge[w] != -1;
     s->bestedge[w] = -1;
     for (p = s->nb_start[w]; p < s->nb_start[w + 1]; p++) {
         bj = s->inblossom[s->endpoint[s->nb_flat[p]]];
         if (bj != s->inblossom[w] && s->label[bj] == L_S)
             least_slack(s, w, s->nb_flat[p] >> 1);
     }
-    if (s->bestedge[w] != -1 && !had)
-        grow_push(s, &s->cand_free, w);
+    if (s->bestedge[w] != -1)
+        push(s, 2, w);
+}
+
+static int cmp_i64(const void *a, const void *b)
+{
+    i64 x = *(const i64 *)a, y = *(const i64 *)b;
+    return (x > y) - (x < y);
 }
 
 /* Unlabel the trees rooted at r1 and r2, just joined by an augmenting
  * path, and repair the kept trees' view of them. */
 static void dissolve(Solver *s, i64 r1, i64 r2)
 {
-    i64 n = s->n, b, x, top, i, p, v, w, bw, ngone = 0, nexp = 0;
-    for (b = 0; b < 2 * n; b++) {
-        if (s->troot[b] != r1 && s->troot[b] != r2)
+    i64 n = s->n, b, x, top, i, j, r, p, v, w, bw, ngone = 0, nexp = 0;
+    /* The blossoms troot still assigns to r1 or r2, ascending. */
+    s->tops.length = 0;
+    for (j = 0; j < 2; j++) {
+        r = j == 0 ? r1 : r2;
+        for (i = 0; i < s->members[r].length; i++) {
+            b = s->members[r].buf[i];
+            if (s->troot[b] == r1 || s->troot[b] == r2)
+                grow_push(s, &s->tops, b);
+        }
+        /* A matched root never roots a tree again. */
+        free(s->members[r].buf);
+        s->members[r].buf = NULL;
+        s->members[r].length = 0;
+    }
+    qsort(s->tops.buf, (size_t)s->tops.length, sizeof(i64), cmp_i64);
+    for (j = 0; j < s->tops.length; j++) {
+        b = s->tops.buf[j];
+        if (j > 0 && b == s->tops.buf[j - 1])
             continue;
         if (b >= n) {
             materialize(s, b, 0);
@@ -830,8 +977,10 @@ static void dissolve(Solver *s, i64 r1, i64 r2)
 static void run(Solver *s)
 {
     i64 n = s->n;
-    i64 i, v, w, k, p, b, base, r1, r2;
-    i64 kslack, d, delta, deltatype, deltaedge, deltablossom;
+    i64 i, v, w, k, p, b, x, base, r1, r2;
+    i64 kslack, delta, deltatype, deltaedge, deltablossom;
+    int lapsed;
+    Cand c;
 
     /* Every unmatched vertex roots a tree. */
     for (v = 0; v < n; v++) {
@@ -876,85 +1025,48 @@ static void run(Solver *s)
                     }
                 } else if (s->label[s->inblossom[w]] == L_S) {
                     b = s->inblossom[v];
-                    if (s->bestedge[b] == -1) {
+                    if (s->bestedge[b] == -1 || kslack < slack(s, s->bestedge[b])) {
                         s->bestedge[b] = k;
-                        grow_push(s, &s->cand_ss, b);
-                    } else if (kslack < slack(s, s->bestedge[b])) {
-                        s->bestedge[b] = k;
+                        push(s, 3, b);
                     }
                 } else if (s->label[w] == L_FREE) {
-                    if (s->bestedge[w] == -1) {
+                    if (s->bestedge[w] == -1 || kslack < slack(s, s->bestedge[w])) {
                         s->bestedge[w] = k;
-                        grow_push(s, &s->cand_free, w);
-                    } else if (kslack < slack(s, s->bestedge[w])) {
-                        s->bestedge[w] = k;
+                        push(s, 2, w);
                     }
                 }
             }
         }
 
-        /* Queue exhausted: find the binding dual adjustment among the
-         * candidates.  An entry is dropped only once its bestedge has
-         * been cleared (re-setting it re-registers the entry); a merely
-         * mislabeled entry is kept, since expansion can revalidate it
-         * without touching bestedge. */
+        /* Queue exhausted: pop the binding dual adjustment. */
         deltatype = -1;
         delta = 0;
         deltaedge = -1;
         deltablossom = -1;
-        i = 0;
-        while (i < s->cand_free.length) {
-            v = s->cand_free.buf[i];
-            if (s->bestedge[v] == -1) {
-                s->cand_free.length -= 1;
-                s->cand_free.buf[i] = s->cand_free.buf[s->cand_free.length];
+        while (s->heap_len > 0) {
+            c = heap_pop(s);
+            x = c.x;
+            if (c.type == 2)
+                lapsed = s->bestedge[x] == -1 || s->label[s->inblossom[x]] != L_FREE;
+            else if (c.type == 3)
+                lapsed = s->bestedge[x] == -1 || s->blossomparent[x] != -1
+                         || s->label[x] != L_S;
+            else
+                lapsed = s->blossombase[x] < 0 || s->blossomparent[x] != -1
+                         || s->label[x] != L_T;
+            if (lapsed)
+                continue;
+            if (key(s, c.type, x) != c.t) {
+                push(s, c.type, x);
                 continue;
             }
-            if (s->label[s->inblossom[v]] == L_FREE) {
-                d = slack(s, s->bestedge[v]);
-                if (deltatype == -1 || d < delta) {
-                    delta = d;
-                    deltatype = 2;
-                    deltaedge = s->bestedge[v];
-                }
-            }
-            i += 1;
-        }
-        i = 0;
-        while (i < s->cand_ss.length) {
-            b = s->cand_ss.buf[i];
-            if (s->bestedge[b] == -1) {
-                s->cand_ss.length -= 1;
-                s->cand_ss.buf[i] = s->cand_ss.buf[s->cand_ss.length];
-                continue;
-            }
-            if (s->blossomparent[b] == -1 && s->label[b] == L_S) {
-                kslack = slack(s, s->bestedge[b]);
-                d = kslack / 2;  /* S-S slack is even and >= 0 */
-                if (deltatype == -1 || d < delta) {
-                    delta = d;
-                    deltatype = 3;
-                    deltaedge = s->bestedge[b];
-                }
-            }
-            i += 1;
-        }
-        i = 0;
-        while (i < s->cand_tb.length) {
-            b = s->cand_tb.buf[i];
-            if (s->blossombase[b] >= 0 && s->blossomparent[b] == -1
-                && s->label[b] == L_T) {
-                d = s->dualvar[b] + s->dsgn[b] * (s->cum - s->dt0[b]);
-                if (deltatype == -1 || d < delta) {
-                    delta = d;
-                    deltatype = 4;
-                    deltablossom = b;
-                }
-                i += 1;
-            } else {
-                s->cand_tb.length -= 1;
-                s->cand_tb.buf[i] = s->cand_tb.buf[s->cand_tb.length];
-            }
+            deltatype = c.type;
+            delta = c.t - s->cum;
+            if (c.type == 4)
+                deltablossom = x;
+            else
+                deltaedge = s->bestedge[x];
+            break;
         }
 
         if (deltatype == -1)

@@ -10,16 +10,20 @@ growth steps.  Three refinements keep the cost per augmentation low:
     Comput. 1999): every unmatched vertex roots a tree once, at the start,
     and trees survive augmentations.  An augmentation dissolves only the
     two trees it joins (``troot`` names each labeled top-level blossom's
-    tree), and repairs what the kept trees recorded about them: tight-edge
-    marks, least-slack edges and inner T marks.  All trees share one dual
-    adjustment.
+    tree, and ``members`` lists per root the blossoms it was assigned, so
+    only those two trees are visited), and repairs what the kept trees
+    recorded about them: tight-edge marks, least-slack edges and inner T
+    marks.  All trees share one dual adjustment.
   - Lazy dual updates: instead of sweeping every vertex after each dual
     adjustment, an accumulator ``cum`` advances and each vertex stores
     (value, sign, timestamp); the effective dual is reconstructed on
     demand and materialized whenever the vertex's tree role changes.
-  - Candidate lists: the three dual-adjustment bounds (free vertex edges,
-    S-S edges, T-blossom duals) are tracked in explicit lists fed during
-    scanning, so computing the adjustment never scans the whole graph.
+  - One lazy heap of dual-adjustment candidates, as in Blossom V
+    (Kolmogorov, Math. Prog. Comp. 2009): free vertices with a least-slack
+    edge to an S-vertex, top-level S-blossoms with a least-slack edge to
+    another, and T-blossoms.  Each entry is keyed by the value of ``cum``
+    at which its candidate becomes binding; that value stays fixed while
+    labels hold, so an adjustment pops entries instead of rescanning them.
 
 The structure follows the classic array-based formulation so that the
 compiled twin in _blossom.c is a line-for-line translation; keep the
@@ -41,6 +45,7 @@ Conventions:
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Sequence
 
 # Labels of top-level blossoms.
@@ -103,6 +108,9 @@ def solve_max_weight_matching(
     # troot[b]: root vertex of the tree that labeled top-level blossom b
     # belongs to; -1 for unlabeled and non-top-level blossoms.
     troot = [-1] * (2 * n)
+    # members[r]: every b whose troot was set to r, with stale entries and
+    # repeats; dissolve filters it.  None once r's tree has dissolved.
+    members: list[list[int] | None] = [[] for _ in range(n)]
     # Per-dissolution marks: seen[x] == epoch once x has been repaired.
     seen = [0] * (2 * n)
     epoch = 0
@@ -130,13 +138,37 @@ def solve_max_weight_matching(
         if bestedge[x] == -1 or slack(k2) < slack(bestedge[x]):
             bestedge[x] = k2
 
-    # Dual-adjustment candidates, fed during scanning and purged lazily:
-    # cand_free: free vertices with a least-slack edge to an S-vertex;
-    # cand_ss:   top-level S-blossoms with a least-slack edge to another;
-    # cand_tb:   top-level nontrivial T-blossoms (expand when dual hits 0).
-    cand_free: list[int] = []
-    cand_ss: list[int] = []
-    cand_tb: list[int] = []
+    def join_tree(b: int, r: int) -> None:
+        assert r >= 0
+        troot[b] = r
+        members[r].append(b)
+
+    # Dual-adjustment candidates (t, type, x), where t is the value of cum
+    # at which the candidate becomes binding:
+    #   type 2: free vertex x, whose bestedge leads to an S-vertex;
+    #   type 3: top-level S-blossom x, whose bestedge leads to another;
+    #   type 4: top-level nontrivial T-blossom x (expand when its dual hits 0).
+    # While labels hold, a free-S slack falls by 1 per unit of cum, an S-S
+    # slack by 2 and a T-blossom dual by 1, so t stays fixed.  Entries are
+    # never removed in place: a pop drops an entry whose condition lapsed,
+    # and re-pushes one whose recomputed t differs.  This is exact because
+    # a stored key never exceeds its candidate's true key unless bestedge
+    # changes, and every such change pushes a new entry (as does an
+    # expansion that frees a leaf whose bestedge is still set).  Ties go to
+    # the smallest (t, type, x).
+    heap: list[tuple[int, int, int]] = []
+
+    def key(typ: int, x: int) -> int:
+        if typ == 2:
+            return slack(bestedge[x]) + cum
+        if typ == 3:
+            kslack = slack(bestedge[x])
+            assert kslack % 2 == 0
+            return kslack // 2 + cum
+        return dualvar[x] + dsgn[x] * (cum - dt0[x]) + cum
+
+    def push(typ: int, x: int) -> None:
+        heappush(heap, (key(typ, x), typ, x))
 
     # Greedy initialization: dual = half the max incident weight satisfies
     # du_i + du_j >= weight(i,j) for every edge regardless of signs, and is
@@ -184,7 +216,7 @@ def solve_max_weight_matching(
         label[w] = label[b] = t
         labelend[w] = labelend[b] = p
         bestedge[w] = bestedge[b] = -1
-        troot[b] = w if p == -1 else troot[inblossom[endpoint[p]]]
+        join_tree(b, w if p == -1 else troot[inblossom[endpoint[p]]])
         if t == _S:
             if b >= n:
                 materialize(b, 1)
@@ -194,7 +226,7 @@ def solve_max_weight_matching(
         else:
             if b >= n:
                 materialize(b, -1)
-                cand_tb.append(b)
+                push(4, b)
             for leaf in blossom_leaves(b):
                 materialize(leaf, 1)
             base = blossombase[b]
@@ -271,7 +303,7 @@ def solve_max_weight_matching(
         assert label[bb] == _S
         label[b] = _S
         labelend[b] = labelend[bb]
-        troot[b] = troot[bb]
+        join_tree(b, troot[bb])
         dualvar[b] = 0
         dsgn[b] = 1
         dt0[b] = cum
@@ -317,7 +349,7 @@ def solve_max_weight_matching(
         for k2 in blossombestedges[b]:
             least_slack(b, k2)
         if bestedge[b] != -1:
-            cand_ss.append(b)
+            push(3, b)
 
     def expand_blossom(b: int, dissolving: bool) -> None:
         """Undo blossom b: promote its children to top level.  In a live
@@ -361,10 +393,10 @@ def solve_max_weight_matching(
             label[endpoint[p ^ 1]] = label[bv] = _T
             labelend[endpoint[p ^ 1]] = labelend[bv] = p
             bestedge[bv] = -1
-            troot[bv] = troot[b]
+            join_tree(bv, troot[b])
             if bv >= n:
                 materialize(bv, -1)
-                cand_tb.append(bv)
+                push(4, bv)
             for v in blossom_leaves(bv):
                 materialize(v, 1)
             # Continue along the cycle; off-path sub-blossoms become free.
@@ -383,6 +415,11 @@ def solve_max_weight_matching(
                     label[v] = _FREE
                     label[endpoint[mate[blossombase[bv]]]] = _FREE
                     assign_label(v, _T, labelend[v])
+                else:
+                    # bv stays free: its leaves' least-slack edges bind again.
+                    for v in blossom_leaves(bv):
+                        if bestedge[v] != -1:
+                            push(2, v)
                 j += jstep
         label[b] = -1
         labelend[b] = -1
@@ -454,7 +491,6 @@ def solve_max_weight_matching(
     def refresh_s_bestedge(b: int) -> None:
         """Recompute the least-slack edge of kept top-level S-blossom b to
         the other S-blossoms, dropping those of dissolved trees."""
-        had = bestedge[b] != -1
         bestedge[b] = -1
         if blossombestedges[b] is not None:
             kept = []
@@ -470,8 +506,8 @@ def solve_max_weight_matching(
                     bj = inblossom[endpoint[p]]
                     if bj != b and label[bj] == _S:
                         least_slack(b, p // 2)
-        if bestedge[b] != -1 and not had:
-            cand_ss.append(b)
+        if bestedge[b] != -1:
+            push(3, b)
 
     def refresh_free_bestedge(w: int) -> None:
         """Drop w's inner T mark if a dissolved vertex set it; then, if w is
@@ -481,20 +517,23 @@ def solve_max_weight_matching(
             labelend[w] = -1
         if label[w] != _FREE:
             return
-        had = bestedge[w] != -1
         bestedge[w] = -1
         for p in neighbend[w]:
             bj = inblossom[endpoint[p]]
             if bj != inblossom[w] and label[bj] == _S:
                 least_slack(w, p // 2)
-        if bestedge[w] != -1 and not had:
-            cand_free.append(w)
+        if bestedge[w] != -1:
+            push(2, w)
 
     def dissolve(r1: int, r2: int) -> None:
         """Unlabel the trees rooted at r1 and r2, just joined by an
         augmenting path, and repair the kept trees' view of them."""
         nonlocal epoch
-        tops = [b for b in range(2 * n) if troot[b] == r1 or troot[b] == r2]
+        # The blossoms troot still assigns to r1 or r2, ascending.
+        tops = sorted({
+            b for r in (r1, r2) for b in members[r] if troot[b] == r1 or troot[b] == r2
+        })
+        members[r1] = members[r2] = None  # a matched root never roots again
         expand = []
         gone = []
         for b in tops:
@@ -578,74 +617,38 @@ def solve_max_weight_matching(
                         labelend[w] = p ^ 1
                 elif label[inblossom[w]] == _S:
                     b = inblossom[v]
-                    if bestedge[b] == -1:
+                    if bestedge[b] == -1 or kslack < slack(bestedge[b]):
                         bestedge[b] = k
-                        cand_ss.append(b)
-                    elif kslack < slack(bestedge[b]):
-                        bestedge[b] = k
+                        push(3, b)
                 elif label[w] == _FREE:
-                    if bestedge[w] == -1:
+                    if bestedge[w] == -1 or kslack < slack(bestedge[w]):
                         bestedge[w] = k
-                        cand_free.append(w)
-                    elif kslack < slack(bestedge[w]):
-                        bestedge[w] = k
+                        push(2, w)
 
-        # Queue exhausted: find the binding dual adjustment among the
-        # candidates, purging entries whose condition lapsed.  In
+        # Queue exhausted: pop the binding dual adjustment.  In
         # max-cardinality mode vertex duals themselves give no bound.
-        # An entry is dropped only once its bestedge has been cleared
-        # (re-setting it re-registers the entry); a merely mislabeled
-        # entry is kept, since expansion can revalidate it without
-        # touching bestedge.
         deltatype = -1
         delta = deltaedge = deltablossom = 0
-        i = 0
-        while i < len(cand_free):
-            v = cand_free[i]
-            if bestedge[v] == -1:
-                cand_free[i] = cand_free[-1]
-                cand_free.pop()
-                continue
-            if label[inblossom[v]] == _FREE:
-                d = slack(bestedge[v])
-                if deltatype == -1 or d < delta:
-                    delta = d
-                    deltatype = 2
-                    deltaedge = bestedge[v]
-            i += 1
-        i = 0
-        while i < len(cand_ss):
-            b = cand_ss[i]
-            if bestedge[b] == -1:
-                cand_ss[i] = cand_ss[-1]
-                cand_ss.pop()
-                continue
-            if blossomparent[b] == -1 and label[b] == _S:
-                kslack = slack(bestedge[b])
-                assert kslack % 2 == 0
-                d = kslack // 2
-                if deltatype == -1 or d < delta:
-                    delta = d
-                    deltatype = 3
-                    deltaedge = bestedge[b]
-            i += 1
-        i = 0
-        while i < len(cand_tb):
-            b = cand_tb[i]
-            if (
-                blossombase[b] >= 0
-                and blossomparent[b] == -1
-                and label[b] == _T
-            ):
-                d = dualvar[b] + dsgn[b] * (cum - dt0[b])
-                if deltatype == -1 or d < delta:
-                    delta = d
-                    deltatype = 4
-                    deltablossom = b
-                i += 1
+        while heap:
+            t, typ, x = heappop(heap)
+            if typ == 2:
+                lapsed = bestedge[x] == -1 or label[inblossom[x]] != _FREE
+            elif typ == 3:
+                lapsed = bestedge[x] == -1 or blossomparent[x] != -1 or label[x] != _S
             else:
-                cand_tb[i] = cand_tb[-1]
-                cand_tb.pop()
+                lapsed = blossombase[x] < 0 or blossomparent[x] != -1 or label[x] != _T
+            if lapsed:
+                continue
+            if key(typ, x) != t:
+                push(typ, x)
+                continue
+            deltatype = typ
+            delta = t - cum
+            if typ == 4:
+                deltablossom = x
+            else:
+                deltaedge = bestedge[x]
+            break
 
         if deltatype == -1:
             # No further progress possible: maximum cardinality reached.

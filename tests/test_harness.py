@@ -1,8 +1,13 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planarcc
 from planarcc import BinaryMRF, PlanarEmbedding, brute_force_map
 from planarcc.harness import (
     InstanceSpec,
@@ -125,6 +130,26 @@ def test_batch_records_crashes_apart_from_nonconvergence(tmp_path):
     agg = aggregate(summaries)[0]
     assert (agg["n_runs"], agg["n_failed"], agg["n_converged"]) == (2, 2, 0)
     assert math.isnan(agg["converged_fraction"])
+
+
+def test_import_loads_no_process_pool():
+    # batch imports its executor only when it runs jobs in parallel, so the
+    # start-up of every other caller does not pay for multiprocessing.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(planarcc.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, planarcc, planarcc.harness; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_aggregate_excludes_nonconverged_from_geomean():

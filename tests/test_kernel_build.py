@@ -145,9 +145,9 @@ def test_kernel_builds_without_warnings(tmp_path, opt):
 
 @needs_cc
 def test_kernel_has_no_undefined_behaviour_at_the_weight_limit(tmp_path):
-    # The dual accumulator runs for the whole solve, so int64 overflow is
-    # the risk: solve graphs with many trees at +-MAX_ABS_WEIGHT under
-    # UBSan, which aborts on the first signed overflow.
+    # The dual accumulator runs for the whole solve, and heap keys add it to
+    # slacks, so int64 overflow is the risk: solve graphs with many trees at
+    # +-MAX_ABS_WEIGHT under UBSan, which aborts on the first signed overflow.
     lib = tmp_path / "k.so"
     proc = compile_kernel(
         lib, "-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all"
@@ -170,6 +170,16 @@ def test_kernel_has_no_undefined_behaviour_at_the_weight_limit(tmp_path):
                 continue
             eu, ev = (list(col) for col in zip(*edges))
             ew = [rng.choice((-big, big, rng.randint(-big, big))) for _ in edges]
+            assert kernel.solve(n, eu, ev, ew) == _blossom_py.solve_max_weight_matching(n, eu, ev, ew)
+        # Sparse graphs with weights -big, 0 or big leave many trees after
+        # the greedy start, so candidate-heap keys (slack + cum) reach the limit.
+        for _ in range(20):
+            n = rng.choice([40, 48, 64])
+            density = rng.uniform(0.04, 0.2)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < density]
+            eu, ev = (list(col) for col in zip(*edges))
+            ew = [big * rng.randint(-1, 1) for _ in edges]
             assert kernel.solve(n, eu, ev, ew) == _blossom_py.solve_max_weight_matching(n, eu, ev, ew)
     """)
     env = dict(os.environ, PLANARCC_NO_EXT="1", PYTHONPATH=str(SRC_ROOT))
