@@ -53,14 +53,38 @@ class PlanarEmbedding:
     ``faces``, the dart offsets, each dart's twin (j -> i for dart i -> j)
     and the darts in order of their key tail * n + head.  Tails, heads and
     rotation successors follow from these without a sort, so they are not
-    kept.
+    kept.  ``from_darts`` builds an embedding from dart arrays directly.
     """
 
     rotations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rotations)
-        offset, tail, head = _dart_arrays(self.rotations)
+        self._index(*_dart_arrays(self.rotations))
+
+    @classmethod
+    def from_darts(cls, offset: np.ndarray, head: np.ndarray) -> "PlanarEmbedding":
+        """The embedding whose vertex v lists head[offset[v]:offset[v + 1]]
+        counterclockwise, from int64 arrays, validated as the constructor
+        validates ``rotations``.  Its ``rotations`` are built when first
+        read."""
+        emb = object.__new__(cls)
+        emb._index(offset, _tails(offset), head)
+        return emb
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: for the rotations of an
+        # embedding made by from_darts, built once from its dart index.
+        if name != "rotations" or "_twin" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        bounds = self._offset.tolist()
+        heads = _tails(self._offset)[self._twin].tolist()
+        rotations = tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
+        self.__dict__["rotations"] = rotations
+        return rotations
+
+    def _index(self, offset: np.ndarray, tail: np.ndarray, head: np.ndarray) -> None:
+        """Validate the darts and keep their index (see the class doc)."""
+        n = len(offset) - 1
         loop = np.flatnonzero(head == tail)
         if loop.size:
             raise NotPlanarEmbeddingError(f"vertex {tail[loop[0]]} appears in its own rotation")
@@ -91,11 +115,11 @@ class PlanarEmbedding:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.rotations)
+        return len(self._offset) - 1
 
     @property
     def num_edges(self) -> int:
-        return sum(len(r) for r in self.rotations) // 2
+        return len(self._twin) // 2
 
 
 @dataclass(frozen=True)

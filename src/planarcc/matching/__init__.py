@@ -6,7 +6,10 @@ cached, see ``_blossom_c``) and a pure-Python fallback.  The compiled kernel
 is selected automatically when it builds and loads; set
 PLANARCC_MATCHING=python (or =compiled) to force one, or PLANARCC_NO_EXT=1
 to skip the build.  Both kernels are deterministic and produce identical
-matchings.
+matchings, returned as int64 arrays.  A caller that solves one graph at
+many weights opens a session on it (the kernel's ``open_session``) and
+passes it to ``perfect_matching``; the kernel then validates the graph and
+builds its buffers once, not per solve.
 """
 
 from __future__ import annotations
@@ -18,10 +21,7 @@ import numpy as np
 
 from ..errors import NoPerfectMatchingError, PlanarCCError, WeightRangeError
 from . import _blossom_c, _blossom_py
-
-#: largest |weight| accepted; leaves headroom for doubled weights, dual
-#: variables and total-weight sums in 64-bit arithmetic.
-MAX_ABS_WEIGHT = 2**52
+from ._blossom_py import MAX_ABS_WEIGHT
 
 #: Why the compiled kernel could not be built or loaded; None when it loaded.
 COMPILED_UNAVAILABLE = _blossom_c.UNAVAILABLE
@@ -61,7 +61,9 @@ def has_compiled_kernel() -> bool:
 
 def engine_kernel(engine: str | None = None):
     """The kernel module of ``engine`` (DEFAULT_ENGINE when None); its
-    ``solve_max_weight_matching(n, eu, ev, ew)`` returns (mate, duals).
+    ``solve_max_weight_matching(n, eu, ev, ew)`` returns (mate, duals) as
+    int64 arrays, and its ``open_session(n, eu, ev)`` opens a session that
+    the same entry takes as a fifth argument.
 
     Raises PlanarCCError, naming the available engines and why the compiled
     kernel is missing, when ``engine`` is not loaded.
@@ -112,19 +114,26 @@ def perfect_matching(
     ev: np.ndarray,
     weights: np.ndarray,
     engine: str | None,
+    session=None,
 ) -> np.ndarray:
     """Mask over the edges (eu[k], ev[k]) of a minimum-weight perfect
     matching at int64 ``weights``, found by one call to ``engine``'s
-    kernel.  The kernel is looked up at call time.
+    kernel: cold, or on ``session``, opened on this graph by the same
+    engine's ``open_session``.  The kernel is looked up at call time.
 
     Raises NoPerfectMatchingError when the kernel leaves a vertex unmatched
     or pairs vertices that share no edge.
     """
     # Maximum-weight maximum-cardinality matching on negated weights is a
     # minimum-weight perfect matching whenever a perfect matching exists.
-    mate, _ = engine_kernel(engine).solve_max_weight_matching(
-        num_vertices, eu, ev, -weights
-    )
+    solve = engine_kernel(engine).solve_max_weight_matching
+    # A cold call keeps the entry's four-argument form, so wrappers written
+    # for it keep working.
+    if session is None:
+        mate, _ = solve(num_vertices, eu, ev, -weights)
+    else:
+        mate, _ = solve(num_vertices, eu, ev, -weights, session)
+    # A no-op on the kernels' int64 arrays.
     mate = np.asarray(mate, dtype=np.int64)
     matched = (mate[eu] == ev) & (mate[ev] == eu)
     if 2 * matched.sum() != num_vertices:

@@ -16,12 +16,17 @@
  * tie-breaking are the same, so both kernels return the same mates and
  * duals.
  *
- * _blossom_c.py compiles this file with the system C compiler and calls
- * blossom_solve() through ctypes.  Every allocation is checked: a failed
- * one unwinds to blossom_solve() through longjmp, which frees everything
- * and returns BLOSSOM_NOMEM.  A dual adjustment whose edge does not join
- * the labels it should unwinds the same way with BLOSSOM_BROKEN, where
- * the solve would otherwise repeat it forever.
+ * _blossom_c.py compiles this file with the system C compiler and calls it
+ * through ctypes.  A session holds one graph: blossom_session_open()
+ * validates the edges, allocates every buffer and builds the endpoints and
+ * the CSR adjacency once; each blossom_session_solve() resets the state it
+ * uses and solves at new weights; blossom_session_close() frees it all.
+ * blossom_solve() is the cold solve: open, one solve, close.  Every
+ * allocation is checked: a failed one unwinds to the open or solve call
+ * through longjmp, which returns BLOSSOM_NOMEM.  A dual adjustment whose
+ * edge does not join the labels it should unwinds the same way with
+ * BLOSSOM_BROKEN, where the solve would otherwise repeat it forever.  A
+ * session stays usable after a failed solve: the next one starts afresh.
  */
 
 #include <setjmp.h>
@@ -31,7 +36,8 @@
 
 typedef int64_t i64;
 
-/* Return codes of blossom_solve(). */
+/* Return codes of blossom_session_open(), blossom_session_solve() and
+ * blossom_solve(). */
 enum {
     BLOSSOM_OK = 0,
     BLOSSOM_NOMEM = 1,   /* an allocation failed */
@@ -62,8 +68,8 @@ typedef struct {
 
 typedef struct {
     i64 n, nedge;
-    const i64 *eu;
-    const i64 *ev;
+    i64 *eu;              /* m, copied at open */
+    i64 *ev;              /* m */
     i64 *weight;          /* 4x input weights */
     i64 *endpoint;        /* 2m */
     i64 *nb_start;        /* n+1 (CSR adjacency of endpoints) */
@@ -151,20 +157,33 @@ static void grow_push(Solver *s, Grower *g, i64 v)
     g->length += 1;
 }
 
-static void solver_free(Solver *s)
+/* Free the per-blossom and per-tree lists a solve leaves behind. */
+static void free_lists(Solver *s)
 {
     i64 i;
     if (s->childs != NULL && s->endps != NULL && s->bbe != NULL) {
         for (i = 0; i < 2 * s->n; i++) {
             free(s->childs[i]);
+            s->childs[i] = NULL;
             free(s->endps[i]);
+            s->endps[i] = NULL;
             free(s->bbe[i]);
+            s->bbe[i] = NULL;
         }
     }
     if (s->members != NULL) {
-        for (i = 0; i < s->n; i++)
+        for (i = 0; i < s->n; i++) {
             free(s->members[i].buf);
+            s->members[i].buf = NULL;
+            s->members[i].length = 0;
+        }
     }
+}
+
+static void solver_free(Solver *s)
+{
+    free_lists(s);
+    free(s->eu); free(s->ev);
     free(s->weight); free(s->endpoint);
     free(s->nb_start); free(s->nb_flat); free(s->mate);
     free(s->label); free(s->labelend); free(s->inblossom);
@@ -181,10 +200,12 @@ static void solver_free(Solver *s)
     free(s);
 }
 
-/* Allocate every per-solve array; the pointer tables start all NULL. */
+/* Allocate every array of the session; the pointer tables start all NULL. */
 static void solver_alloc(Solver *s)
 {
     i64 n = s->n, nedge = s->nedge, i;
+    s->eu = xalloc(s, nedge, sizeof(i64));
+    s->ev = xalloc(s, nedge, sizeof(i64));
     s->weight = xalloc(s, nedge, sizeof(i64));
     s->endpoint = xalloc(s, 2 * nedge, sizeof(i64));
     s->nb_start = xalloc(s, n + 1, sizeof(i64));
@@ -1093,16 +1114,17 @@ static void run(Solver *s)
     }
 }
 
-/* Build the scaled weights, endpoints and the CSR adjacency of remote
- * endpoints (in edge order per vertex), and reset the per-solve state. */
-static void setup(Solver *s, const i64 *ew)
+/* Copy the edges and build the endpoints and the CSR adjacency of remote
+ * endpoints (in edge order per vertex): once per session. */
+static void build_topology(Solver *s, const i64 *eu, const i64 *ev)
 {
-    i64 n = s->n, nedge = s->nedge, k, v, b, i;
+    i64 n = s->n, nedge = s->nedge, k, v;
     i64 *fill;
     for (k = 0; k < nedge; k++) {
-        s->weight[k] = 4 * ew[k];
-        s->endpoint[2 * k] = s->eu[k];
-        s->endpoint[2 * k + 1] = s->ev[k];
+        s->eu[k] = eu[k];
+        s->ev[k] = ev[k];
+        s->endpoint[2 * k] = eu[k];
+        s->endpoint[2 * k + 1] = ev[k];
     }
     for (v = 0; v < n + 1; v++)
         s->nb_start[v] = 0;
@@ -1124,9 +1146,21 @@ static void setup(Solver *s, const i64 *ew)
         s->nb_flat[s->nb_start[v] + fill[v]] = 2 * k;
         fill[v] += 1;
     }
+}
 
-    for (k = 0; k < nedge; k++)
+/* Scale the weights and reset the per-solve state: every solve starts from
+ * the same state, whatever the previous one left. */
+static void setup(Solver *s, const i64 *ew)
+{
+    i64 n = s->n, nedge = s->nedge, k, v, b, i;
+    free_lists(s);
+    for (k = 0; k < nedge; k++) {
+        s->weight[k] = 4 * ew[k];
         s->allowedge[k] = 0;
+    }
+    s->queue.length = 0;
+    s->tops.length = 0;
+    s->heap_len = 0;
     s->cum = 0;
     s->epoch = 0;
     for (v = 0; v < n; v++) {
@@ -1161,12 +1195,11 @@ static void setup(Solver *s, const i64 *ew)
     }
 }
 
-/* The whole solve; an allocation failure or a failed check longjmps
- * out of it. */
+/* One solve on the session's buffers; an allocation failure or a failed
+ * check longjmps out of it. */
 static void solve(Solver *s, const i64 *ew, i64 *mate_out, i64 *duals_out)
 {
     i64 v;
-    solver_alloc(s);
     setup(s, ew);
     greedy_start(s);
     run(s);
@@ -1179,51 +1212,85 @@ static void solve(Solver *s, const i64 *ew, i64 *mate_out, i64 *duals_out)
 }
 
 /*
- * Maximum-cardinality matching of the graph with n vertices and edges
- * (eu[k], ev[k]) of integer weight ew[k], of maximum weight among the
- * perfect matchings when one exists; same contract as
- * _blossom_py.solve_max_weight_matching.  The graph must be simple.
- *
- * On BLOSSOM_OK, mate_out[v] is the partner of v or -1, and duals_out[v]
- * the final vertex dual in internal (4x) units.  Both outputs hold n
- * entries.
+ * Open a session on the graph with n vertices and edges (eu[k], ev[k]),
+ * k < nedge; the graph must be simple.  eu and ev are copied.  On
+ * BLOSSOM_OK, *out is the session, to be freed by blossom_session_close();
+ * otherwise *out is NULL.
  */
-int blossom_solve(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
-                  const i64 *ew, i64 *mate_out, i64 *duals_out)
+int blossom_session_open(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
+                         Solver **out)
 {
     Solver *s;
     i64 k;
-    int rc;
 
+    *out = NULL;
     if (n < 0 || nedge < 0)
         return BLOSSOM_INPUT;
     for (k = 0; k < nedge; k++) {
-        if (eu[k] < 0 || eu[k] >= n || ev[k] < 0 || ev[k] >= n
-            || eu[k] == ev[k] || ew[k] > MAX_ABS_WEIGHT
-            || ew[k] < -MAX_ABS_WEIGHT)
+        if (eu[k] < 0 || eu[k] >= n || ev[k] < 0 || ev[k] >= n || eu[k] == ev[k])
             return BLOSSOM_INPUT;
     }
-    if (n == 0)
-        return BLOSSOM_OK;
-
     s = calloc(1, sizeof *s);
     if (s == NULL)
         return BLOSSOM_NOMEM;
     s->n = n;
     s->nedge = nedge;
-    s->eu = eu;
-    s->ev = ev;
+    switch (setjmp(s->fail)) {
+    case 0:
+        solver_alloc(s);
+        build_topology(s, eu, ev);
+        *out = s;
+        return BLOSSOM_OK;
+    default:
+        solver_free(s);
+        return BLOSSOM_NOMEM;
+    }
+}
+
+/*
+ * Maximum-cardinality matching of the session's graph at integer edge
+ * weights ew[k], of maximum weight among the perfect matchings when one
+ * exists; same contract as _blossom_py.solve_max_weight_matching.
+ *
+ * On BLOSSOM_OK, mate_out[v] is the partner of v or -1, and duals_out[v]
+ * the final vertex dual in internal (4x) units.  Both outputs hold n
+ * entries.  A weight outside +-MAX_ABS_WEIGHT gives BLOSSOM_INPUT before
+ * anything changes.
+ */
+int blossom_session_solve(Solver *s, const i64 *ew, i64 *mate_out, i64 *duals_out)
+{
+    i64 k;
+
+    for (k = 0; k < s->nedge; k++) {
+        if (ew[k] > MAX_ABS_WEIGHT || ew[k] < -MAX_ABS_WEIGHT)
+            return BLOSSOM_INPUT;
+    }
     switch (setjmp(s->fail)) {
     case 0:
         solve(s, ew, mate_out, duals_out);
-        rc = BLOSSOM_OK;
-        break;
+        return BLOSSOM_OK;
     case BLOSSOM_BROKEN:
-        rc = BLOSSOM_BROKEN;
-        break;
+        return BLOSSOM_BROKEN;
     default:
-        rc = BLOSSOM_NOMEM;
+        return BLOSSOM_NOMEM;
     }
-    solver_free(s);
+}
+
+void blossom_session_close(Solver *s)
+{
+    if (s != NULL)
+        solver_free(s);
+}
+
+/* Cold solve: a session opened for one solve. */
+int blossom_solve(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
+                  const i64 *ew, i64 *mate_out, i64 *duals_out)
+{
+    Solver *s;
+    int rc = blossom_session_open(n, nedge, eu, ev, &s);
+    if (rc != BLOSSOM_OK)
+        return rc;
+    rc = blossom_session_solve(s, ew, mate_out, duals_out);
+    blossom_session_close(s);
     return rc;
 }

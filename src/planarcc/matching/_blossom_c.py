@@ -1,7 +1,10 @@
 """ctypes binding of the compiled blossom kernel in ``_blossom.c``.
 
 ``_blossom.c`` is a line-for-line C99 translation of ``_blossom_py``, so
-both kernels return the same mates and duals.  The first import compiles it
+both kernels return the same mates and duals, and both have the same
+session shape: ``open_session`` copies a graph into C buffers once, each
+``Session.solve`` solves it at new weights, and ``Session.close`` frees
+the buffers.  The first import compiles it
 with the system C compiler into a per-user cache; later imports only load
 the cached library.  The cache file is keyed on a hash of the source, the
 compiler command, the flags and the platform, and is written under a
@@ -25,12 +28,38 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blossom_py import KernelResult
+
 SOURCE = Path(__file__).with_name("_blossom.c")
 COMPILER = "cc"
 CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 
-# Return codes of blossom_solve() in _blossom.c.
+# Return codes of the entry points of _blossom.c.
 _OK, _NOMEM, _INPUT, _BROKEN = 0, 1, 2, 3
+
+
+def _check(rc: int, n: int) -> None:
+    """Raise the error that return code ``rc`` of _blossom.c stands for."""
+    if rc == _OK:
+        return
+    if rc == _INPUT:
+        raise ValueError(
+            "invalid graph: endpoint out of range, self-loop, "
+            "or |weight| > 2**52"
+        )
+    if rc == _NOMEM:
+        raise MemoryError(f"blossom kernel: out of memory for n={n}")
+    if rc == _BROKEN:
+        raise RuntimeError("blossom kernel: an internal invariant failed")
+    raise RuntimeError(f"blossom kernel returned unknown code {rc}")
+
+
+def _int64(*arrays) -> list[np.ndarray]:
+    """``arrays`` as contiguous int64 arrays, 1-D and of equal length."""
+    out = [np.ascontiguousarray(a, dtype=np.int64) for a in arrays]
+    if any(a.shape != (len(out[0]),) for a in out):
+        raise ValueError("eu, ev and ew must be 1-D and of equal length")
+    return out
 
 
 def _cache_dir() -> Path:
@@ -111,44 +140,71 @@ def build(
     return target
 
 
+def _bind(fn, restype, *argtypes):
+    fn.restype = restype
+    fn.argtypes = list(argtypes)
+    return fn
+
+
 class Kernel:
-    """The loaded library's ``blossom_solve``, called with int64 arrays."""
+    """The loaded library's entry points, called with int64 arrays."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        fn = ctypes.CDLL(str(self.path)).blossom_solve
-        fn.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
-        fn.restype = ctypes.c_int
-        self._fn = fn
+        lib = ctypes.CDLL(str(self.path))
+        i64, ptr, c_int = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
+        self._solve = _bind(lib.blossom_solve, c_int, i64, i64, *[ptr] * 5)
+        self._open = _bind(
+            lib.blossom_session_open, c_int, i64, i64, ptr, ptr, ctypes.POINTER(ptr)
+        )
+        self._session_solve = _bind(lib.blossom_session_solve, c_int, ptr, ptr, ptr, ptr)
+        self._close = _bind(lib.blossom_session_close, None, ptr)
 
-    def solve(self, n, eu, ev, ew) -> tuple[list[int], list[int]]:
-        """Same contract as ``_blossom_py.solve_max_weight_matching``."""
-        if n == 0:
-            return [], []
-        arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in (eu, ev, ew)]
-        if any(a.shape != (len(eu),) for a in arrays):
-            raise ValueError("eu, ev and ew must be 1-D and of equal length")
+    def solve(self, n, eu, ev, ew) -> KernelResult:
+        """Cold solve; same contract as ``_blossom_py.solve_max_weight_matching``."""
+        eu, ev, ew = _int64(eu, ev, ew)
         mate = np.empty(n, dtype=np.int64)
         duals = np.empty(n, dtype=np.int64)
-        rc = self._fn(
-            n,
-            len(eu),
-            *(a.ctypes.data for a in arrays),
-            mate.ctypes.data,
-            duals.ctypes.data,
+        rc = self._solve(
+            n, len(eu), eu.ctypes.data, ev.ctypes.data, ew.ctypes.data,
+            mate.ctypes.data, duals.ctypes.data,
         )
-        if rc == _INPUT:
-            raise ValueError(
-                "invalid graph: endpoint out of range, self-loop, "
-                "or |weight| > 2**52"
-            )
-        if rc == _NOMEM:
-            raise MemoryError(f"blossom kernel: out of memory for n={n}")
-        if rc == _BROKEN:
-            raise RuntimeError("blossom kernel: an internal invariant failed")
-        if rc != _OK:
-            raise RuntimeError(f"blossom kernel returned unknown code {rc}")
-        return mate.tolist(), duals.tolist()
+        _check(rc, n)
+        return KernelResult(mate, duals)
+
+
+class Session:
+    """One graph held in the compiled kernel's buffers: ``solve`` it at any
+    weights, then ``close`` it to free them.  Same contract as
+    ``_blossom_py.Session``."""
+
+    def __init__(self, kernel: Kernel, n: int, eu, ev):
+        eu, ev = _int64(eu, ev)
+        handle = ctypes.c_void_p()
+        _check(kernel._open(n, len(eu), eu.ctypes.data, ev.ctypes.data, ctypes.byref(handle)), n)
+        self.n = n
+        self.num_edges = len(eu)
+        self._kernel = kernel
+        self._handle: ctypes.c_void_p | None = handle
+
+    def solve(self, ew) -> KernelResult:
+        if self._handle is None:
+            raise ValueError("matching session is closed")
+        (ew,) = _int64(ew)
+        if len(ew) != self.num_edges:
+            raise ValueError(f"expected {self.num_edges} weights, got {len(ew)}")
+        mate = np.empty(self.n, dtype=np.int64)
+        duals = np.empty(self.n, dtype=np.int64)
+        rc = self._kernel._session_solve(
+            self._handle, ew.ctypes.data, mate.ctypes.data, duals.ctypes.data
+        )
+        _check(rc, self.n)
+        return KernelResult(mate, duals)
+
+    def close(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            self._kernel._close(handle)
 
 
 def try_load(
@@ -167,8 +223,21 @@ else:
     _kernel, UNAVAILABLE = try_load()
 
 
-def solve_max_weight_matching(n, eu, ev, ew):
-    """Return (mate, duals); same contract as the pure-Python twin."""
+def _loaded() -> Kernel:
     if _kernel is None:
         raise RuntimeError(f"compiled kernel unavailable: {UNAVAILABLE}")
-    return _kernel.solve(n, eu, ev, ew)
+    return _kernel
+
+
+def open_session(n, eu, ev) -> Session:
+    """A session on the graph (n, eu, ev); same contract as the twin's."""
+    return Session(_loaded(), n, eu, ev)
+
+
+def solve_max_weight_matching(n, eu, ev, ew, session: Session | None = None) -> KernelResult:
+    """Return (mate, duals); same contract as the pure-Python twin."""
+    if session is None:
+        return _loaded().solve(n, eu, ev, ew)
+    if (n, len(eu)) != (session.n, session.num_edges):
+        raise ValueError("graph differs from the one the session was opened on")
+    return session.solve(ew)

@@ -27,7 +27,10 @@ growth steps.  Three refinements keep the cost per augmentation low:
 
 The structure follows the classic array-based formulation so that the
 compiled twin in _blossom.c is a line-for-line translation; keep the
-two in sync.
+two in sync.  Both share one shape: a ``Session`` validates a graph and
+builds its endpoint and adjacency lists once, each ``Session.solve`` runs
+the algorithm from scratch at new weights, and a cold solve is a session
+opened for one solve.
 
 Conventions:
   - Edge weights are integers.  Internally all weights are scaled by 4, and
@@ -48,10 +51,89 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Sequence
 
+import numpy as np
+
+#: largest |weight| accepted; leaves headroom for doubled weights, dual
+#: variables and total-weight sums in 64-bit arithmetic.
+MAX_ABS_WEIGHT = 2**52
+
+_INVALID = "invalid graph: endpoint out of range, self-loop, or |weight| > 2**52"
+
 # Labels of top-level blossoms.
 _FREE = 0
 _S = 1
 _T = 2
+
+
+class KernelResult(tuple):
+    """(mate, duals) of one solve, as int64 arrays.  It equals any pair of
+    sequences holding the same values, so results compare with ==."""
+
+    __slots__ = ()
+
+    def __new__(cls, mate: np.ndarray, duals: np.ndarray):
+        return super().__new__(cls, (mate, duals))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, tuple)
+            and len(other) == 2
+            and all(np.array_equal(a, b) for a, b in zip(self, other))
+        )
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+
+class Session:
+    """One simple graph with n vertices and edges (eu[k], ev[k]), validated
+    and indexed once; ``solve`` runs a solve at new weights, and ``close``
+    releases the graph.  Raises ValueError on an endpoint out of range or
+    a self-loop."""
+
+    def __init__(self, n: int, eu: Sequence[int], ev: Sequence[int]):
+        # Plain ints: numpy scalars would slow every step and could overflow.
+        eu, ev = [int(x) for x in eu], [int(x) for x in ev]
+        if n < 0 or len(eu) != len(ev):
+            raise ValueError("n must be >= 0, and eu and ev of equal length")
+        if any(not (0 <= i < n and 0 <= j < n) or i == j for i, j in zip(eu, ev)):
+            raise ValueError(_INVALID)
+        nedge = len(eu)
+        # endpoint[p]: vertex at endpoint p (p = 2k is the u side of edge k).
+        endpoint = [0] * (2 * nedge)
+        for k in range(nedge):
+            endpoint[2 * k] = eu[k]
+            endpoint[2 * k + 1] = ev[k]
+        # neighbend[v]: remote endpoints of edges incident to v, in edge order.
+        neighbend: list[list[int]] = [[] for _ in range(n)]
+        for k in range(nedge):
+            neighbend[eu[k]].append(2 * k + 1)
+            neighbend[ev[k]].append(2 * k)
+        self.n = n
+        self.num_edges = nedge
+        self._graph: tuple | None = (eu, ev, endpoint, neighbend)
+
+    def solve(self, ew: Sequence[int]) -> KernelResult:
+        """(mate, duals) at integer edge weights ``ew``: see
+        ``solve_max_weight_matching``.  Raises ValueError when a weight is
+        outside +-MAX_ABS_WEIGHT or the session is closed."""
+        if self._graph is None:
+            raise ValueError("matching session is closed")
+        ew = [int(w) for w in ew]
+        if len(ew) != self.num_edges:
+            raise ValueError(f"expected {self.num_edges} weights, got {len(ew)}")
+        if any(abs(w) > MAX_ABS_WEIGHT for w in ew):
+            raise ValueError(_INVALID)
+        mate, duals = _solve(self.n, *self._graph, ew)
+        return KernelResult(np.array(mate, dtype=np.int64), np.array(duals, dtype=np.int64))
+
+    def close(self) -> None:
+        self._graph = None
+
+
+def open_session(n: int, eu: Sequence[int], ev: Sequence[int]) -> Session:
+    """A session on the graph (n, eu, ev): see ``Session``."""
+    return Session(n, eu, ev)
 
 
 def solve_max_weight_matching(
@@ -59,37 +141,44 @@ def solve_max_weight_matching(
     eu: Sequence[int],
     ev: Sequence[int],
     ew: Sequence[int],
-) -> tuple[list[int], list[int]]:
-    """Return (mate, duals): mate[v] is the matched partner of v or -1;
-    duals are the final vertex duals in internal (4x) units.
+    session: Session | None = None,
+) -> KernelResult:
+    """Return (mate, duals) as int64 arrays: mate[v] is the matched partner
+    of v or -1; duals are the final vertex duals in internal (4x) units.
 
     mate is a maximum-cardinality matching; when the graph has a perfect
     matching, it is a maximum-weight perfect matching.
 
-    eu, ev and ew are lists or int64 arrays.  The caller guarantees a
-    simple graph (no self-loops or duplicates); weights must be integers.
+    eu, ev and ew are lists or int64 arrays of a simple graph (no
+    duplicates); weights must be integers within +-MAX_ABS_WEIGHT.  Without
+    ``session`` the solve is cold: a session opened for it alone.  With
+    one, opened by ``open_session(n, eu, ev)``, it runs on that session's
+    graph.  Raises ValueError on an invalid graph or weight.
     """
-    nedge = len(eu)
-    if n == 0:
-        return [], []
-    # Plain ints: numpy scalars would slow every step and could overflow.
-    eu, ev, ew = ([int(x) for x in seq] for seq in (eu, ev, ew))
+    if session is None:
+        session = Session(n, eu, ev)
+        try:
+            return session.solve(ew)
+        finally:
+            session.close()
+    if (n, len(eu)) != (session.n, session.num_edges):
+        raise ValueError("graph differs from the one the session was opened on")
+    return session.solve(ew)
 
+
+def _solve(
+    n: int,
+    eu: list[int],
+    ev: list[int],
+    endpoint: list[int],
+    neighbend: list[list[int]],
+    ew: list[int],
+) -> tuple[list[int], list[int]]:
+    """One solve from scratch on a session's graph: (mate, duals)."""
+    nedge = len(eu)
     # Weights are scaled by 4 so that the greedy initial duals (half the
     # maximum incident weight, feasible for any sign) are even integers.
     weight = [4 * w for w in ew]
-
-    # endpoint[p]: vertex at endpoint p (p = 2k is the u side of edge k).
-    endpoint = [0] * (2 * nedge)
-    for k in range(nedge):
-        endpoint[2 * k] = eu[k]
-        endpoint[2 * k + 1] = ev[k]
-
-    # neighbend[v]: remote endpoints of edges incident to v, in edge order.
-    neighbend: list[list[int]] = [[] for _ in range(n)]
-    for k in range(nedge):
-        neighbend[eu[k]].append(2 * k + 1)
-        neighbend[ev[k]].append(2 * k)
 
     mate = [-1] * n
     label = [_FREE] * (2 * n)

@@ -20,9 +20,11 @@ lets it settle near the optimum of the relaxation.
 
 from __future__ import annotations
 
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -32,7 +34,7 @@ from .embedding import PlanarEmbedding, faces
 from .errors import WeightRangeError
 from .ising import ExpandedDual, _endpoints, build_expanded_dual
 from .matching import MAX_ABS_WEIGHT
-from .model import BinaryMRF, Labels, SymmetricIsing, complement, energy
+from .model import BinaryMRF, Labels, complement, energy
 
 DEFAULT_MATCHING_SCALE = 10**6
 
@@ -48,8 +50,8 @@ class PCCGraph:
     from by_node[node_start[i]].  These are int64 arrays; ``unary`` is the
     model's, as float64.  ``embedding`` is the
     combined rotation system of the augmented graph, which is planar by
-    construction; ``dual`` is its port-graph reduction, whose model edges
-    are listed by ``augmented_edges``.
+    construction; ``dual`` is the port-graph reduction of its topology,
+    whose edges are listed by ``augmented_edges``.
     """
 
     model: BinaryMRF
@@ -153,7 +155,8 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
             f"embedding has {embedding.num_vertices} vertices, model has {model.num_nodes}"
         )
     fs = faces(embedding)
-    if not fs.has_edges(*_endpoints(model.edges)):
+    base_u, base_v = _endpoints(model.edges)
+    if not fs.has_edges(base_u, base_v):
         raise ValueError("embedding edge set differs from model edge set")
     n = model.num_nodes
     num_faces = len(fs)
@@ -161,7 +164,7 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     if n == 1:
         # Single vertex: no darts; its one face connects to it directly.
         inc_node, inc_face = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        rotations = [(n,), (0,)]
+        offset, head = np.array([0, 1, 2], dtype=np.int64), np.array([1, 0], dtype=np.int64)
     else:
         # A face connects to each boundary vertex at the corner where its
         # walk first visits the vertex: incidences are those first visits,
@@ -185,21 +188,17 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         flat = np.empty(at[-1], dtype=np.int64)
         flat[at[:-1]] = fs.head
         flat[at[:-1][insert] + 1] = n + fs.face_of[fs.succ[insert]]
-        flat_list, bounds = flat.tolist(), at[fs.offset].tolist()
-        rotations = [tuple(flat_list[a:b]) for a, b in zip(bounds, bounds[1:])]
         # Face walks run clockwise under the traversal rule, so a vertex
         # placed inside the face sees the boundary counterclockwise in
         # reversed walk order.
-        node_list = inc_node.tolist()
-        bounds = np.searchsorted(inc_face, np.arange(num_faces + 1)).tolist()
-        rotations += [tuple(node_list[a:b][::-1]) for a, b in zip(bounds, bounds[1:])]
+        bounds = np.searchsorted(inc_face, np.arange(num_faces + 1))
+        reverse = bounds[inc_face] + bounds[inc_face + 1] - 1 - np.arange(len(inc_face))
+        offset = np.concatenate((at[fs.offset], at[-1] + bounds[1:]))
+        head = np.concatenate((flat, inc_node[reverse]))
 
-    aug_embedding = PlanarEmbedding(tuple(rotations))
-
+    aug_embedding = PlanarEmbedding.from_darts(offset, head)
     # Only the topology matters: each solve supplies the edge weights.
-    aug_edges = [(i, j, 0) for (i, j, _) in model.edges]
-    aug_edges += [(u, n + f, 0) for u, f in zip(inc_node.tolist(), inc_face.tolist())]
-    topology = SymmetricIsing(n + num_faces, tuple(aug_edges))
+    topology = (np.concatenate((base_u, inc_node)), np.concatenate((base_v, n + inc_face)))
 
     inc_count = np.bincount(inc_node, minlength=n)
     return PCCGraph(
@@ -252,11 +251,14 @@ def _bound(
     matching_scale: int,
     base: tuple[np.ndarray, np.ndarray],
     engine: str | None,
-) -> tuple[int, Labels]:
+    session=None,
+) -> tuple[int, np.ndarray]:
     """One exact solve of the augmented model at the current splits, with
     ``base`` from ``_scale_base``: (integer ground-state energy, augmented
-    labels).  Each node's splits are rounded to matching-scale units and
-    its first one takes up the difference to the node's unary target."""
+    labels as an int8 array), on ``session`` when given (see
+    ``ExpandedDual.solve_array``).  Each node's splits are rounded to
+    matching-scale units and its first one takes up the difference to the
+    node's unary target."""
     base_scaled, target = base
     # Clipped so that the cast cannot wrap: a clipped split fails the range
     # check, unless it is a node's first, which the difference overwrites.
@@ -267,7 +269,7 @@ def _bound(
     units[pcc.by_node] = grouped
     if np.abs(units).max(initial=0) > MAX_ABS_WEIGHT:
         raise WeightRangeError("scaled split weight exceeds safe range; lower matching_scale")
-    return pcc.dual.solve(np.concatenate((base_scaled, units)), engine)
+    return pcc.dual.solve_array(np.concatenate((base_scaled, units)), engine, session)
 
 
 def lower_bound(
@@ -293,7 +295,7 @@ def lower_bound(
         raise ValueError("model differs from the model the PCC graph was built for")
     scale = int(matching_scale)
     gs, labels = _bound(pcc, params, scale, _scale_base(pcc.model, scale), engine)
-    return gs / scale + pcc.model.constant, labels
+    return gs / scale + pcc.model.constant, tuple(labels.tolist())
 
 
 def certificate_of(model: BinaryMRF, best_gs: int, scale: int, best_upper: float) -> str:
@@ -313,7 +315,7 @@ def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
     i's copies; each node's coordinates sum to zero, so steps preserve the
     split-sum constraint.
     """
-    cfg = np.asarray(config, dtype=np.int64)
+    cfg = np.asarray(config)
     if len(cfg) != pcc.num_vertices:
         raise ValueError(
             f"config has {len(cfg)} labels, expected {pcc.num_vertices}"
@@ -343,6 +345,51 @@ def decode_upper(model: BinaryMRF, config: Sequence[int]) -> tuple[Labels, float
     if ebar < e:
         return xbar, ebar
     return x, e
+
+
+class _UpperBound:
+    """``decode_upper`` on arrays, for one model, whose labels x of the
+    model's nodes are an int8 array: ``energies`` gives the energies of x
+    and of its complement, equal to ``energy()`` exactly, and ``decode``
+    picks the candidate as ``decode_upper`` does.
+
+    x and its complement cut the same edges; the complement pays the unary
+    of the nodes x labels 0.  Integer models sum in int64 where no partial
+    sum can reach 2**63.  Otherwise each sum runs over the original weight
+    objects left to right, from the constant, as ``energy`` adds them, so
+    float results match it bit for bit.
+    """
+
+    def __init__(self, model: BinaryMRF):
+        self.u, self.v = _endpoints(model.edges)
+        self.constant = model.constant
+        edge_w = [w for (_, _, w) in model.edges]
+        terms = [*edge_w, *model.unary, model.constant]
+        self.int64 = model.is_integer and max(map(abs, terms)) * len(terms) < 2**62
+        dtype = np.int64 if self.int64 else object
+        self.edge_w = np.array(edge_w, dtype=dtype)
+        self.unary = np.array(model.unary, dtype=dtype)
+        self.unary_total = int(self.unary.sum()) if self.int64 else None
+
+    def energies(self, x: np.ndarray) -> tuple[float, float]:
+        """(energy of x, energy of its complement)."""
+        cut = x[self.u] != x[self.v]
+        one = x.view(bool)
+        if self.int64:
+            cut_sum = self.constant + int(self.edge_w @ cut)
+            ones = int(self.unary @ one)
+            return cut_sum + ones, cut_sum + self.unary_total - ones
+        cut_sum = reduce(operator.add, self.edge_w[cut], self.constant)
+        return (
+            reduce(operator.add, self.unary[one], cut_sum),
+            reduce(operator.add, self.unary[~one], cut_sum),
+        )
+
+    def decode(self, x: np.ndarray) -> tuple[bool, float]:
+        """(flip, energy): the complement of x is the candidate when flip,
+        which holds only when its energy is strictly lower."""
+        e, ebar = self.energies(x)
+        return (True, ebar) if ebar < e else (False, e)
 
 
 def optimize(
@@ -376,6 +423,8 @@ def optimize(
     params = init_params(model, pcc)
     scale = int(matching_scale)
     base = _scale_base(model, scale)
+    upper = _UpperBound(model)
+    n = model.num_nodes
 
     trace = BoundTrace()
     best_upper: float | None = None
@@ -387,46 +436,51 @@ def optimize(
     start = time.perf_counter()
     limit = max(1, max_iters)
     iteration = 0
-    while iteration < limit:
-        iteration += 1
-        gs, config = _bound(pcc, params, scale, base, engine)
-        lb = gs / scale + model.constant
-        x, ub = decode_upper(model, config)
-        if best_upper is None or ub < best_upper:
-            best_upper = ub
-            best_assignment = x
-        if best_gs is None or gs > best_gs:
-            best_gs, best_lower = gs, lb
-            stalls = 0
-        else:
-            stalls += 1
-            if stalls == 3:
-                factor = max(factor / 2, 0.05)
+    session = pcc.dual.open_session(engine)
+    try:
+        while iteration < limit:
+            iteration += 1
+            gs, config = _bound(pcc, params, scale, base, engine, session)
+            lb = gs / scale + model.constant
+            x = config[:n]
+            flip, ub = upper.decode(x)
+            if best_upper is None or ub < best_upper:
+                best_upper = ub
+                best_assignment = tuple((1 - x if flip else x).tolist())
+            if best_gs is None or gs > best_gs:
+                best_gs, best_lower = gs, lb
                 stalls = 0
-        gap = best_upper - best_lower
+            else:
+                stalls += 1
+                if stalls == 3:
+                    factor = max(factor / 2, 0.05)
+                    stalls = 0
+            gap = best_upper - best_lower
 
-        g = subgradient(pcc, config)
-        gn2 = float(g @ g)
-        stop = gap < tol or iteration == limit or gn2 == 0.0
-        lam = 0.0
-        if not stop:
-            lam = polyak_step(best_upper, lb, gn2, factor)
-            params.apply_step(lam, g)
-        trace.rows.append(
-            TraceRow(
-                iteration,
-                lb,
-                float(ub),
-                float(best_upper),
-                lam,
-                gn2,
-                (time.perf_counter() - start) * 1000.0,
+            g = subgradient(pcc, config)
+            gn2 = float(g @ g)
+            stop = gap < tol or iteration == limit or gn2 == 0.0
+            lam = 0.0
+            if not stop:
+                lam = polyak_step(best_upper, lb, gn2, factor)
+                params.apply_step(lam, g)
+            trace.rows.append(
+                TraceRow(
+                    iteration,
+                    lb,
+                    float(ub),
+                    float(best_upper),
+                    lam,
+                    gn2,
+                    (time.perf_counter() - start) * 1000.0,
+                )
             )
-        )
-        if on_iteration is not None:
-            on_iteration(iteration, params, lb, float(ub))
-        if stop:
-            break
+            if on_iteration is not None:
+                on_iteration(iteration, params, lb, float(ub))
+            if stop:
+                break
+    finally:
+        session.close()
 
     gap = float(best_upper - best_lower)
     return SolveResult(

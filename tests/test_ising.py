@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from planarcc import (
@@ -20,10 +21,11 @@ from planarcc import (
 )
 from planarcc import faces as faces_of
 from planarcc.ising import decode_matching
-from planarcc.matching import engine_kernel
+from planarcc.matching import MAX_ABS_WEIGHT, engine_kernel
 from planarcc.oracle import brute_force_map_ising
 
 from conftest import random_grid_ising, random_grid_model, random_tree
+from test_face_arrays import GRAPHS
 
 SINGLE_EDGE_EMB = PlanarEmbedding(((1,), (0,)))
 
@@ -283,3 +285,52 @@ def test_solve_rejects_a_mate_that_is_no_port_graph_matching(
     monkeypatch.setattr(kernel, "solve_max_weight_matching", broken)
     with pytest.raises(NoPerfectMatchingError, match="matching kernel returned no perfect matching"):
         solve()
+
+
+def tree_loop_labels(dual, cut):
+    """Labels by the loop over the decode tree that pointer jumping
+    replaced: each vertex's label is its parent's XOR the cut of the tree
+    edge between them."""
+    labels = [0] * len(dual.parent)
+    for v, parent, t in dual.tree:
+        labels[v] = labels[parent] ^ int(cut[t])
+    return tuple(labels)
+
+
+def solve_and_decode(dual, w, engine):
+    """(cut, decode's energy and labels) of one cold solve at weights w."""
+    port_w = dual.port_weights(w)
+    mate, _ = engine_kernel(engine).solve_max_weight_matching(
+        dual.num_ports, dual.port_u, dual.port_v, -port_w
+    )
+    cut = np.where(dual.bridge, w < 0, mate[dual.port_u[: len(w)]] != dual.port_v[: len(w)])
+    return cut, dual.decode(w, mate)
+
+
+@pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])
+def test_decode_labels_equal_the_tree_loop(name, edges, rotations, engine):
+    rng = random.Random(name)
+    emb = PlanarEmbedding(rotations)
+    for _ in range(5):
+        ising = SymmetricIsing(
+            len(rotations), tuple((i, j, rng.randint(-9, 9)) for (i, j) in edges)
+        )
+        dual = build_expanded_dual(ising, emb)
+        cut, (energy, labels) = solve_and_decode(dual, np.array(dual.weights, dtype=np.int64), engine)
+        assert labels == tree_loop_labels(dual, cut)
+        assert all(type(x) is int for x in labels)
+        assert energy == ising_energy(ising, labels)
+
+
+def test_decode_sums_python_ints_near_the_weight_limit(engine):
+    # 16x16 has 480 edges and 960 ports: at |w| = 2**52 the decode cannot
+    # rule out an int64 overflow, so its energy check sums Python ints.
+    rng = random.Random(8)
+    edges, emb = grid(16, 16)
+    big = MAX_ABS_WEIGHT
+    ising = SymmetricIsing(256, tuple((i, j, rng.choice((-big, big - 1))) for (i, j) in edges))
+    dual = build_expanded_dual(ising, emb)
+    assert big * (len(dual.weights) + dual.num_ports) >= 2**62
+    cut, (energy, labels) = solve_and_decode(dual, np.array(dual.weights, dtype=np.int64), engine)
+    assert labels == tree_loop_labels(dual, cut)
+    assert energy == ising_energy(ising, labels) == ground_state(ising, emb, engine).energy

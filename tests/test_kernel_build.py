@@ -188,3 +188,68 @@ def test_kernel_has_no_undefined_behaviour_at_the_weight_limit(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@needs_cc
+def test_session_reuse_is_clean_under_asan(tmp_path):
+    # Sessions keep their buffers across solves and free per-blossom lists
+    # only when the next solve starts or the session closes, so a stale
+    # pointer or a list freed twice would show on reuse: run a few hundred
+    # solves on reused sessions under ASan and UBSan, which abort on the
+    # first bad access, and check each against the pure-Python twin.
+    lib = tmp_path / "k.so"
+    proc = compile_kernel(
+        lib, "-O1", "-g", "-fno-omit-frame-pointer",
+        "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+    )
+    if proc.returncode != 0:
+        pytest.skip(f"cc cannot build with ASan: {proc.stderr.strip()}")
+    runtime = subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip("cc does not name an ASan runtime to preload")
+    code = textwrap.dedent(f"""
+        import random
+        from planarcc.matching import MAX_ABS_WEIGHT, _blossom_c, _blossom_py
+
+        kernel = _blossom_c.Kernel({str(lib)!r})
+        rng = random.Random(17)
+        big = MAX_ABS_WEIGHT
+        solves = 0
+        for trial in range(30):
+            n = rng.choice([0, 2, 7, 12, 24, 40])
+            density = rng.uniform(0.05, 0.6)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < density]
+            eu = [i for (i, _) in edges]
+            ev = [j for (_, j) in edges]
+            session = _blossom_c.Session(kernel, n, eu, ev)
+            twin = _blossom_py.Session(n, eu, ev)
+            for _ in range(10):
+                lo, hi = rng.choice(((-20, 20), (-1, 1), (-big, big)))
+                ew = [rng.choice((lo, hi, rng.randint(lo, hi))) for _ in edges]
+                if edges and rng.random() < 0.1:
+                    bad = list(ew)
+                    bad[rng.randrange(len(bad))] = rng.choice((big + 1, -big - 1))
+                    try:
+                        session.solve(bad)
+                    except ValueError:
+                        pass
+                    else:
+                        raise AssertionError("out-of-range weight accepted")
+                assert session.solve(ew) == twin.solve(ew)
+                solves += 1
+            session.close()
+            session.close()
+        assert solves == 300, solves
+    """)
+    env = dict(
+        os.environ, PLANARCC_NO_EXT="1", PYTHONPATH=str(SRC_ROOT),
+        LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+    )
+    env.pop("PLANARCC_MATCHING", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]

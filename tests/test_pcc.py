@@ -8,6 +8,7 @@ from planarcc import (
     BinaryMRF,
     PlanarEmbedding,
     build_pcc,
+    complement,
     cycle,
     decode_upper,
     energy,
@@ -21,9 +22,9 @@ from planarcc import (
 )
 from planarcc.errors import WeightRangeError
 from planarcc.harness import InstanceSpec, generate_grid_instance
-from planarcc.matching import COMPILED_UNAVAILABLE, has_compiled_kernel
+from planarcc.matching import COMPILED_UNAVAILABLE, MAX_ABS_WEIGHT, has_compiled_kernel
 from planarcc.oracle import brute_force_map
-from planarcc.pcc import certificate_of
+from planarcc.pcc import _UpperBound, certificate_of
 
 from conftest import random_grid_model, random_tree
 
@@ -221,13 +222,13 @@ def test_integer_splits_sum_exactly_to_each_scaled_unary(monkeypatch):
     from planarcc.ising import ExpandedDual
 
     sent = []
-    solve = ExpandedDual.solve
+    solve = ExpandedDual.solve_array
 
-    def record(self, weights, engine=None):
+    def record(self, weights, engine=None, session=None):
         sent.append(np.array(weights))
-        return solve(self, weights, engine)
+        return solve(self, weights, engine, session)
 
-    monkeypatch.setattr(ExpandedDual, "solve", record)
+    monkeypatch.setattr(ExpandedDual, "solve_array", record)
     rng = random.Random(223)
     scale = 10**6
     for _ in range(10):
@@ -370,6 +371,61 @@ def test_decode_upper():
     x, e = decode_upper(sym, (1, 0))
     assert x == (1, 0)
     assert e == 2
+
+
+def upper_bound_models(rng):
+    """(name, model) pairs: integer, float and mixed weights, a flip-
+    symmetric model whose x and complement always tie, and integer models
+    near the weight limit whose sums must fall back to Python ints."""
+    edges, _ = grid(5, 6)
+    n = 30
+    yield "integer", BinaryMRF(
+        n, tuple((i, j, rng.randint(-50, 50)) for (i, j) in edges),
+        tuple(rng.randint(-80, 80) for _ in range(n)), rng.randint(-9, 9),
+    )
+
+    def spread():
+        # Magnitudes far apart, so that any change of summation order
+        # changes the rounded result.
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)
+
+    yield "float", BinaryMRF(
+        n, tuple((i, j, spread()) for (i, j) in edges), tuple(spread() for _ in range(n)), 0.1
+    )
+    yield "mixed", BinaryMRF(
+        n, tuple((i, j, rng.randint(-5, 5)) for (i, j) in edges),
+        tuple(rng.choice((rng.randint(-3, 3), rng.uniform(-3, 3))) for _ in range(n)), 0,
+    )
+    yield "tie", BinaryMRF(n, tuple((i, j, rng.randint(-5, 5)) for (i, j) in edges), (0,) * n, 3)
+    big = MAX_ABS_WEIGHT
+    for name, weights in (("limit", (-big, big)), ("limit-near", (-big + 1, big - 1, 0))):
+        edges, _ = grid(24, 24)
+        yield name, BinaryMRF(
+            576, tuple((i, j, rng.choice(weights)) for (i, j) in edges),
+            tuple(rng.choice(weights) for _ in range(576)), big,
+        )
+
+
+def test_array_upper_bound_equals_energy_exactly():
+    rng = random.Random(97)
+    for name, model in upper_bound_models(rng):
+        upper = _UpperBound(model)
+        assert upper.int64 == (name in ("integer", "tie")), name
+        n = model.num_nodes
+        for trial in range(25):
+            x = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.int8)
+            if trial == 0:
+                x[:] = 0
+            want = (energy(model, x.tolist()), energy(model, complement(x.tolist())))
+            got = upper.energies(x)
+            assert got == want, name
+            assert [type(e) for e in got] == [type(e) for e in want], name
+            flip, ub = upper.decode(x)
+            labels = tuple((1 - x if flip else x).tolist())
+            assert (labels, ub) == decode_upper(model, x.tolist()), name
+            assert type(ub) is type(decode_upper(model, x.tolist())[1]), name
+            if name == "tie":
+                assert not flip and want[0] == want[1]
 
 
 def test_decode_upper_never_below_optimum():
