@@ -65,22 +65,14 @@ class PlanarEmbedding:
     def from_darts(cls, offset: np.ndarray, head: np.ndarray) -> "PlanarEmbedding":
         """The embedding whose vertex v lists head[offset[v]:offset[v + 1]]
         counterclockwise, from int64 arrays, validated as the constructor
-        validates ``rotations``.  Its ``rotations`` are built when first
-        read."""
+        validates ``rotations`` but without flattening them."""
         emb = object.__new__(cls)
         emb._index(offset, _tails(offset), head)
+        bounds, heads = offset.tolist(), head.tolist()
+        emb.__dict__["rotations"] = tuple(
+            tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:])
+        )
         return emb
-
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: for the rotations of an
-        # embedding made by from_darts, built once from its dart index.
-        if name != "rotations" or "_twin" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        bounds = self._offset.tolist()
-        heads = _tails(self._offset)[self._twin].tolist()
-        rotations = tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
-        self.__dict__["rotations"] = rotations
-        return rotations
 
     def _index(self, offset: np.ndarray, tail: np.ndarray, head: np.ndarray) -> None:
         """Validate the darts and keep their index (see the class doc)."""

@@ -68,6 +68,7 @@ typedef struct {
 
 typedef struct {
     i64 n, nedge;
+    int used;             /* a solve ran since the lists were last freed */
     i64 *eu;              /* m, copied at open */
     i64 *ev;              /* m */
     i64 *weight;          /* 4x input weights */
@@ -161,6 +162,9 @@ static void grow_push(Solver *s, Grower *g, i64 v)
 static void free_lists(Solver *s)
 {
     i64 i;
+    if (!s->used)
+        return;
+    s->used = 0;
     if (s->childs != NULL && s->endps != NULL && s->bbe != NULL) {
         for (i = 0; i < 2 * s->n; i++) {
             free(s->childs[i]);
@@ -1154,6 +1158,7 @@ static void setup(Solver *s, const i64 *ew)
 {
     i64 n = s->n, nedge = s->nedge, k, v, b, i;
     free_lists(s);
+    s->used = 1;
     for (k = 0; k < nedge; k++) {
         s->weight[k] = 4 * ew[k];
         s->allowedge[k] = 0;

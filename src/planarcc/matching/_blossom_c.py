@@ -24,6 +24,7 @@ import os
 import platform
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +177,8 @@ class Kernel:
 class Session:
     """One graph held in the compiled kernel's buffers: ``solve`` it at any
     weights, then ``close`` it to free them.  Same contract as
-    ``_blossom_py.Session``."""
+    ``_blossom_py.Session``.  A session that is garbage-collected open
+    frees its buffers then."""
 
     def __init__(self, kernel: Kernel, n: int, eu, ev):
         eu, ev = _int64(eu, ev)
@@ -186,6 +188,7 @@ class Session:
         self.num_edges = len(eu)
         self._kernel = kernel
         self._handle: ctypes.c_void_p | None = handle
+        self._free = weakref.finalize(self, kernel._close, handle)
 
     def solve(self, ew) -> KernelResult:
         if self._handle is None:
@@ -202,9 +205,8 @@ class Session:
         return KernelResult(mate, duals)
 
     def close(self) -> None:
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            self._kernel._close(handle)
+        self._handle = None
+        self._free()
 
 
 def try_load(

@@ -20,11 +20,9 @@ lets it settle near the optimum of the relaxation.
 
 from __future__ import annotations
 
-import operator
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -348,48 +346,38 @@ def decode_upper(model: BinaryMRF, config: Sequence[int]) -> tuple[Labels, float
 
 
 class _UpperBound:
-    """``decode_upper`` on arrays, for one model, whose labels x of the
-    model's nodes are an int8 array: ``energies`` gives the energies of x
-    and of its complement, equal to ``energy()`` exactly, and ``decode``
-    picks the candidate as ``decode_upper`` does.
-
-    x and its complement cut the same edges; the complement pays the unary
-    of the nodes x labels 0.  Integer models sum in int64 where no partial
-    sum can reach 2**63.  Otherwise each sum runs over the original weight
-    objects left to right, from the constant, as ``energy`` adds them, so
-    float results match it bit for bit.
+    """``decode_upper`` on arrays, for an integer model whose energies int64
+    holds exactly (``fits``): the labels x of the model's nodes are an int8
+    array, ``energies`` gives the energies of x and of its complement, equal
+    to ``energy()``, and ``decode`` picks the candidate as ``decode_upper``
+    does.  x and its complement cut the same edges; the complement pays the
+    unary of the nodes x labels 0.
     """
+
+    @staticmethod
+    def fits(model: BinaryMRF) -> bool:
+        """True when no partial sum of ``model``'s energies can reach 2**63."""
+        terms = [*(w for (_, _, w) in model.edges), *model.unary, model.constant]
+        return model.is_integer and max(map(abs, terms)) * len(terms) < 2**62
 
     def __init__(self, model: BinaryMRF):
         self.u, self.v = _endpoints(model.edges)
         self.constant = model.constant
-        edge_w = [w for (_, _, w) in model.edges]
-        terms = [*edge_w, *model.unary, model.constant]
-        self.int64 = model.is_integer and max(map(abs, terms)) * len(terms) < 2**62
-        dtype = np.int64 if self.int64 else object
-        self.edge_w = np.array(edge_w, dtype=dtype)
-        self.unary = np.array(model.unary, dtype=dtype)
-        self.unary_total = int(self.unary.sum()) if self.int64 else None
+        self.edge_w = np.array([w for (_, _, w) in model.edges], dtype=np.int64)
+        self.unary = np.array(model.unary, dtype=np.int64)
+        self.unary_total = int(self.unary.sum())
 
-    def energies(self, x: np.ndarray) -> tuple[float, float]:
+    def energies(self, x: np.ndarray) -> tuple[int, int]:
         """(energy of x, energy of its complement)."""
-        cut = x[self.u] != x[self.v]
-        one = x.view(bool)
-        if self.int64:
-            cut_sum = self.constant + int(self.edge_w @ cut)
-            ones = int(self.unary @ one)
-            return cut_sum + ones, cut_sum + self.unary_total - ones
-        cut_sum = reduce(operator.add, self.edge_w[cut], self.constant)
-        return (
-            reduce(operator.add, self.unary[one], cut_sum),
-            reduce(operator.add, self.unary[~one], cut_sum),
-        )
+        cut_sum = self.constant + int(self.edge_w @ (x[self.u] != x[self.v]))
+        ones = int(self.unary @ x.view(bool))
+        return cut_sum + ones, cut_sum + self.unary_total - ones
 
-    def decode(self, x: np.ndarray) -> tuple[bool, float]:
-        """(flip, energy): the complement of x is the candidate when flip,
-        which holds only when its energy is strictly lower."""
+    def decode(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """(candidate, energy): the complement of x when its energy is
+        strictly lower, else x."""
         e, ebar = self.energies(x)
-        return (True, ebar) if ebar < e else (False, e)
+        return (1 - x, ebar) if ebar < e else (x, e)
 
 
 def optimize(
@@ -423,7 +411,7 @@ def optimize(
     params = init_params(model, pcc)
     scale = int(matching_scale)
     base = _scale_base(model, scale)
-    upper = _UpperBound(model)
+    upper = _UpperBound(model) if _UpperBound.fits(model) else None
     n = model.num_nodes
 
     trace = BoundTrace()
@@ -443,10 +431,10 @@ def optimize(
             gs, config = _bound(pcc, params, scale, base, engine, session)
             lb = gs / scale + model.constant
             x = config[:n]
-            flip, ub = upper.decode(x)
+            cand, ub = upper.decode(x) if upper is not None else decode_upper(model, x.tolist())
             if best_upper is None or ub < best_upper:
                 best_upper = ub
-                best_assignment = tuple((1 - x if flip else x).tolist())
+                best_assignment = tuple(np.asarray(cand).tolist())
             if best_gs is None or gs > best_gs:
                 best_gs, best_lower = gs, lb
                 stalls = 0

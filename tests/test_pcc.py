@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -409,8 +410,11 @@ def upper_bound_models(rng):
 def test_array_upper_bound_equals_energy_exactly():
     rng = random.Random(97)
     for name, model in upper_bound_models(rng):
+        fits = _UpperBound.fits(model)
+        assert fits == (name in ("integer", "tie")), name
+        if not fits:
+            continue
         upper = _UpperBound(model)
-        assert upper.int64 == (name in ("integer", "tie")), name
         n = model.num_nodes
         for trial in range(25):
             x = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.int8)
@@ -420,12 +424,38 @@ def test_array_upper_bound_equals_energy_exactly():
             got = upper.energies(x)
             assert got == want, name
             assert [type(e) for e in got] == [type(e) for e in want], name
-            flip, ub = upper.decode(x)
-            labels = tuple((1 - x if flip else x).tolist())
-            assert (labels, ub) == decode_upper(model, x.tolist()), name
-            assert type(ub) is type(decode_upper(model, x.tolist())[1]), name
+            cand, ub = upper.decode(x)
+            assert (tuple(cand.tolist()), ub) == decode_upper(model, x.tolist()), name
             if name == "tie":
-                assert not flip and want[0] == want[1]
+                assert cand is x and want[0] == want[1]
+
+
+def test_optimize_decodes_with_energy_where_int64_is_not_exact(monkeypatch):
+    # Float models and integer models near the weight limit take their
+    # upper bounds from decode_upper, so they equal energy() bit for bit.
+    import planarcc.pcc as pcc_module
+
+    calls = []
+
+    def record(model, config):
+        calls.append(len(config))
+        return decode_upper(model, config)
+
+    monkeypatch.setattr(pcc_module, "decode_upper", record)
+    rng = random.Random(101)
+    models = dict(upper_bound_models(rng))
+    for name, scale in (("float", 10**6), ("limit", 1), ("integer", 10**6)):
+        model = models[name]
+        side = 24 if name == "limit" else 5
+        _, emb = grid(side, model.num_nodes // side)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = optimize(model, emb, max_iters=3, matching_scale=scale)
+        assert calls == ([] if name == "integer" else [model.num_nodes] * res.iterations), name
+        for row in res.trace.rows:
+            assert row.upper_bound >= res.best_upper
+        assert energy(model, res.best_assignment) == res.best_upper, name
 
 
 def test_decode_upper_never_below_optimum():

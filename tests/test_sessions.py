@@ -6,6 +6,7 @@ session usable, a closed one must refuse to solve, and ``optimize`` must
 close the one session it opens even when a solve raises.
 """
 
+import gc
 import random
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from planarcc import optimize
 from planarcc.harness import InstanceSpec, generate_grid_instance
-from planarcc.matching import MAX_ABS_WEIGHT, engine_kernel
+from planarcc.matching import MAX_ABS_WEIGHT, engine_kernel, has_compiled_kernel
 
 # (side, a, seed) of the optimize runs whose solves are replayed.
 RUNS = [(12, 3.2, 2), (8, 0.2, 0)]
@@ -95,6 +96,32 @@ def test_closed_session_refuses_to_solve(engine):
     session.close()
     with pytest.raises(ValueError, match="closed"):
         session.solve([1, 2, 3, 4])
+
+
+@pytest.mark.skipif(not has_compiled_kernel(), reason="compiled kernel unavailable")
+def test_compiled_session_frees_its_buffers_once(monkeypatch):
+    from planarcc.matching import _blossom_c
+
+    kernel = _blossom_c._kernel
+    real, freed = kernel._close, []
+
+    def close(handle):
+        freed.append(handle.value)
+        real(handle)
+
+    monkeypatch.setattr(kernel, "_close", close)
+    dropped = _blossom_c.open_session(4, [0, 1, 2, 0], [1, 2, 3, 3])
+    handle = dropped._handle.value
+    del dropped
+    gc.collect()
+    assert freed == [handle]
+    closed = _blossom_c.open_session(4, [0, 1, 2, 0], [1, 2, 3, 3])
+    handle = closed._handle.value
+    closed.close()
+    closed.close()
+    del closed
+    gc.collect()
+    assert freed[1:] == [handle]
 
 
 def test_open_rejects_an_invalid_graph(engine):
