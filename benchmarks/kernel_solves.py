@@ -15,9 +15,9 @@ wraps the default engine's ``solve_max_weight_matching`` and runs
 - ``ground_state`` on unary-free 16x16 grids (seeds 0-9).
 
 It then solves each recorded graph ``REPS`` times and keeps the fastest,
-twice: cold (one call of the entry, which opens, solves and closes), and,
-where the engine has ``open_session``, on a session opened once per
-recorded run, as ``optimize`` does (the open and close are not timed).
+twice: cold (one call of the entry, which opens, solves and closes), and
+on a session opened once per recorded run, as ``optimize`` does (the open
+and close are not timed).
 The two alternate call by call, so that drift in the machine's speed
 reaches both columns alike.
 It writes per set the median and p90 ms of one solve in each column, the
@@ -78,7 +78,7 @@ def record(spec: dict, kernel) -> list[list[tuple]]:
 
     def recording(n, eu, ev, ew, session=None):
         calls.append((n, *(np.array(a, dtype=np.int64) for a in (eu, ev, ew))))
-        return solve(n, eu, ev, ew) if session is None else solve(n, eu, ev, ew, session)
+        return solve(n, eu, ev, ew, session)
 
     runs = []
     kernel.solve_max_weight_matching = recording
@@ -107,10 +107,9 @@ def time_set(spec: dict, kernel) -> dict:
     runs = record(spec, kernel)
     calls = [call for run in runs for call in run]
     solve = kernel.solve_max_weight_matching
-    sessions = hasattr(kernel, "open_session")
     cold, warm = [], []
     for run in runs:
-        session = kernel.open_session(*run[0][:3]) if sessions else None
+        session = kernel.open_session(*run[0][:3])
         try:
             for call in run:
                 best_cold = best_warm = float("inf")
@@ -118,15 +117,13 @@ def time_set(spec: dict, kernel) -> dict:
                     t0 = time.perf_counter()
                     solve(*call)
                     t1 = time.perf_counter()
-                    if session is not None:
-                        solve(*call, session)
+                    solve(*call, session)
                     best_cold = min(best_cold, t1 - t0)
                     best_warm = min(best_warm, time.perf_counter() - t1)
                 cold.append(1e3 * best_cold)
                 warm.append(1e3 * best_warm)
         finally:
-            if session is not None:
-                session.close()
+            session.close()
     out = {
         "set": set_name(spec),
         "seeds": spec["seeds"],
@@ -135,7 +132,7 @@ def time_set(spec: dict, kernel) -> dict:
         "port_edges": int(statistics.median(len(c[1]) for c in calls)),
     }
     out["ms_p50"], out["ms_p90"] = p50_p90(cold)
-    out["session_ms_p50"], out["session_ms_p90"] = p50_p90(warm) if sessions else (None, None)
+    out["session_ms_p50"], out["session_ms_p90"] = p50_p90(warm)
     print(f"{out['set']}: {out['solves']} solves, {out['ports']} ports, "
           f"cold p50 {out['ms_p50']:.2f} ms, p90 {out['ms_p90']:.2f} ms; "
           f"session p50 {out['session_ms_p50']} ms, p90 {out['session_ms_p90']} ms",

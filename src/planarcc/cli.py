@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 
+from . import matching
 from .embedding import PlanarEmbedding, grid
 from .errors import PlanarCCError
 from .harness import (
@@ -29,7 +30,6 @@ from .harness import (
 )
 from .model import BinaryMRF, load_model, save_model
 from .oracle import brute_force_map
-from .pcc import DEFAULT_MATCHING_SCALE
 
 
 def canonical_grid_embedding(model: BinaryMRF) -> PlanarEmbedding | None:
@@ -80,7 +80,6 @@ def cmd_solve(args) -> int:
         max_iters=args.max_iters,
         tol=args.tol,
         matching_scale=args.matching_scale,
-        engine=args.engine,
     )
     import time
 
@@ -93,7 +92,7 @@ def cmd_solve(args) -> int:
         if all(k in meta for k in ("rows", "cols", "a", "seed")):
             spec = InstanceSpec(
                 meta["rows"], meta["cols"], meta["a"], meta["seed"],
-                meta.get("scale", 500),
+                meta.get("scale", InstanceSpec.scale),
             )
             converged = result.certificate == "optimal"
             append_summary(
@@ -105,14 +104,18 @@ def cmd_solve(args) -> int:
                 "warning: model has no generator metadata; summary row skipped",
                 file=sys.stderr,
             )
-    print(json.dumps({
+    out = {
         "best_lower": result.best_lower,
         "best_upper": result.best_upper,
         "gap": result.gap,
         "certificate": result.certificate,
         "iterations": result.iterations,
         "assignment": list(result.best_assignment),
-    }))
+        "engine": matching.DEFAULT_ENGINE,
+    }
+    if matching.COMPILED_UNAVAILABLE is not None:
+        out["compiled_unavailable"] = matching.COMPILED_UNAVAILABLE
+    print(json.dumps(out))
     return 0
 
 
@@ -126,22 +129,20 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _from_keys(cls, keys: dict, where: str):
+    """``cls(**keys)``; an unknown or missing key, or a value ``cls``
+    rejects, raises PlanarCCError, which names it."""
+    try:
+        return cls(**keys)
+    except (TypeError, ValueError) as exc:
+        raise PlanarCCError(f"batch {where}: {exc}") from None
+
+
 def cmd_batch(args) -> int:
     with open(args.spec) as fh:
         doc = json.load(fh)
-    specs = [
-        InstanceSpec(
-            s["rows"], s["cols"], s["a"], s["seed"], s.get("scale", 500)
-        )
-        for s in doc["specs"]
-    ]
-    opts = doc.get("options", {})
-    options = SolverOptions(
-        max_iters=opts.get("max_iters", 1000),
-        tol=opts.get("tol", 1.0),
-        matching_scale=opts.get("matching_scale", DEFAULT_MATCHING_SCALE),
-        engine=opts.get("engine"),
-    )
+    specs = [_from_keys(InstanceSpec, s, "specs") for s in doc["specs"]]
+    options = _from_keys(SolverOptions, doc.get("options", {}), "options")
     summaries = batch(specs, options, jobs=args.jobs, out=args.out)
     agg = aggregate(summaries)
     if args.aggregate_out:
@@ -164,16 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--a", type=float, required=True, help="unary magnitude")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--scale", type=int, default=500)
+    p.add_argument("--scale", type=int, default=InstanceSpec.scale)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_grid)
 
     p = sub.add_parser("solve", help="solve a model file")
     p.add_argument("model")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1.0)
-    p.add_argument("--matching-scale", type=int, default=DEFAULT_MATCHING_SCALE)
-    p.add_argument("--engine", choices=["compiled", "python"], default=None)
+    p.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
+    p.add_argument("--tol", type=float, default=SolverOptions.tol)
+    p.add_argument("--matching-scale", type=int, default=SolverOptions.matching_scale)
     p.add_argument("--trace", help="write per-iteration trace CSV here")
     p.add_argument("--summary", help="append a summary row to this CSV")
     p.add_argument(

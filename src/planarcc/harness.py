@@ -57,7 +57,6 @@ class SolverOptions:
     max_iters: int = 1000
     tol: float = 1.0
     matching_scale: int = DEFAULT_MATCHING_SCALE
-    engine: str | None = None
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def solve_model(
         return optimize(
             m, emb,
             max_iters=options.max_iters, tol=options.tol,
-            matching_scale=options.matching_scale, engine=options.engine,
+            matching_scale=options.matching_scale,
         )
 
     comps = _components(model)

@@ -104,37 +104,30 @@ class ExpandedDual:
         out[: len(w)] = np.where(self.bridge, np.minimum(-w, 0), -w)
         return out
 
-    def open_session(self, engine: str | None = None):
-        """A session of ``engine``'s kernel on the port graph, for
-        ``solve_array``; close it with its ``close()``."""
-        return engine_kernel(engine).open_session(self.num_ports, self.port_u, self.port_v)
+    def open_session(self):
+        """A session of the matching kernel on the port graph, for
+        ``solve``; close it with its ``close()``."""
+        return engine_kernel().open_session(self.num_ports, self.port_u, self.port_v)
 
     def solve(
-        self, weights: Sequence[int] | np.ndarray, engine: str | None = None
-    ) -> tuple[int, Labels]:
-        """(energy, labels) of a minimum cut at model edge weights
-        ``weights``: one cold minimum perfect matching of the port graph by
-        ``engine``'s kernel, decoded.  Node 0 is labeled 0.
+        self, weights: Sequence[int] | np.ndarray, session=None
+    ) -> tuple[int, np.ndarray]:
+        """(energy, labels as an int8 array) of a minimum cut at model edge
+        weights ``weights``: one minimum perfect matching of the port graph,
+        on ``session`` (from ``open_session``) or cold when None, decoded.
+        Node 0 is labeled 0.
 
         Raises NoPerfectMatchingError when the kernel leaves a port
         unmatched or pairs ports that share no port edge (see
         ``perfect_matching``).
         """
-        energy, labels = self.solve_array(weights, engine)
-        return energy, tuple(labels.tolist())
-
-    def solve_array(
-        self, weights: Sequence[int] | np.ndarray, engine: str | None = None, session=None
-    ) -> tuple[int, np.ndarray]:
-        """``solve``, with the labels as an int8 array, on ``session``
-        (from ``open_session`` with the same engine) when given."""
         # Every solve starts cold: between PCC iterates subgradient steps
         # perturb most incidence weights, so a warm start repairs more than
         # it reuses.  A session keeps only the graph's buffers.
         w = np.asarray(weights, dtype=np.int64)
         port_w = self.port_weights(w)
         matched = perfect_matching(
-            self.num_ports, self.port_u, self.port_v, port_w, engine, session
+            engine_kernel(), self.num_ports, self.port_u, self.port_v, port_w, session
         )
         return self._decode(w, port_w, matched)
 
@@ -304,14 +297,12 @@ def decode_matching(
     return GroundState(labels, energy)
 
 
-def ground_state(
-    ising: SymmetricIsing, embedding: PlanarEmbedding, engine: str | None = None
-) -> GroundState:
+def ground_state(ising: SymmetricIsing, embedding: PlanarEmbedding) -> GroundState:
     """Exact global minimizer of a symmetric planar model.
 
     Labels are normalized so node 0 has label 0 (any labeling and its
     complement have equal energy).
     """
     dual = build_expanded_dual(ising, embedding)
-    energy, labels = dual.solve(dual.weights, engine)
-    return GroundState(labels, energy)
+    energy, labels = dual.solve(dual.weights)
+    return GroundState(tuple(labels.tolist()), energy)

@@ -2,19 +2,18 @@
 
 Two interchangeable kernels implement the blossom algorithm: a C kernel
 (``_blossom.c``, compiled with the system C compiler on first import and
-cached, see ``_blossom_c``) and a pure-Python fallback.  The compiled kernel
-is selected automatically when it builds and loads; set
-PLANARCC_MATCHING=python (or =compiled) to force one, or PLANARCC_NO_EXT=1
-to skip the build.  Both kernels are deterministic and produce identical
-matchings, returned as int64 arrays.  A caller that solves one graph at
-many weights opens a session on it (the kernel's ``open_session``) and
-passes it to ``perfect_matching``; the kernel then validates the graph and
-builds its buffers once, not per solve.
+cached, see ``_blossom_c``) and a pure-Python fallback.  The kernel is
+chosen once, at import: the compiled one when it builds and loads, else
+the Python one, with the reason in COMPILED_UNAVAILABLE.  PLANARCC_NO_EXT=1
+skips the build.  Both kernels are deterministic and produce identical
+matchings, returned as int64 arrays.  Each solves through sessions: its
+``open_session`` validates a graph and builds the kernel's buffers once,
+a caller that solves one graph at many weights passes that session to
+``perfect_matching``, and a cold solve is a session opened for it alone.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,28 +26,16 @@ from ._blossom_py import MAX_ABS_WEIGHT
 COMPILED_UNAVAILABLE = _blossom_c.UNAVAILABLE
 
 
-def _unavailable(name: str, engines: dict, unavailable: str | None) -> str:
-    why = f"; compiled kernel: {unavailable}" if unavailable else ""
-    return f"matching engine {name!r} unavailable; have: {sorted(engines)}{why}"
-
-
-def _select_engines(
-    unavailable: str | None, requested: str | None
-) -> tuple[dict, str]:
-    """The engine table and the default engine: ``requested`` (the value of
-    PLANARCC_MATCHING) if set, else the compiled kernel when it loaded."""
+def _select_engines(unavailable: str | None) -> tuple[dict, str]:
+    """The engine table and the default engine: the compiled kernel when it
+    loaded (``unavailable`` is None), else the Python one."""
     engines = {"python": _blossom_py}
     if unavailable is None:
         engines["compiled"] = _blossom_c
-    default = requested or ("compiled" if unavailable is None else "python")
-    if default not in engines:
-        raise ImportError(_unavailable(default, engines, unavailable))
-    return engines, default
+    return engines, "compiled" if unavailable is None else "python"
 
 
-_ENGINES, DEFAULT_ENGINE = _select_engines(
-    COMPILED_UNAVAILABLE, os.environ.get("PLANARCC_MATCHING")
-)
+_ENGINES, DEFAULT_ENGINE = _select_engines(COMPILED_UNAVAILABLE)
 
 
 def available_engines() -> list[str]:
@@ -60,17 +47,20 @@ def has_compiled_kernel() -> bool:
 
 
 def engine_kernel(engine: str | None = None):
-    """The kernel module of ``engine`` (DEFAULT_ENGINE when None); its
-    ``solve_max_weight_matching(n, eu, ev, ew)`` returns (mate, duals) as
-    int64 arrays, and its ``open_session(n, eu, ev)`` opens a session that
-    the same entry takes as a fifth argument.
+    """The kernel module of ``engine`` (DEFAULT_ENGINE when None): its
+    ``open_session(n, eu, ev)`` opens a session on a graph, and its
+    ``solve_max_weight_matching(n, eu, ev, ew, session=None)`` returns
+    (mate, duals) as int64 arrays, cold or on that session.
 
     Raises PlanarCCError, naming the available engines and why the compiled
     kernel is missing, when ``engine`` is not loaded.
     """
     name = engine or DEFAULT_ENGINE
     if name not in _ENGINES:
-        raise PlanarCCError(_unavailable(name, _ENGINES, COMPILED_UNAVAILABLE))
+        why = f"; compiled kernel: {COMPILED_UNAVAILABLE}" if COMPILED_UNAVAILABLE else ""
+        raise PlanarCCError(
+            f"matching engine {name!r} unavailable; have: {sorted(_ENGINES)}{why}"
+        )
     return _ENGINES[name]
 
 
@@ -109,30 +99,25 @@ class Matching:
 
 
 def perfect_matching(
+    kernel,
     num_vertices: int,
     eu: np.ndarray,
     ev: np.ndarray,
     weights: np.ndarray,
-    engine: str | None,
     session=None,
 ) -> np.ndarray:
     """Mask over the edges (eu[k], ev[k]) of a minimum-weight perfect
-    matching at int64 ``weights``, found by one call to ``engine``'s
-    kernel: cold, or on ``session``, opened on this graph by the same
-    engine's ``open_session``.  The kernel is looked up at call time.
+    matching at int64 ``weights``, found by one call to the entry of
+    ``kernel`` (from ``engine_kernel``): on ``session``, opened on this
+    graph by the same kernel's ``open_session``, or cold when None.  The
+    entry is looked up at call time.
 
     Raises NoPerfectMatchingError when the kernel leaves a vertex unmatched
     or pairs vertices that share no edge.
     """
     # Maximum-weight maximum-cardinality matching on negated weights is a
     # minimum-weight perfect matching whenever a perfect matching exists.
-    solve = engine_kernel(engine).solve_max_weight_matching
-    # A cold call keeps the entry's four-argument form, so wrappers written
-    # for it keep working.
-    if session is None:
-        mate, _ = solve(num_vertices, eu, ev, -weights)
-    else:
-        mate, _ = solve(num_vertices, eu, ev, -weights, session)
+    mate, _ = kernel.solve_max_weight_matching(num_vertices, eu, ev, -weights, session)
     # A no-op on the kernels' int64 arrays.
     mate = np.asarray(mate, dtype=np.int64)
     matched = (mate[eu] == ev) & (mate[ev] == eu)
@@ -144,13 +129,14 @@ def perfect_matching(
 def min_weight_perfect_matching(
     g: WeightedMatchGraph, engine: str | None = None
 ) -> Matching:
-    """Exact minimum-weight perfect matching.
+    """Exact minimum-weight perfect matching, by the kernel of ``engine``
+    (see ``engine_kernel``; DEFAULT_ENGINE when None).
 
     Raises NoPerfectMatchingError when the vertex count is odd or no perfect
     matching exists.  total_weight is computed in exact integer arithmetic.
     """
     eu, ev, w = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T
-    matched = perfect_matching(g.num_vertices, eu, ev, w, engine)
+    matched = perfect_matching(engine_kernel(engine), g.num_vertices, eu, ev, w)
     lo = np.minimum(eu, ev)[matched]
     hi = np.maximum(eu, ev)[matched]
     order = np.argsort(lo, kind="stable")

@@ -17,14 +17,16 @@
  * duals.
  *
  * _blossom_c.py compiles this file with the system C compiler and calls it
- * through ctypes.  A session holds one graph: blossom_session_open()
- * validates the edges, allocates every buffer and builds the endpoints and
- * the CSR adjacency once; each blossom_session_solve() resets the state it
- * uses and solves at new weights; blossom_session_close() frees it all.
- * blossom_solve() is the cold solve: open, one solve, close.  Every
- * allocation is checked: a failed one unwinds to the open or solve call
- * through longjmp, which returns BLOSSOM_NOMEM.  A dual adjustment whose
- * edge does not join the labels it should unwinds the same way with
+ * through ctypes.  The three session entries are its only exports, and
+ * every solve goes through them.  A session holds one graph:
+ * blossom_session_open() validates the edges, allocates every buffer and
+ * builds the endpoints and the CSR adjacency once; each
+ * blossom_session_solve() resets the state it uses and solves at new
+ * weights; blossom_session_close() frees it all.  A cold solve is a
+ * session opened for one solve (_blossom_c.solve_max_weight_matching).
+ * Every allocation is checked: a failed one unwinds to the open or solve
+ * call through longjmp, which returns BLOSSOM_NOMEM.  A dual adjustment
+ * whose edge does not join the labels it should unwinds the same way with
  * BLOSSOM_BROKEN, where the solve would otherwise repeat it forever.  A
  * session stays usable after a failed solve: the next one starts afresh.
  */
@@ -36,8 +38,7 @@
 
 typedef int64_t i64;
 
-/* Return codes of blossom_session_open(), blossom_session_solve() and
- * blossom_solve(). */
+/* Return codes of blossom_session_open() and blossom_session_solve(). */
 enum {
     BLOSSOM_OK = 0,
     BLOSSOM_NOMEM = 1,   /* an allocation failed */
@@ -1285,17 +1286,4 @@ void blossom_session_close(Solver *s)
 {
     if (s != NULL)
         solver_free(s);
-}
-
-/* Cold solve: a session opened for one solve. */
-int blossom_solve(i64 n, i64 nedge, const i64 *eu, const i64 *ev,
-                  const i64 *ew, i64 *mate_out, i64 *duals_out)
-{
-    Solver *s;
-    int rc = blossom_session_open(n, nedge, eu, ev, &s);
-    if (rc != BLOSSOM_OK)
-        return rc;
-    rc = blossom_session_solve(s, ew, mate_out, duals_out);
-    blossom_session_close(s);
-    return rc;
 }

@@ -4,12 +4,14 @@
 both kernels return the same mates and duals, and both have the same
 session shape: ``open_session`` copies a graph into C buffers once, each
 ``Session.solve`` solves it at new weights, and ``Session.close`` frees
-the buffers.  The first import compiles it
-with the system C compiler into a per-user cache; later imports only load
-the cached library.  The cache file is keyed on a hash of the source, the
-compiler command, the flags and the platform, and is written under a
-temporary name and then renamed into place, so concurrent processes never
-load a half-written library.
+the buffers.  A cold ``solve_max_weight_matching`` is a session opened for
+that one solve and closed in ``finally``; the C file exports only the
+three session entries.  The first import compiles it with the system C
+compiler into a per-user cache; later imports only load the cached
+library.  The cache file is keyed on a hash of the source, the compiler
+command, the flags and the platform, and is written under a temporary
+name and then renamed into place, so concurrent processes never load a
+half-written library.
 
 If the build or the load fails, ``UNAVAILABLE`` says why and
 ``planarcc.matching`` falls back to the pure-Python kernel.  Setting
@@ -28,8 +30,6 @@ import weakref
 from pathlib import Path
 
 import numpy as np
-
-from ._blossom_py import KernelResult
 
 SOURCE = Path(__file__).with_name("_blossom.c")
 COMPILER = "cc"
@@ -154,24 +154,11 @@ class Kernel:
         self.path = Path(path)
         lib = ctypes.CDLL(str(self.path))
         i64, ptr, c_int = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
-        self._solve = _bind(lib.blossom_solve, c_int, i64, i64, *[ptr] * 5)
         self._open = _bind(
             lib.blossom_session_open, c_int, i64, i64, ptr, ptr, ctypes.POINTER(ptr)
         )
         self._session_solve = _bind(lib.blossom_session_solve, c_int, ptr, ptr, ptr, ptr)
         self._close = _bind(lib.blossom_session_close, None, ptr)
-
-    def solve(self, n, eu, ev, ew) -> KernelResult:
-        """Cold solve; same contract as ``_blossom_py.solve_max_weight_matching``."""
-        eu, ev, ew = _int64(eu, ev, ew)
-        mate = np.empty(n, dtype=np.int64)
-        duals = np.empty(n, dtype=np.int64)
-        rc = self._solve(
-            n, len(eu), eu.ctypes.data, ev.ctypes.data, ew.ctypes.data,
-            mate.ctypes.data, duals.ctypes.data,
-        )
-        _check(rc, n)
-        return KernelResult(mate, duals)
 
 
 class Session:
@@ -190,7 +177,7 @@ class Session:
         self._handle: ctypes.c_void_p | None = handle
         self._free = weakref.finalize(self, kernel._close, handle)
 
-    def solve(self, ew) -> KernelResult:
+    def solve(self, ew) -> tuple[np.ndarray, np.ndarray]:
         if self._handle is None:
             raise ValueError("matching session is closed")
         (ew,) = _int64(ew)
@@ -202,7 +189,7 @@ class Session:
             self._handle, ew.ctypes.data, mate.ctypes.data, duals.ctypes.data
         )
         _check(rc, self.n)
-        return KernelResult(mate, duals)
+        return mate, duals
 
     def close(self) -> None:
         self._handle = None
@@ -236,10 +223,16 @@ def open_session(n, eu, ev) -> Session:
     return Session(_loaded(), n, eu, ev)
 
 
-def solve_max_weight_matching(n, eu, ev, ew, session: Session | None = None) -> KernelResult:
+def solve_max_weight_matching(
+    n, eu, ev, ew, session: Session | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Return (mate, duals); same contract as the pure-Python twin."""
     if session is None:
-        return _loaded().solve(n, eu, ev, ew)
+        session = open_session(n, eu, ev)
+        try:
+            return session.solve(ew)
+        finally:
+            session.close()
     if (n, len(eu)) != (session.n, session.num_edges):
         raise ValueError("graph differs from the one the session was opened on")
     return session.solve(ew)

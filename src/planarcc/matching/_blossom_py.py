@@ -65,26 +65,6 @@ _S = 1
 _T = 2
 
 
-class KernelResult(tuple):
-    """(mate, duals) of one solve, as int64 arrays.  It equals any pair of
-    sequences holding the same values, so results compare with ==."""
-
-    __slots__ = ()
-
-    def __new__(cls, mate: np.ndarray, duals: np.ndarray):
-        return super().__new__(cls, (mate, duals))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, tuple)
-            and len(other) == 2
-            and all(np.array_equal(a, b) for a, b in zip(self, other))
-        )
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-
 class Session:
     """One simple graph with n vertices and edges (eu[k], ev[k]), validated
     and indexed once; ``solve`` runs a solve at new weights, and ``close``
@@ -113,7 +93,7 @@ class Session:
         self.num_edges = nedge
         self._graph: tuple | None = (eu, ev, endpoint, neighbend)
 
-    def solve(self, ew: Sequence[int]) -> KernelResult:
+    def solve(self, ew: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """(mate, duals) at integer edge weights ``ew``: see
         ``solve_max_weight_matching``.  Raises ValueError when a weight is
         outside +-MAX_ABS_WEIGHT or the session is closed."""
@@ -125,7 +105,7 @@ class Session:
         if any(abs(w) > MAX_ABS_WEIGHT for w in ew):
             raise ValueError(_INVALID)
         mate, duals = _solve(self.n, *self._graph, ew)
-        return KernelResult(np.array(mate, dtype=np.int64), np.array(duals, dtype=np.int64))
+        return np.array(mate, dtype=np.int64), np.array(duals, dtype=np.int64)
 
     def close(self) -> None:
         self._graph = None
@@ -142,7 +122,7 @@ def solve_max_weight_matching(
     ev: Sequence[int],
     ew: Sequence[int],
     session: Session | None = None,
-) -> KernelResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Return (mate, duals) as int64 arrays: mate[v] is the matched partner
     of v or -1; duals are the final vertex duals in internal (4x) units.
 

@@ -248,13 +248,12 @@ def _bound(
     params: VariationalParams,
     matching_scale: int,
     base: tuple[np.ndarray, np.ndarray],
-    engine: str | None,
     session=None,
 ) -> tuple[int, np.ndarray]:
     """One exact solve of the augmented model at the current splits, with
     ``base`` from ``_scale_base``: (integer ground-state energy, augmented
     labels as an int8 array), on ``session`` when given (see
-    ``ExpandedDual.solve_array``).  Each node's splits are rounded to
+    ``ExpandedDual.solve``).  Each node's splits are rounded to
     matching-scale units and its first one takes up the difference to the
     node's unary target."""
     base_scaled, target = base
@@ -267,7 +266,7 @@ def _bound(
     units[pcc.by_node] = grouped
     if np.abs(units).max(initial=0) > MAX_ABS_WEIGHT:
         raise WeightRangeError("scaled split weight exceeds safe range; lower matching_scale")
-    return pcc.dual.solve_array(np.concatenate((base_scaled, units)), engine, session)
+    return pcc.dual.solve(np.concatenate((base_scaled, units)), session)
 
 
 def lower_bound(
@@ -275,7 +274,6 @@ def lower_bound(
     pcc: PCCGraph,
     params: VariationalParams,
     matching_scale: int = DEFAULT_MATCHING_SCALE,
-    engine: str | None = None,
 ) -> tuple[float, Labels]:
     """Exact minimum of the augmented model at the given splits: a valid
     lower bound on the original minimum energy.
@@ -292,7 +290,7 @@ def lower_bound(
     if model != pcc.model:
         raise ValueError("model differs from the model the PCC graph was built for")
     scale = int(matching_scale)
-    gs, labels = _bound(pcc, params, scale, _scale_base(pcc.model, scale), engine)
+    gs, labels = _bound(pcc, params, scale, _scale_base(pcc.model, scale))
     return gs / scale + pcc.model.constant, tuple(labels.tolist())
 
 
@@ -386,7 +384,6 @@ def optimize(
     max_iters: int = 1000,
     tol: float = 1.0,
     matching_scale: int = DEFAULT_MATCHING_SCALE,
-    engine: str | None = None,
     on_iteration: Callable[[int, VariationalParams, float, float], None] | None = None,
 ) -> SolveResult:
     """Full solve: iterate exact lower bounds and decoded upper bounds,
@@ -424,11 +421,11 @@ def optimize(
     start = time.perf_counter()
     limit = max(1, max_iters)
     iteration = 0
-    session = pcc.dual.open_session(engine)
+    session = pcc.dual.open_session()
     try:
         while iteration < limit:
             iteration += 1
-            gs, config = _bound(pcc, params, scale, base, engine, session)
+            gs, config = _bound(pcc, params, scale, base, session)
             lb = gs / scale + model.constant
             x = config[:n]
             cand, ub = upper.decode(x) if upper is not None else decode_upper(model, x.tolist())

@@ -1,14 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 
+import planarcc.matching
 from planarcc import BinaryMRF, SymmetricIsing
 from planarcc.matching import available_engines
 
 
 @pytest.fixture(params=available_engines())
-def engine(request):
+def engine(request, monkeypatch):
+    """Each loaded kernel in turn, made the one every solve goes through."""
+    monkeypatch.setattr(planarcc.matching, "DEFAULT_ENGINE", request.param)
     return request.param
+
+
+def assert_same(got, want):
+    """Two kernel results (mate, duals) hold the same int64 arrays."""
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[0].dtype == got[1].dtype == np.int64
 
 
 def random_match_graph(rng: random.Random, n: int, density: float, lo=-20, hi=20):

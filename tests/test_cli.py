@@ -13,12 +13,12 @@ RUN = [sys.executable, "-m", "planarcc.cli"]
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def cli(*args):
+def cli(*args, **env):
     # The child finds planarcc under src/ whether or not PYTHONPATH is set.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         RUN + list(args), capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
 
@@ -160,15 +160,43 @@ def test_missing_file_errors():
     assert r.returncode == 2
 
 
-def test_solve_with_unloaded_engine_reports_why(tmp_path, capsys, monkeypatch):
+def test_solve_reports_the_engine_that_ran(tmp_path):
     import planarcc.matching
 
-    monkeypatch.delitem(planarcc.matching._ENGINES, "compiled", raising=False)
-    monkeypatch.setattr(planarcc.matching, "COMPILED_UNAVAILABLE", "no cc here")
     model_path = tmp_path / "m.json"
-    assert main(["gen-grid", "--rows", "2", "--cols", "2", "--a", "0.5",
-                 "--seed", "3", "-o", str(model_path)]) == 0
-    assert main(["solve", str(model_path), "--engine", "compiled"]) == 2
+    assert cli("gen-grid", "--rows", "2", "--cols", "2", "--a", "0.5",
+               "--seed", "3", "-o", str(model_path)).returncode == 0
+    r = cli("solve", str(model_path))
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["engine"] == planarcc.matching.DEFAULT_ENGINE
+    assert out.get("compiled_unavailable") == planarcc.matching.COMPILED_UNAVAILABLE
+
+    r = cli("solve", str(model_path), PLANARCC_NO_EXT="1")
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["engine"] == "python"
+    assert out["compiled_unavailable"] == "PLANARCC_NO_EXT is set"
+
+
+@pytest.mark.parametrize("section,key,value,says", [
+    ("options", "max_iter", 10, "'max_iter'"),
+    ("options", "engine", "python", "'engine'"),
+    ("specs", "sead", 1, "'sead'"),
+    ("specs", "seed", None, "'seed'"),
+    ("specs", "rows", 0, "grid dimensions must be >= 1"),
+])
+def test_batch_rejects_a_bad_key(tmp_path, capsys, section, key, value, says):
+    doc = {"specs": [{"rows": 2, "cols": 2, "a": 0.5, "seed": 0}], "options": {"max_iters": 5}}
+    entry = doc["options"] if section == "options" else doc["specs"][0]
+    if value is None:
+        del entry[key]
+    else:
+        entry[key] = value
+    spec_path = tmp_path / "batch.json"
+    spec_path.write_text(json.dumps(doc))
+    out = tmp_path / "results.csv"
+    assert main(["batch", "--spec", str(spec_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: matching engine 'compiled' unavailable")
-    assert "['python']" in err and "no cc here" in err
+    assert err.startswith(f"error: batch {section}: ") and says in err
+    assert not out.exists()

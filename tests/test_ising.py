@@ -192,7 +192,7 @@ def test_engine_choice_passthrough(engine):
     edges, emb = cycle(5)
     ising = SymmetricIsing(5, tuple((i, j, (-1) ** i * (i + 1)) for (i, j) in edges))
     want = brute_force_map_ising(ising)
-    assert ground_state(ising, emb, engine=engine).energy == want.energy
+    assert ground_state(ising, emb).energy == want.energy
 
 
 def cycle_with_pendant_path(k: int, tail: int):
@@ -225,10 +225,10 @@ def test_port_weights_agree_with_rebuilt_dual(engine):
         weights = [w for (_, _, w) in ising.edges]
         assert dual.port_weights(weights).tolist() == [w for (_, _, w) in rebuilt.edges]
         want = brute_force_map_ising(ising).energy
-        assert ground_state(ising, emb, engine).energy == want
+        assert ground_state(ising, emb).energy == want
         # The PCC loop's path: the dual built at other weights, solved at these.
-        assert dual.solve(weights, engine)[0] == want
-        matching = min_weight_perfect_matching(rebuilt, engine)
+        assert dual.solve(weights)[0] == want
+        matching = min_weight_perfect_matching(rebuilt)
         mate = [-1] * dual.num_ports
         for (u, v) in matching.pairs:
             mate[u], mate[v] = v, u
@@ -254,16 +254,16 @@ def _pair_across_non_edges(mate, eu, ev):
     raise AssertionError("no non-edge pair to corrupt")
 
 
-def _ground_state_call(engine):
+def _ground_state_call():
     ising, emb = random_grid_ising(random.Random(5), 3, 3)
-    return lambda: ground_state(ising, emb, engine)
+    return lambda: ground_state(ising, emb)
 
 
-def _lower_bound_call(engine):
+def _lower_bound_call():
     model, emb = random_grid_model(random.Random(5), 3, 3, a_scaled=400)
     pcc = build_pcc(model, emb)
     params = init_params(model, pcc)
-    return lambda: lower_bound(model, pcc, params, engine=engine)
+    return lambda: lower_bound(model, pcc, params)
 
 
 @pytest.mark.parametrize("corrupt", [_unmatch_first_pair, _pair_across_non_edges])
@@ -274,13 +274,13 @@ def test_solve_rejects_a_mate_that_is_no_port_graph_matching(
     kernel = engine_kernel(engine)
     real = kernel.solve_max_weight_matching
 
-    def broken(n, eu, ev, ew):
-        mate, duals = real(n, eu, ev, ew)
+    def broken(n, eu, ev, ew, session=None):
+        mate, duals = real(n, eu, ev, ew, session)
         mate = list(mate)
         corrupt(mate, list(eu), list(ev))
         return mate, duals
 
-    solve = call(engine)
+    solve = call()
     solve()
     monkeypatch.setattr(kernel, "solve_max_weight_matching", broken)
     with pytest.raises(NoPerfectMatchingError, match="matching kernel returned no perfect matching"):
@@ -333,4 +333,4 @@ def test_decode_sums_python_ints_near_the_weight_limit(engine):
     assert big * (len(dual.weights) + dual.num_ports) >= 2**62
     cut, (energy, labels) = solve_and_decode(dual, np.array(dual.weights, dtype=np.int64), engine)
     assert labels == tree_loop_labels(dual, cut)
-    assert energy == ising_energy(ising, labels) == ground_state(ising, emb, engine).energy
+    assert energy == ising_energy(ising, labels) == ground_state(ising, emb).energy

@@ -14,7 +14,11 @@ import planarcc
 from planarcc import matching
 from planarcc.matching import _blossom_c, _blossom_py
 
+from conftest import assert_same
+
 SRC_ROOT = Path(planarcc.__file__).resolve().parent.parent
+# A child interpreter finds planarcc and this directory's conftest.
+CHILD_PATH = os.pathsep.join([str(SRC_ROOT), str(Path(__file__).resolve().parent)])
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no system C compiler")
 
@@ -54,7 +58,8 @@ def test_real_build_loads_solves_and_is_reused(tmp_path, monkeypatch):
     assert kernel.path.parent == tmp_path
     eu, ev, ew = [0, 1, 2, 0], [1, 2, 3, 3], [-1, -2, -3, -4]
     want = _blossom_py.solve_max_weight_matching(4, eu, ev, ew)
-    assert kernel.solve(4, eu, ev, ew) == want
+    monkeypatch.setattr(_blossom_c, "_kernel", kernel)
+    assert_same(_blossom_c.solve_max_weight_matching(4, eu, ev, ew), want)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a warm cache must start no process")
@@ -63,7 +68,8 @@ def test_real_build_loads_solves_and_is_reused(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", refuse)
     again, reason = _blossom_c.try_load(tmp_path)
     assert reason is None and again.path == kernel.path
-    assert again.solve(4, eu, ev, ew) == want
+    monkeypatch.setattr(_blossom_c, "_kernel", again)
+    assert_same(_blossom_c.solve_max_weight_matching(4, eu, ev, ew), want)
     assert list(tmp_path.iterdir()) == [kernel.path]
 
 
@@ -104,15 +110,12 @@ def test_unbuildable_kernel_falls_back_to_python(tmp_path, compiler):
     assert words in reason
     assert not cache.exists() or list(cache.iterdir()) == []
 
-    engines, default = matching._select_engines(reason, None)
+    engines, default = matching._select_engines(reason)
     assert default == "python" and sorted(engines) == ["python"]
-    with pytest.raises(ImportError, match=words):
-        matching._select_engines(reason, "compiled")
 
 
 def test_no_ext_selects_python_in_a_fresh_interpreter():
     env = dict(os.environ, PLANARCC_NO_EXT="1")
-    env.pop("PLANARCC_MATCHING", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
@@ -125,14 +128,6 @@ def test_no_ext_selects_python_in_a_fresh_interpreter():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip() == "['python'] python PLANARCC_NO_EXT is set"
-
-    env["PLANARCC_MATCHING"] = "compiled"
-    out = subprocess.run(
-        [sys.executable, "-c", "import planarcc"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode != 0
-    assert "ImportError" in out.stderr and "PLANARCC_NO_EXT is set" in out.stderr
 
 
 @needs_cc
@@ -157,8 +152,10 @@ def test_kernel_has_no_undefined_behaviour_at_the_weight_limit(tmp_path):
     code = textwrap.dedent(f"""
         import random
         from planarcc.matching import MAX_ABS_WEIGHT, _blossom_c, _blossom_py
+        from conftest import assert_same
 
-        kernel = _blossom_c.Kernel({str(lib)!r})
+        # Cold solves through the module's one path: a session per solve.
+        _blossom_c._kernel = _blossom_c.Kernel({str(lib)!r})
         rng = random.Random(11)
         big = MAX_ABS_WEIGHT
         for _ in range(40):
@@ -170,7 +167,10 @@ def test_kernel_has_no_undefined_behaviour_at_the_weight_limit(tmp_path):
                 continue
             eu, ev = (list(col) for col in zip(*edges))
             ew = [rng.choice((-big, big, rng.randint(-big, big))) for _ in edges]
-            assert kernel.solve(n, eu, ev, ew) == _blossom_py.solve_max_weight_matching(n, eu, ev, ew)
+            assert_same(
+                _blossom_c.solve_max_weight_matching(n, eu, ev, ew),
+                _blossom_py.solve_max_weight_matching(n, eu, ev, ew),
+            )
         # Sparse graphs with weights -big, 0 or big leave many trees after
         # the greedy start, so candidate-heap keys (slack + cum) reach the limit.
         for _ in range(20):
@@ -180,10 +180,12 @@ def test_kernel_has_no_undefined_behaviour_at_the_weight_limit(tmp_path):
                      if rng.random() < density]
             eu, ev = (list(col) for col in zip(*edges))
             ew = [big * rng.randint(-1, 1) for _ in edges]
-            assert kernel.solve(n, eu, ev, ew) == _blossom_py.solve_max_weight_matching(n, eu, ev, ew)
+            assert_same(
+                _blossom_c.solve_max_weight_matching(n, eu, ev, ew),
+                _blossom_py.solve_max_weight_matching(n, eu, ev, ew),
+            )
     """)
-    env = dict(os.environ, PLANARCC_NO_EXT="1", PYTHONPATH=str(SRC_ROOT))
-    env.pop("PLANARCC_MATCHING", None)
+    env = dict(os.environ, PLANARCC_NO_EXT="1", PYTHONPATH=CHILD_PATH)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
@@ -212,8 +214,9 @@ def test_session_reuse_is_clean_under_asan(tmp_path):
     code = textwrap.dedent(f"""
         import random
         from planarcc.matching import MAX_ABS_WEIGHT, _blossom_c, _blossom_py
+        from conftest import assert_same
 
-        kernel = _blossom_c.Kernel({str(lib)!r})
+        _blossom_c._kernel = _blossom_c.Kernel({str(lib)!r})
         rng = random.Random(17)
         big = MAX_ABS_WEIGHT
         solves = 0
@@ -224,7 +227,7 @@ def test_session_reuse_is_clean_under_asan(tmp_path):
                      if rng.random() < density]
             eu = [i for (i, _) in edges]
             ev = [j for (_, j) in edges]
-            session = _blossom_c.Session(kernel, n, eu, ev)
+            session = _blossom_c.open_session(n, eu, ev)
             twin = _blossom_py.Session(n, eu, ev)
             for _ in range(10):
                 lo, hi = rng.choice(((-20, 20), (-1, 1), (-big, big)))
@@ -238,17 +241,18 @@ def test_session_reuse_is_clean_under_asan(tmp_path):
                         pass
                     else:
                         raise AssertionError("out-of-range weight accepted")
-                assert session.solve(ew) == twin.solve(ew)
+                assert_same(session.solve(ew), twin.solve(ew))
                 solves += 1
             session.close()
             session.close()
+            # A cold solve opens and closes a session of its own.
+            assert_same(_blossom_c.solve_max_weight_matching(n, eu, ev, ew), twin.solve(ew))
         assert solves == 300, solves
     """)
     env = dict(
-        os.environ, PLANARCC_NO_EXT="1", PYTHONPATH=str(SRC_ROOT),
+        os.environ, PLANARCC_NO_EXT="1", PYTHONPATH=CHILD_PATH,
         LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
     )
-    env.pop("PLANARCC_MATCHING", None)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
     )

@@ -7,6 +7,7 @@ import pytest
 from planarcc import (
     Matching,
     NoPerfectMatchingError,
+    PlanarCCError,
     WeightedMatchGraph,
     WeightRangeError,
     min_weight_perfect_matching,
@@ -21,7 +22,7 @@ from planarcc.matching import (
 from planarcc.oracle import brute_force_mwpm
 from planarcc.pcc import build_pcc
 
-from conftest import random_grid_model, random_match_graph
+from conftest import assert_same, random_grid_model, random_match_graph
 
 needs_compiled = pytest.mark.skipif(
     not has_compiled_kernel(),
@@ -128,7 +129,7 @@ def test_engines_agree_at_weight_limit():
             e: engine_kernel(e).solve_max_weight_matching(n, eu, ev, neg)
             for e in ("python", "compiled")
         }
-        assert raw["compiled"] == raw["python"]
+        assert_same(raw["compiled"], raw["python"])
         g = WeightedMatchGraph(n, tuple(edges))
         try:
             want = brute_force_mwpm(g).total_weight
@@ -162,6 +163,15 @@ def test_graph_validation():
         WeightedMatchGraph(2, ((0, 1, 1.5),))
     with pytest.raises(WeightRangeError):
         WeightedMatchGraph(2, ((0, 1, 2**60),))
+
+
+def test_unloaded_engine_reports_why(monkeypatch):
+    import planarcc.matching
+
+    monkeypatch.delitem(planarcc.matching._ENGINES, "compiled", raising=False)
+    monkeypatch.setattr(planarcc.matching, "COMPILED_UNAVAILABLE", "no cc here")
+    with pytest.raises(PlanarCCError, match=r"'compiled' unavailable; have: \['python'\].*no cc here"):
+        min_weight_perfect_matching(FOUR_CYCLE, "compiled")
 
 
 def test_empty_graph():

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import planarcc.matching
 from planarcc import (
     BinaryMRF,
     PlanarEmbedding,
+    SymmetricIsing,
     build_pcc,
     complement,
     cycle,
@@ -15,6 +17,7 @@ from planarcc import (
     energy,
     faces,
     grid,
+    ground_state,
     init_params,
     lower_bound,
     optimize,
@@ -23,8 +26,14 @@ from planarcc import (
 )
 from planarcc.errors import WeightRangeError
 from planarcc.harness import InstanceSpec, generate_grid_instance
-from planarcc.matching import COMPILED_UNAVAILABLE, MAX_ABS_WEIGHT, has_compiled_kernel
-from planarcc.oracle import brute_force_map
+from planarcc.matching import (
+    COMPILED_UNAVAILABLE,
+    MAX_ABS_WEIGHT,
+    _blossom_c,
+    _blossom_py,
+    has_compiled_kernel,
+)
+from planarcc.oracle import brute_force_map, brute_force_map_ising
 from planarcc.pcc import _UpperBound, certificate_of
 
 from conftest import random_grid_model, random_tree
@@ -187,7 +196,7 @@ def test_lower_bound_rejects_a_split_beyond_int64(engine):
     model = BinaryMRF(3, ((0, 1, 1), (1, 2, 1)), (2e13, 0, 0), 0)
     g = build_pcc(model, emb)
     with pytest.raises(WeightRangeError, match="split weight"):
-        lower_bound(model, g, init_params(model, g), engine=engine)
+        lower_bound(model, g, init_params(model, g))
 
 
 def random_float_grid_model(rng, rows, cols):
@@ -223,13 +232,13 @@ def test_integer_splits_sum_exactly_to_each_scaled_unary(monkeypatch):
     from planarcc.ising import ExpandedDual
 
     sent = []
-    solve = ExpandedDual.solve_array
+    solve = ExpandedDual.solve
 
-    def record(self, weights, engine=None, session=None):
+    def record(self, weights, session=None):
         sent.append(np.array(weights))
-        return solve(self, weights, engine, session)
+        return solve(self, weights, session)
 
-    monkeypatch.setattr(ExpandedDual, "solve_array", record)
+    monkeypatch.setattr(ExpandedDual, "solve", record)
     rng = random.Random(223)
     scale = 10**6
     for _ in range(10):
@@ -572,17 +581,6 @@ def test_optimize_single_node_model():
         assert res.best_assignment == ((1,) if theta < 0 else (0,))
 
 
-def test_optimize_with_unloaded_engine_reports_why(monkeypatch):
-    import planarcc.matching
-    from planarcc import PlanarCCError
-
-    monkeypatch.delitem(planarcc.matching._ENGINES, "compiled", raising=False)
-    monkeypatch.setattr(planarcc.matching, "COMPILED_UNAVAILABLE", "no cc here")
-    model, emb = unit_grid_model(2, 2, unary=1)
-    with pytest.raises(PlanarCCError, match=r"'compiled' unavailable.*no cc here"):
-        optimize(model, emb, engine="compiled")
-
-
 def test_optimize_non_integer_model_warns_and_withholds_certificate():
     emb = PlanarEmbedding(((1,), (0,)))
     model = BinaryMRF(2, ((0, 1, -2.5),), (0.5, 0.0), 0)
@@ -619,16 +617,37 @@ def test_trace_csv_format_and_determinism(tmp_path):
     ],
     ids=["4x4", "6x6", "criterion-10"],
 )
-def test_trace_identical_across_engines(tmp_path, spec, max_iters, tol):
+def test_trace_identical_across_engines(tmp_path, monkeypatch, spec, max_iters, tol):
     model, emb = generate_grid_instance(spec)
     traces = []
     for engine in ("python", "compiled"):
+        # The seam of the ``engine`` fixture: every solve goes through this kernel.
+        monkeypatch.setattr(planarcc.matching, "DEFAULT_ENGINE", engine)
         p = tmp_path / f"{engine}.csv"
-        res = optimize(model, emb, max_iters=max_iters, tol=tol, engine=engine)
+        res = optimize(model, emb, max_iters=max_iters, tol=tol)
         res.trace.to_csv(p)
         traces.append(p.read_bytes())
     assert traces[0] == traces[1]
     assert len(traces[0].splitlines()) > 2
+
+
+def test_every_solver_runs_on_the_selected_kernel(monkeypatch, engine):
+    # With the other kernel's entries patched to raise, the solver layers
+    # must still run, each on the kernel the fixture selected.
+    other = {"python": _blossom_c, "compiled": _blossom_py}[engine]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{other.__name__} called while {engine} is selected")
+
+    monkeypatch.setattr(other, "solve_max_weight_matching", refuse)
+    monkeypatch.setattr(other, "open_session", refuse)
+    model, emb = random_grid_model(random.Random(41), 3, 3, a_scaled=400)
+    want = brute_force_map(model).energy
+    assert optimize(model, emb, max_iters=200).best_upper == want
+    g = build_pcc(model, emb)
+    assert lower_bound(model, g, init_params(model, g))[0] <= want
+    ising = SymmetricIsing(model.num_nodes, model.edges)
+    assert ground_state(ising, emb).energy == brute_force_map_ising(ising).energy
 
 
 def test_trace_timed_mode(tmp_path):

@@ -28,9 +28,9 @@ def test_tracer_sees_kernel_and_port_graph(tracing, engine):
     ising = SymmetricIsing(model.num_nodes, model.edges)
     # Entering the tracer looks up every wrapped name.
     with tracing.Tracer() as tracer:
-        optimize(model, emb, max_iters=5, engine=engine)
+        optimize(model, emb, max_iters=5)
         runs = [tracer.take()]
-        ground_state(ising, emb, engine)
+        ground_state(ising, emb)
         runs.append(tracer.take())
     assert tracer.kernel_traced
     for spans, ports in runs:
