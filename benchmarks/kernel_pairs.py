@@ -16,7 +16,8 @@ their compiled kernel.
 - Ground states: the same turns for each tree's ``ground_state`` on the
   unary-free grids of seed 0 (port graph, one cold matching and the
   decode), each tree building its own instance and a fresh
-  ``PlanarEmbedding`` per call, outside the timed region.
+  ``PlanarEmbedding`` per call, outside the timed region.  Each set also
+  records both trees' port graph sizes (ports and port edges).
 
 Turns in one process let drift in the machine's speed reach both trees
 alike, which files written one after the other do not.  It writes per set
@@ -42,7 +43,7 @@ from certify_iterations import ROOT, commit, cpu
 from kernel_solves import SETS, p50_p90, record, set_name
 
 REPS = 5
-GROUND_SIDES = [8, 12, 16, 24, 32]
+GROUND_SIDES = [8, 12, 16, 24, 32, 48]
 GROUND_CALLS = 31
 
 
@@ -94,19 +95,26 @@ def kernel_set(spec: dict, kernel, this_entry, other_entry) -> dict:
 
 
 def ground_set(side: int, packages) -> dict:
-    args = []
+    args, sizes = [], []
     for pkg in packages:
         model, emb = pkg.harness.generate_grid_instance(
             pkg.harness.InstanceSpec(side, side, 0.0, 0, 500)
         )
-        args.append((pkg, pkg.SymmetricIsing(model.num_nodes, model.edges), emb.rotations))
+        ising = pkg.SymmetricIsing(model.num_nodes, model.edges)
+        args.append((pkg, ising, emb.rotations))
+        dual = pkg.build_expanded_dual(ising, emb)
+        sizes.append((dual.num_ports, len(dual.port_u)))
     pairs = []
     for call in range(GROUND_CALLS):
         fresh = [(pkg.ground_state, ising, pkg.PlanarEmbedding(rot)) for pkg, ising, rot in args]
         (g0, i0, e0), (g1, i1, e1) = fresh
         # One call each: a fresh embedding serves one call.
         pairs.append(alternate(lambda: g0(i0, e0), lambda: g1(i1, e1), 1, call))
-    return summary(f"{side}x{side} ground_state", pairs, calls=GROUND_CALLS)
+    (ports, edges), (other_ports, other_edges) = sizes
+    return summary(
+        f"{side}x{side} ground_state", pairs, calls=GROUND_CALLS, ports=ports,
+        port_edges=edges, other_ports=other_ports, other_port_edges=other_edges,
+    )
 
 
 def main(argv: list[str]) -> int:

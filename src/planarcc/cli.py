@@ -65,8 +65,21 @@ def _embedding_for(model, rotations) -> PlanarEmbedding:
     return embedding
 
 
+def _from_keys(cls, keys: dict, where: str):
+    """``cls(**keys)``; an unknown or missing key, or a value ``cls``
+    rejects, raises PlanarCCError, which names it after ``where``."""
+    try:
+        return cls(**keys)
+    except (TypeError, ValueError) as exc:
+        raise PlanarCCError(f"{where}: {exc}") from None
+
+
 def cmd_gen_grid(args) -> int:
-    spec = InstanceSpec(args.rows, args.cols, args.a, args.seed, args.scale)
+    spec = _from_keys(
+        InstanceSpec,
+        dict(rows=args.rows, cols=args.cols, a=args.a, seed=args.seed, scale=args.scale),
+        "gen-grid",
+    )
     model, _ = generate_grid_instance(spec)
     save_model(args.output, model, rotations=None, meta=instance_meta(spec))
     print(args.output)
@@ -76,10 +89,10 @@ def cmd_gen_grid(args) -> int:
 def cmd_solve(args) -> int:
     model, rotations, meta = load_model(args.model)
     embedding = _embedding_for(model, rotations)
-    options = SolverOptions(
-        max_iters=args.max_iters,
-        tol=args.tol,
-        matching_scale=args.matching_scale,
+    options = _from_keys(
+        SolverOptions,
+        dict(max_iters=args.max_iters, tol=args.tol, matching_scale=args.matching_scale),
+        "solve",
     )
     import time
 
@@ -129,20 +142,11 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _from_keys(cls, keys: dict, where: str):
-    """``cls(**keys)``; an unknown or missing key, or a value ``cls``
-    rejects, raises PlanarCCError, which names it."""
-    try:
-        return cls(**keys)
-    except (TypeError, ValueError) as exc:
-        raise PlanarCCError(f"batch {where}: {exc}") from None
-
-
 def cmd_batch(args) -> int:
     with open(args.spec) as fh:
         doc = json.load(fh)
-    specs = [_from_keys(InstanceSpec, s, "specs") for s in doc["specs"]]
-    options = _from_keys(SolverOptions, doc.get("options", {}), "options")
+    specs = [_from_keys(InstanceSpec, s, "batch specs") for s in doc["specs"]]
+    options = _from_keys(SolverOptions, doc.get("options", {}), "batch options")
     summaries = batch(specs, options, jobs=args.jobs, out=args.out)
     agg = aggregate(summaries)
     if args.aggregate_out:

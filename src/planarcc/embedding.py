@@ -41,7 +41,7 @@ def _dart_arrays(rotations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _tails(offset: np.ndarray) -> np.ndarray:
     """tail[d] of every dart, from the dart offsets of ``_dart_arrays``."""
-    return np.repeat(np.arange(len(offset) - 1, dtype=np.int64), np.diff(offset))
+    return np.repeat(np.arange(len(offset) - 1, dtype=np.int64), offset[1:] - offset[:-1])
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,10 @@ class Faces(Sequence[Face]):
     rotation position), vertex v's darts are offset[v] to offset[v + 1] - 1,
     and succ[d] is the dart after d in its tail's rotation.  Face f's
     boundary is the darts walk[starts[f]:starts[f + 1]] in walk order, and
-    face_of[d] is the face of dart d.  ``tree`` is a spanning tree as
-    (vertex, parent, dart parent -> vertex) triples, in breadth-first order
-    from vertex 0 with each rotation scanned in order.  A ``Face`` is built
-    only when indexed or iterated.
+    face_of[d] is the face of dart d.  ``tree`` is a spanning tree as the
+    int64 array of its darts parent -> vertex, in breadth-first order from
+    vertex 0 with each rotation scanned in order.  A ``Face`` is built only
+    when indexed or iterated.
     """
 
     def __init__(self, offset, tail, head, succ, by_key, walk, starts, face_of, tree):
@@ -150,8 +150,9 @@ class Faces(Sequence[Face]):
         self.tail = tail
         self.head = head
         self.succ = succ
-        # The darts in order of their key tail * n + head.
+        # The darts in order of their key tail * n + head, and those keys.
         self._by_key = by_key
+        self._keys = (tail * (len(offset) - 1) + head)[by_key]
         self.walk = walk
         self.starts = starts
         self.face_of = face_of
@@ -174,15 +175,14 @@ class Faces(Sequence[Face]):
     def darts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Index of dart u[t] -> v[t] for each t; each pair must be an edge."""
         n = len(self.offset) - 1
-        key = self.tail * n + self.head
-        return self._by_key[np.searchsorted(key, u * n + v, sorter=self._by_key)]
+        return self._by_key[np.searchsorted(self._keys, u * n + v)]
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> bool:
         """True when the embedded graph's edges are exactly the pairs
         (u[t], v[t]), given with u < v and without repeats."""
-        n, d = len(self.offset) - 1, self._by_key
-        own = (self.tail[d] * n + self.head[d])[self.tail[d] < self.head[d]]
-        return np.array_equal(own, np.sort(u * n + v, kind="stable"))
+        d = self._by_key
+        own = self._keys[self.tail[d] < self.head[d]]
+        return np.array_equal(own, np.sort(u * (len(self.offset) - 1) + v))
 
 
 def euler_check(num_vertices: int, num_edges: int, num_faces: int) -> bool:
@@ -208,20 +208,20 @@ def faces(embedding: PlanarEmbedding) -> Faces:
     tail = _tails(offset)
     head = tail[twin]
     start = offset[tail]
-    succ = start + (np.arange(len(tail)) - start + 1) % np.diff(offset)[tail]
+    succ = start + (np.arange(len(tail)) - start + 1) % (offset[tail + 1] - start)
 
     offset_list, head_list = offset.tolist(), head.tolist()
     seen = [False] * n
     seen[0] = True
     order: list[int] = [0]
-    tree = []
+    tree: list[int] = []
     for v in order:
         for d in range(offset_list[v], offset_list[v + 1]):
             u = head_list[d]
             if not seen[u]:
                 seen[u] = True
                 order.append(u)
-                tree.append((u, v, d))
+                tree.append(d)
     if len(order) != n:
         raise NotPlanarEmbeddingError("graph is disconnected; split components first")
 
@@ -262,7 +262,7 @@ def faces(embedding: PlanarEmbedding) -> Faces:
         np.array(walk, dtype=np.int64),
         np.array(starts, dtype=np.int64),
         np.array(face_of, dtype=np.int64),
-        tuple(tree),
+        np.array(tree, dtype=np.int64),
     )
 
 

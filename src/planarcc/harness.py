@@ -58,6 +58,10 @@ class SolverOptions:
     tol: float = 1.0
     matching_scale: int = DEFAULT_MATCHING_SCALE
 
+    def __post_init__(self):
+        if self.matching_scale < 1:
+            raise ValueError("matching_scale must be >= 1")
+
 
 @dataclass(frozen=True)
 class RunSummary:

@@ -3,15 +3,28 @@
 A labeling of a planar graph cuts a set of edges; cut sets correspond
 exactly to even-degree edge subsets of the dual graph.  Minimum-weight even
 subgraphs are found by perfect matching on a port graph: each face gets one
-port per boundary dart, ports of a face form a zero-weight clique, and the
-two ports of each edge are joined by an edge carrying minus the edge weight.
-A port pair matched across an edge means "uncut"; leftover (cut) ports pair
-up inside their face's clique, which enforces even cut parity around every
-face.
+port per boundary dart, the ports of a face are joined by a zero-weight
+gadget, and the two ports of each edge are joined by an edge carrying minus
+the edge weight.  A port pair matched across an edge means "uncut"; leftover
+(cut) ports are matched inside their face's gadget, which has a perfect
+matching on any even set of its ports and on no odd one, so cut parity is
+even around every face.
+
+A face of at most 6 ports gets a clique.  A longer face is folded: an
+adjacent pair of ports (a, b) joins a new vertex c in a triangle, a new
+vertex c' hangs off c and takes the pair's place, until 6 remain for a
+clique.  c' is left to the rest of the face exactly when one of a, b is,
+so the fold keeps the parity rule; it is a zero-weight chord of the face,
+which changes no labeling's energy.  A clique on L ports has L(L - 1)/2
+edges and a folded face 4L - 9, equal at L = 6.  So the port graph stays
+linear in the model's size, as it does where Schraudolph & Kamenetsky
+triangulate with zero-weight edges ("Efficient exact inference in planar
+Ising models", NIPS 2008).
 
 A bridge borders the same face twice, so its dual edge is a self-loop and
-its cut state is parity-free: its two ports get a single merged edge with
-weight min(-w, 0), and the bridge is decoded as cut exactly when w < 0.
+its cut state is parity-free: its two ports get a single edge with weight
+min(-w, 0), which replaces their gadget edge when the gadget has one, and
+the bridge is decoded as cut exactly when w < 0.
 
 ``ground_state`` and the PCC loop share this one reduction: the port graph
 is built once per embedded topology, from the darts and faces of
@@ -29,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -50,19 +64,22 @@ from .model import Labels, SymmetricIsing
 class ExpandedDual:
     """Matching reduction of a symmetric planar model.
 
-    Port edge t joins ports port_u[t] and port_v[t].  For t below the
-    model's edge count it stands for model edge t (bridge[t] marks merged
-    bridge edges); the rest are the zero-weight face cliques.  edge_u and
-    edge_v hold the model edges' endpoints.  The decode tree is
-    ``Faces.tree`` with each dart replaced by its model edge: tree_vertex
-    lists the vertices other than node 0 in breadth-first order from node
-    0, tree_edge the model edge to each one's parent, and parent[v] is the
+    The port graph has ``num_ports`` vertices: one per dart, numbered by
+    position in the face walks, then two per fold of each face of more than
+    6 ports (see the module doc).  Port edge t joins ports port_u[t] and
+    port_v[t].  For t below the model's edge count it stands for model edge
+    t (bridge[t] marks merged bridge edges), and only those port edges are
+    decoded; the rest are the zero-weight face gadgets.  edge_u and edge_v
+    hold the model edges' endpoints.  The decode tree is ``Faces.tree``
+    with each dart replaced by its model edge: tree_vertex lists the
+    vertices other than node 0 in breadth-first order from node 0,
+    tree_edge the model edge to each one's parent, and parent[v] is the
     parent of vertex v (node 0 is its own).  ``weights`` are the model's
-    edge weights: the minimum matching weight of ``match_graph`` plus
+    int64 edge weights: the minimum matching weight of ``match_graph`` plus
     their sum equals the ground-state energy.
     """
 
-    weights: tuple[int, ...]
+    weights: np.ndarray
     num_ports: int
     port_u: np.ndarray
     port_v: np.ndarray
@@ -96,7 +113,7 @@ class ExpandedDual:
     def port_weights(self, weights: Sequence[int] | np.ndarray) -> np.ndarray:
         """Port-edge weights for model edge weights ``weights``: -w on each
         model edge's port edge, min(-w, 0) on a bridge's (its cut state is
-        parity-free: it is cut exactly when w < 0), 0 on clique edges."""
+        parity-free: it is cut exactly when w < 0), 0 on gadget edges."""
         w = np.asarray(weights, dtype=np.int64)
         if w.shape != self.bridge.shape:
             raise ValueError(f"expected {len(self.bridge)} weights, got {len(w)}")
@@ -193,19 +210,59 @@ def _endpoints(
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
-def _face_cliques(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (u, v), u < v, of a clique on each face's ports starts[f] to
-    starts[f + 1] - 1, sorted by (u, v)."""
-    lengths = np.diff(starts)
-    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for length in sorted(set(lengths.tolist())):
-        first = starts[:-1][lengths == length, None]
-        a, b = np.triu_indices(length, 1)
-        us.append((first + a).ravel())
-        vs.append((first + b).ravel())
-    u, v = np.concatenate(us), np.concatenate(vs)
-    order = np.argsort(u * int(starts[-1]) + v, kind="stable")
-    return u[order], v[order]
+# A face of L ports costs L(L - 1)/2 clique edges, or 4L - 9 when folded
+# (below); the two are equal at L = 6, so only longer faces are folded.
+CLIQUE_MAX_PORTS = 6
+_SLOTS = np.arange(CLIQUE_MAX_PORTS)
+_PAIR_I, _PAIR_J = np.triu_indices(CLIQUE_MAX_PORTS, 1)
+
+
+def _face_gadgets(starts: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(vertex count, u, v) of the zero-weight gadgets on each face's ports
+    starts[f] to starts[f + 1] - 1, every edge with u < v.
+
+    A face of L > ``CLIQUE_MAX_PORTS`` ports is folded as a queue of its
+    ports in walk order: fold i takes queue items 2i and 2i + 1 (a, b), adds
+    the triangle (a, b, c) and the edge (c, c'), and c' joins the queue as
+    item L + i.  After L - 6 folds, 6 items remain.  Each face's last items
+    (all of its ports when it has at most 6) form a clique.  The cliques
+    come first, in face order and then (u, v) order, then the fold edges:
+    every (a, b), every (a, c), every (b, c), every (c, c').  Fold j, over
+    all faces in order, has c = num_darts + 2j and c' = c + 1.
+    """
+    num_darts = int(starts[-1])
+    first, lengths = starts[:-1], starts[1:] - starts[:-1]
+    slot = first[:, None] + _SLOTS
+    extra = lengths - CLIQUE_MAX_PORTS
+    long = extra > 0
+    fold_u, fold_v, folds = (), (), 0
+    if long.any():
+        # Pick p of all folds' queue items (2j and 2j + 1 for fold j) is
+        # item q = p - 2J of its face, J the folds of the faces before it:
+        # while q < L (p < limit) the port first + q = port + p, else c' of
+        # the face's fold q - L, num_darts + 2(J + q - L) + 1 = 2p - odd.
+        # Its last 6 items are q = 2(L - 6) + r, that is p = 2 end + r.
+        extra = extra[long]
+        end = extra.cumsum()
+        done = 2 * (end - extra)
+        port = first[long] - done
+        limit = done + extra + CLIQUE_MAX_PORTS
+        odd = limit + extra + (CLIQUE_MAX_PORTS - 1 - num_darts)
+        folds = int(end[-1])
+        p = np.arange(2 * folds)
+        twice = 2 * extra
+        picks = np.where(
+            p < limit.repeat(twice), port.repeat(twice) + p, 2 * p - odd.repeat(twice)
+        )
+        a, b, c = picks[::2], picks[1::2], num_darts + p[::2]
+        fold_u, fold_v = (a, a, b, c), (b, c, c, c + 1)
+        last = 2 * end[:, None] + _SLOTS
+        slot[long] = np.where(last < limit[:, None], port[:, None] + last, 2 * last - odd[:, None])
+    # A folded face's 6 slots are all filled, so j < L picks its 15 pairs.
+    pairs = _PAIR_J < lengths[:, None]
+    u = np.concatenate((slot[:, _PAIR_I][pairs], *fold_u))
+    v = np.concatenate((slot[:, _PAIR_J][pairs], *fold_v))
+    return num_darts + 2 * folds, u, v
 
 
 def _check_endpoints(num_nodes: int, u: np.ndarray, v: np.ndarray) -> None:
@@ -235,18 +292,25 @@ def build_expanded_dual(
     if isinstance(ising, SymmetricIsing):
         if not ising.is_integer:
             raise ValueError("matching reduction requires integer weights; scale first")
-        weights = tuple(w for (_, _, w) in ising.edges)
-        if max(map(abs, weights), default=0) > MAX_ABS_WEIGHT:
-            raise WeightRangeError("edge weight outside the matching kernel's safe range")
+        out_of_range = "edge weight outside the matching kernel's safe range"
+        # One pass over the (i, j, w) triples; only a weight can pass int64.
+        try:
+            flat = np.fromiter(
+                chain.from_iterable(ising.edges), dtype=np.int64, count=3 * len(ising.edges)
+            )
+        except OverflowError:
+            raise WeightRangeError(out_of_range) from None
+        edge_u, edge_v, weights = flat.reshape(-1, 3).T.copy()
+        if ((weights > MAX_ABS_WEIGHT) | (weights < -MAX_ABS_WEIGHT)).any():
+            raise WeightRangeError(out_of_range)
         if embedding.num_vertices != ising.num_nodes:
             raise NotPlanarEmbeddingError(
                 f"embedding has {embedding.num_vertices} vertices, model has {ising.num_nodes}"
             )
-        edge_u, edge_v = _endpoints(ising.edges)
     else:
         edge_u, edge_v = ising
         _check_endpoints(embedding.num_vertices, edge_u, edge_v)
-        weights = (0,) * len(edge_u)
+        weights = np.zeros(len(edge_u), dtype=np.int64)
     fs = faces(embedding)
     if not fs.has_edges(edge_u, edge_v):
         raise NotPlanarEmbeddingError("embedding edge set differs from model edge set")
@@ -254,33 +318,34 @@ def build_expanded_dual(
     # A dart's port is its position in the face walk, so each face's ports
     # are consecutive.  Port edge t joins the ports of model edge t's two
     # darts; a bridge's darts share a face, and its edge replaces their
-    # clique edge.
-    num_ports = len(fs.walk)
-    port = np.empty(num_ports, dtype=np.int64)
-    port[fs.walk] = np.arange(num_ports)
+    # gadget edge where the gadget has one.
+    num_darts = len(fs.walk)
+    port = np.empty(num_darts, dtype=np.int64)
+    port[fs.walk] = np.arange(num_darts)
     forward, backward = fs.darts(edge_u, edge_v), fs.darts(edge_v, edge_u)
-    edge_of = np.empty(num_ports, dtype=np.int64)
-    edge_of[forward] = edge_of[backward] = np.arange(len(edge_u))
     p1, p2 = port[forward], port[backward]
     bridge = fs.face_of[forward] == fs.face_of[backward]
-    clique_u, clique_v = _face_cliques(fs.starts)
-    merged = np.minimum(p1, p2)[bridge] * num_ports + np.maximum(p1, p2)[bridge]
-    keep = np.ones(len(clique_u), dtype=bool)
-    keep[np.searchsorted(clique_u * num_ports + clique_v, merged)] = False
-    tree = np.array(fs.tree, dtype=np.int64).reshape(-1, 3)
+    num_ports, gadget_u, gadget_v = _face_gadgets(fs.starts)
+    if bridge.any():
+        lo, hi = np.minimum(p1, p2)[bridge], np.maximum(p1, p2)[bridge]
+        keep = ~np.isin(gadget_u * num_ports + gadget_v, lo * num_ports + hi)
+        gadget_u, gadget_v = gadget_u[keep], gadget_v[keep]
+    edge_of = np.empty(num_darts, dtype=np.int64)
+    edge_of[forward] = edge_of[backward] = np.arange(len(edge_u))
+    tree_vertex = fs.head[fs.tree]
     parent = np.zeros(embedding.num_vertices, dtype=np.int64)
-    parent[tree[:, 0]] = tree[:, 1]
+    parent[tree_vertex] = fs.tail[fs.tree]
 
     return ExpandedDual(
         weights=weights,
         num_ports=num_ports,
-        port_u=np.concatenate((p1, clique_u[keep])),
-        port_v=np.concatenate((p2, clique_v[keep])),
+        port_u=np.concatenate((p1, gadget_u)),
+        port_v=np.concatenate((p2, gadget_v)),
         bridge=bridge,
         edge_u=edge_u,
         edge_v=edge_v,
-        tree_vertex=tree[:, 0],
-        tree_edge=edge_of[tree[:, 2]],
+        tree_vertex=tree_vertex,
+        tree_edge=edge_of[fs.tree],
         parent=parent,
     )
 

@@ -185,6 +185,7 @@ def test_solve_reports_the_engine_that_ran(tmp_path):
     ("specs", "sead", 1, "'sead'"),
     ("specs", "seed", None, "'seed'"),
     ("specs", "rows", 0, "grid dimensions must be >= 1"),
+    ("options", "matching_scale", 0, "matching_scale must be >= 1"),
 ])
 def test_batch_rejects_a_bad_key(tmp_path, capsys, section, key, value, says):
     doc = {"specs": [{"rows": 2, "cols": 2, "a": 0.5, "seed": 0}], "options": {"max_iters": 5}}
@@ -200,3 +201,31 @@ def test_batch_rejects_a_bad_key(tmp_path, capsys, section, key, value, says):
     err = capsys.readouterr().err
     assert err.startswith(f"error: batch {section}: ") and says in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value,says", [
+    ("--rows", "0", "grid dimensions must be >= 1"),
+    ("--scale", "0", "scale must be >= 1"),
+    ("--a", "-1", "unary magnitude a must be >= 0"),
+])
+def test_gen_grid_rejects_a_bad_option_value(tmp_path, capsys, option, value, says):
+    args = {"--rows": "2", "--cols": "2", "--a": "0.5", "--seed": "1", option: value}
+    out = tmp_path / "m.json"
+    argv = ["gen-grid", *(x for kv in args.items() for x in kv), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: gen-grid: {says}\n"
+    assert not out.exists()
+
+
+def test_solve_rejects_a_bad_matching_scale(tmp_path, capsys):
+    model_path, trace = tmp_path / "m.json", tmp_path / "trace.csv"
+    assert main(["gen-grid", "--rows", "2", "--cols", "2", "--a", "0.5",
+                 "--seed", "1", "-o", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(model_path), "--matching-scale", "0", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: solve: matching_scale must be >= 1\n"
+    assert captured.out == "" and not trace.exists()
+    r = cli("solve", str(model_path), "--matching-scale", "-3")
+    assert r.returncode == 2
+    assert r.stderr == "error: solve: matching_scale must be >= 1\n"

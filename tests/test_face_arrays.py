@@ -1,12 +1,12 @@
 """The setup structures built on integer darts against reference builders.
 
 ``faces``, ``build_expanded_dual`` and ``build_pcc`` walk dart arrays.  The
-reference functions below are the dict-based builders they replaced, kept
-here verbatim in substance: the new code must reproduce their faces, port
-graphs and augmented rotation systems element by element, so the matching
-kernel sees the same graphs and traces stay identical.  ``reference_tree``
-states the decode tree's rule: breadth-first from node 0, each vertex
-scanning its rotation in order.
+reference functions below are plain-Python builders over dicts and lists:
+the array code must reproduce their faces, port graphs (face gadgets
+included, see ``reference_gadget``) and augmented rotation systems element
+by element, so that the matching kernel sees exactly the graphs the rules
+describe.  ``reference_tree`` states the decode tree's rule: breadth-first
+from node 0, each vertex scanning its rotation in order.
 """
 
 import math
@@ -55,9 +55,26 @@ def reference_faces(rotations):
     return result
 
 
+def reference_gadget(ports, next_vertex):
+    """(clique edges, fold triangles) of one face's gadget: a clique on at
+    most 6 ports; a longer face is folded as a queue, each fold joining the
+    front pair (a, b) to a new vertex c in a triangle (a, b, c), hanging a
+    new c' = c + 1 off c and appending c', until 6 items remain."""
+    queue, folds = list(ports), []
+    while len(queue) > 6:
+        (a, b), queue = queue[:2], queue[2:]
+        c = next_vertex + 2 * len(folds)
+        folds.append((a, b, c))
+        queue.append(c + 1)
+    return list(combinations(queue, 2)), folds
+
+
 def reference_port_graph(edges, rotations):
-    """(num_ports, port_u, port_v, bridge): one port per (face, dart), model
-    edge t's port pair first, then each face's clique minus merged bridges."""
+    """(num_ports, port_u, port_v, bridge): one port per (face, dart) and
+    each face's gadget vertices after them, in face order; model edge t's
+    port pair first, then every face's clique, then the folds' (a, b),
+    (a, c), (b, c) and (c, c') edges, minus the gadget edges that merged
+    bridges replace."""
     face_list = reference_faces(rotations)
     port_of_dart, face_of_dart, face_ports = {}, {}, []
     for fid, (boundary, _) in enumerate(face_list):
@@ -72,10 +89,17 @@ def reference_port_graph(edges, rotations):
         port_edges.append((port_of_dart[(i, j)], port_of_dart[(j, i)]))
         bridge.append(face_of_dart[(i, j)] == face_of_dart[(j, i)])
     merged = {(min(e), max(e)) for e, b in zip(port_edges, bridge) if b}
+    num_ports, cliques, folds = len(port_of_dart), [], []
     for ports in face_ports:
-        port_edges += [e for e in combinations(ports, 2) if e not in merged]
+        clique, fold = reference_gadget(ports, num_ports)
+        cliques += clique
+        folds += fold
+        num_ports += 2 * len(fold)
+    gadget = cliques + [(a, b) for (a, b, _) in folds] + [(a, c) for (a, _, c) in folds]
+    gadget += [(b, c) for (_, b, c) in folds] + [(c, c + 1) for (_, _, c) in folds]
+    port_edges += [e for e in gadget if e not in merged]
     return (
-        len(port_of_dart),
+        num_ports,
         [u for (u, _) in port_edges],
         [v for (_, v) in port_edges],
         bridge,

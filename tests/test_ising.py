@@ -45,15 +45,18 @@ def test_single_edge_negative():
 
 
 def test_gadget_size_regression_3x3():
-    # one port per (face, dart): 24 ports for the 3x3 grid; edges are the 12
-    # port pairs plus the per-face cliques (4 faces of K4, one outer K8).
+    # One port per (face, dart): 24 for the 3x3 grid's 12 edges.  A face of
+    # at most 6 ports gets a clique; a longer one is folded down to 6 ports
+    # (6 is where a clique's L(L - 1)/2 edges equal a fold's 4L - 9).  The 4
+    # inner faces have 4 ports each, 4 * 6 clique edges; the outer face's 8
+    # ports take 2 folds, each adding 2 vertices and 4 edges, and a clique
+    # on the 6 left: 4 * 8 - 9 = 23 edges.
     edges, emb = grid(3, 3)
     ising = SymmetricIsing(9, tuple((i, j, 1) for (i, j) in edges))
     dual = build_expanded_dual(ising, emb)
-    assert dual.num_ports == 24
-    assert len(dual.match_graph.edges) == 64
-    # 4 inner faces of 4 ports and one outer face of 8: 4 * 6 + 28 clique edges
-    assert len(dual.port_u) - len(ising.edges) == 4 * 6 + 28
+    assert dual.num_ports == 24 + 2 * 2
+    assert len(dual.match_graph.edges) == 59
+    assert len(dual.port_u) - len(ising.edges) == 4 * 6 + 23
 
 
 def test_triangle_examples():
@@ -171,9 +174,15 @@ def test_non_integer_weights_rejected():
 
 
 def test_out_of_range_weights_rejected():
-    ising = SymmetricIsing(2, ((0, 1, 2**60),))
-    with pytest.raises(WeightRangeError):
-        build_expanded_dual(ising, SINGLE_EDGE_EMB)
+    # -2**63 fits in int64 but has no int64 absolute value; 2**63 and up
+    # do not fit in int64 at all.
+    for w in (2**60, MAX_ABS_WEIGHT + 1, -MAX_ABS_WEIGHT - 1, -(2**63), 2**63, 2**70):
+        ising = SymmetricIsing(2, ((0, 1, w),))
+        with pytest.raises(WeightRangeError):
+            build_expanded_dual(ising, SINGLE_EDGE_EMB)
+    for w in (MAX_ABS_WEIGHT, -MAX_ABS_WEIGHT):
+        gs = ground_state(SymmetricIsing(2, ((0, 1, w),)), SINGLE_EDGE_EMB)
+        assert gs.energy == min(w, 0)
 
 
 def test_embedding_model_mismatch():
@@ -234,6 +243,29 @@ def test_port_weights_agree_with_rebuilt_dual(engine):
             mate[u], mate[v] = v, u
         energy, labels = dual.decode(weights, mate)
         assert energy == want == ising_energy(ising, labels)
+
+
+def test_ground_state_on_folded_faces(engine):
+    # Faces of 7 to 20 ports are folded: long cycles, cycles with a pendant
+    # path (bridges on the folded outer face) and trees (one face of
+    # 2(n - 1) ports, every edge a bridge).
+    rng = random.Random(47)
+    cases = [cycle(k) for k in range(7, 15)]
+    cases += [cycle_with_pendant_path(k, tail) for k in (7, 8, 10) for tail in (1, 3, 5)]
+    for n in range(5, 12):
+        tree_edges, rotations = random_tree(rng, n)
+        cases.append(([(min(e), max(e)) for e in tree_edges], PlanarEmbedding(rotations)))
+    for edges, emb in cases:
+        longest = int(np.diff(faces_of(emb).starts).max())
+        assert 7 <= longest <= 20
+        for _ in range(3):
+            ising = SymmetricIsing(
+                emb.num_vertices, tuple((i, j, rng.randint(-9, 9)) for (i, j) in edges)
+            )
+            gs = ground_state(ising, emb)
+            assert gs.energy == brute_force_map_ising(ising).energy
+            assert gs.labels[0] == 0
+            assert ising_energy(ising, gs.labels) == gs.energy
 
 
 def _unmatch_first_pair(mate, eu, ev):
