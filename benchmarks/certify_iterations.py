@@ -3,22 +3,31 @@
     python3 benchmarks/certify_iterations.py LABEL
 
 Imports planarcc from the ``src/`` of the tree this script sits in, runs
-``optimize(max_iters=2000, tol=1.0)`` on every seed of four sets, and
-writes ``BENCH_<LABEL>.json`` at that tree's root.  The sets:
+``optimize`` on every seed of the sets below, and writes
+``BENCH_<LABEL>.json`` at that tree's root.  Grid sets run with
+``max_iters=2000, tol=1.0``:
 
 - 16x16 a=0.2, seeds 0-9: acceptance criterion 9's weak-unary budget,
   where the lower bound decides when certification happens;
 - 16x16 a=3.2, seeds 0-9: criterion 9's strong-unary budget;
 - 8x8 a=0.2, seeds 0-11: the instance size of the certify-weak benchmark;
 - 12x12 a=3.2, seeds 0-9: the instance size of the certify-strong
-  benchmark, where a few large steps certify.
+  benchmark, where a few large steps certify;
+- 24x24 a=0.2 seeds 0-9, 32x32 a=0.2 seeds 0-2 and 32x32 a=3.2 seeds
+  0-2: the tail, where runs take hundreds of iterations or stop at the cap.
 
-Per seed it records iterations, certificate, best upper bound, the final
-gap (best upper less best lower bound; a seed certifies when it is below 1)
+The K4 set runs with ``max_iters=500``: K4 embedded as a triangle with
+vertex 3 in the middle, for seeds 0-7 with weights -300 + randint(-60, 60)
+drawn by ``random.Random(seed)`` for the edges (0,1), (0,2), (0,3), (1,2),
+(1,3), (2,3) and then for the 4 unaries.  Its relaxation is not tight, so
+no seed certifies and every run shows where ``best_lower`` settles.
+
+Per seed it records iterations, certificate, best upper and lower bounds,
+the final gap (best upper less best lower bound; a seed certifies when it
+is below 1), the first iteration whose best upper bound is the final one,
 and the wall time of ``optimize`` (instance generation excluded); per set,
-the sums.  It
-also records the engine, the commit and the CPU.  Iteration counts and
-bounds are deterministic; wall times depend on the machine.
+the sums.  It also records the engine, the commit and the CPU.  Iteration
+counts and bounds are deterministic; wall times depend on the machine.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -34,12 +44,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+GRID_ITERS = 2000
+K4_ITERS = 500
 SETS = [
     {"rows": 16, "cols": 16, "a": 0.2, "seeds": list(range(10))},
     {"rows": 16, "cols": 16, "a": 3.2, "seeds": list(range(10))},
     {"rows": 8, "cols": 8, "a": 0.2, "seeds": list(range(12))},
     {"rows": 12, "cols": 12, "a": 3.2, "seeds": list(range(10))},
+    {"rows": 24, "cols": 24, "a": 0.2, "seeds": list(range(10))},
+    {"rows": 32, "cols": 32, "a": 0.2, "seeds": list(range(3))},
+    {"rows": 32, "cols": 32, "a": 3.2, "seeds": list(range(3))},
+    {"name": "K4", "seeds": list(range(8))},
 ]
+K4_ROTATIONS = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1))
+K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def commit() -> str | None:
@@ -65,33 +83,54 @@ def cpu() -> dict:
     return {"model": model, "count": os.cpu_count(), "platform": platform.platform()}
 
 
+def k4_instance(seed: int):
+    from planarcc import BinaryMRF, PlanarEmbedding
+
+    rng = random.Random(seed)
+    edges = tuple((i, j, -300 + rng.randint(-60, 60)) for (i, j) in K4_EDGES)
+    unary = tuple(-300 + rng.randint(-60, 60) for _ in range(4))
+    return BinaryMRF(4, edges, unary, 0), PlanarEmbedding(K4_ROTATIONS)
+
+
 def run_set(spec: dict) -> dict:
     from planarcc import optimize
     from planarcc.harness import InstanceSpec, generate_grid_instance
 
+    if "name" in spec:
+        name, max_iters = spec["name"], K4_ITERS
+    else:
+        name, max_iters = f"{spec['rows']}x{spec['cols']} a={spec['a']}", GRID_ITERS
     runs = []
     for seed in spec["seeds"]:
-        model, emb = generate_grid_instance(
-            InstanceSpec(spec["rows"], spec["cols"], spec["a"], seed, 500)
-        )
+        if "name" in spec:
+            model, emb = k4_instance(seed)
+        else:
+            model, emb = generate_grid_instance(
+                InstanceSpec(spec["rows"], spec["cols"], spec["a"], seed, 500)
+            )
         t0 = time.perf_counter()
-        res = optimize(model, emb, max_iters=2000, tol=1.0)
+        res = optimize(model, emb, max_iters=max_iters, tol=1.0)
         wall = time.perf_counter() - t0
         runs.append({
             "seed": seed,
             "iterations": res.iterations,
             "certificate": res.certificate,
             "best_upper": res.best_upper,
+            "best_lower": res.best_lower,
             "gap": res.gap,
+            "best_upper_first_iteration": next(
+                r.iteration for r in res.trace.rows if r.best_upper == res.best_upper
+            ),
             "wall_s": round(wall, 4),
         })
-        print(f"{spec['rows']}x{spec['cols']} a={spec['a']} seed {seed}: "
-              f"{res.iterations} iterations, {res.certificate}, {wall:.2f} s",
-              file=sys.stderr)
+        print(f"{name} seed {seed}: {res.iterations} iterations, {res.certificate}, "
+              f"{wall:.2f} s", file=sys.stderr)
     return {
-        **{k: spec[k] for k in ("rows", "cols", "a")},
+        **{k: v for k, v in spec.items() if k != "seeds"},
+        "max_iters": max_iters,
         "iterations_total": sum(r["iterations"] for r in runs),
         "certified": sum(r["certificate"] == "optimal" for r in runs),
+        "best_upper_first_iteration_total": sum(r["best_upper_first_iteration"] for r in runs),
         "wall_s_total": round(sum(r["wall_s"] for r in runs), 4),
         "runs": runs,
     }
@@ -117,7 +156,7 @@ def main(argv: list[str]) -> int:
         "cpu": cpu(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "optimize": {"max_iters": 2000, "tol": 1.0},
+        "optimize": {"max_iters": GRID_ITERS, "tol": 1.0, "k4_max_iters": K4_ITERS},
         "sets": [run_set(spec) for spec in SETS],
     }
     out = ROOT / f"BENCH_{label}.json"

@@ -137,18 +137,20 @@ class Faces(Sequence[Face]):
 
     Dart d runs from tail[d] to head[d]; darts are numbered by (vertex id,
     rotation position), vertex v's darts are offset[v] to offset[v + 1] - 1,
-    and succ[d] is the dart after d in its tail's rotation.  Face f's
-    boundary is the darts walk[starts[f]:starts[f + 1]] in walk order, and
-    face_of[d] is the face of dart d.  ``tree`` is a spanning tree as the
-    int64 array of its darts parent -> vertex, in breadth-first order from
-    vertex 0 with each rotation scanned in order.  A ``Face`` is built only
-    when indexed or iterated.
+    twin[d] is the dart head[d] -> tail[d], and succ[d] is the dart after d
+    in its tail's rotation.  Face f's boundary is the darts
+    walk[starts[f]:starts[f + 1]] in walk order, and face_of[d] is the face
+    of dart d.  ``tree`` is a spanning tree as the int64 array of its darts
+    parent -> vertex, in breadth-first order from vertex 0 with each
+    rotation scanned in order.  A ``Face`` is built only when indexed or
+    iterated.
     """
 
-    def __init__(self, offset, tail, head, succ, by_key, walk, starts, face_of, tree):
+    def __init__(self, offset, tail, head, twin, succ, by_key, walk, starts, face_of, tree):
         self.offset = offset
         self.tail = tail
         self.head = head
+        self.twin = twin
         self.succ = succ
         # The darts in order of their key tail * n + head, and those keys.
         self._by_key = by_key
@@ -172,17 +174,21 @@ class Faces(Sequence[Face]):
         verts = tuple(dict.fromkeys(tails)) or (0,)
         return Face(f, tuple(zip(tails, self.head[darts].tolist())), verts)
 
-    def darts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Index of dart u[t] -> v[t] for each t; each pair must be an edge."""
-        n = len(self.offset) - 1
-        return self._by_key[np.searchsorted(self._keys, u * n + v)]
+    def edge_darts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+        """Index of dart u[t] -> v[t] for each t when the embedded graph's
+        edges are exactly the pairs (u[t], v[t]), given with u < v and
+        without repeats; else None.
 
-    def has_edges(self, u: np.ndarray, v: np.ndarray) -> bool:
-        """True when the embedded graph's edges are exactly the pairs
-        (u[t], v[t]), given with u < v and without repeats."""
-        d = self._by_key
-        own = self._keys[self.tail[d] < self.head[d]]
-        return np.array_equal(own, np.sort(u * (len(self.offset) - 1) + v))
+        One search of the sorted dart keys: when every pair is a dart and
+        there are as many pairs as edges, the two edge sets are equal.
+        """
+        keys = u * (len(self.offset) - 1) + v
+        if 2 * len(keys) != len(self._keys):
+            return None
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        if not np.array_equal(self._keys[at], keys):
+            return None
+        return self._by_key[at]
 
 
 def euler_check(num_vertices: int, num_edges: int, num_faces: int) -> bool:
@@ -257,6 +263,7 @@ def faces(embedding: PlanarEmbedding) -> Faces:
         offset,
         tail,
         head,
+        twin,
         succ,
         embedding._by_key,
         np.array(walk, dtype=np.int64),

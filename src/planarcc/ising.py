@@ -312,7 +312,8 @@ def build_expanded_dual(
         _check_endpoints(embedding.num_vertices, edge_u, edge_v)
         weights = np.zeros(len(edge_u), dtype=np.int64)
     fs = faces(embedding)
-    if not fs.has_edges(edge_u, edge_v):
+    forward = fs.edge_darts(edge_u, edge_v)
+    if forward is None:
         raise NotPlanarEmbeddingError("embedding edge set differs from model edge set")
 
     # A dart's port is its position in the face walk, so each face's ports
@@ -322,7 +323,7 @@ def build_expanded_dual(
     num_darts = len(fs.walk)
     port = np.empty(num_darts, dtype=np.int64)
     port[fs.walk] = np.arange(num_darts)
-    forward, backward = fs.darts(edge_u, edge_v), fs.darts(edge_v, edge_u)
+    backward = fs.twin[forward]
     p1, p2 = port[forward], port[backward]
     bridge = fs.face_of[forward] == fs.face_of[backward]
     num_ports, gadget_u, gadget_v = _face_gadgets(fs.starts)

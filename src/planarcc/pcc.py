@@ -11,18 +11,25 @@ supplies an upper bound.  The augmented weights are integers, floored, with
 each node's splits summing exactly to its floored unary, so the bound holds by
 construction and "optimal" is proved in integers (see ``certificate_of``).
 
+Polyak's rule aims at the best upper bound, so a poor one makes the first
+steps overshoot.  Each candidate that beats the best upper bound is
+therefore polished by iterated conditional modes (``_ICM``) before it is
+kept; its energy stays exact.
+
 The step factor follows Held, Wolfe & Crowder ("Validation of subgradient
 optimization", Math. Prog. 1974): it starts at 1.5 and is halved, down to
-0.05, after every 3 iterations in a row whose lower bound does not beat the
-best one so far.  Large early steps lift the bound fast; halving on a stall
-lets it settle near the optimum of the relaxation.
+0.05, after every ``STALL_PATIENCE`` (5) iterations in a row whose lower
+bound does not beat the best one so far.  Large early steps lift the bound
+fast; halving on a stall lets it settle near the optimum of the relaxation.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,6 +42,14 @@ from .matching import MAX_ABS_WEIGHT
 from .model import BinaryMRF, Labels, complement, energy
 
 DEFAULT_MATCHING_SCALE = 10**6
+
+# Iterations in a row without a better lower bound before the step factor
+# is halved.  Polyak's target is the ICM-polished best upper bound, close to
+# the optimum early on, and at factor 1.5 the lower bound then oscillates
+# about it: 3 or 4 stalls in a row come early and halve the factor to its
+# floor while the bound is still far off.  5 is the smallest patience on the
+# plateau of summed iterations to certify (24x24 and 32x32 grids, a=0.2).
+STALL_PATIENCE = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +169,7 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         )
     fs = faces(embedding)
     base_u, base_v = _endpoints(model.edges)
-    if not fs.has_edges(base_u, base_v):
+    if fs.edge_darts(base_u, base_v) is None:
         raise ValueError("embedding edge set differs from model edge set")
     n = model.num_nodes
     num_faces = len(fs)
@@ -378,6 +393,83 @@ class _UpperBound:
         return (1 - x, ebar) if ebar < e else (x, e)
 
 
+class _ICM:
+    """Iterated conditional modes (Besag, "On the statistical analysis of
+    dirty pictures", JRSS B 1986): sweep the nodes in index order and flip
+    each one whose flip strictly lowers the energy, until a sweep flips
+    nothing.  The result is a single-flip local minimum.
+
+    Flipping node i changes the energy by delta[i] = +-theta_i (+ when x_i
+    is 0) plus theta_ij for each neighbour j with x_j = x_i, less theta_ij
+    for each with x_j != x_i.  Every delta is exact, so each flip lowers the
+    energy and the sweeps end: on the int64 path of ``upper`` the weights
+    are its int64 arrays, whose sums cannot overflow; on any other model
+    they are Python ints over one common denominator.  A flip of i negates
+    delta[i] and moves each neighbour's delta by 2 theta_ij.
+
+    Node i's neighbours are col[start[i]:start[i + 1]], with twice the
+    edge weights in w2; these lists are built once per run.
+    """
+
+    def __init__(self, model: BinaryMRF, upper: _UpperBound | None):
+        self.model, self.upper = model, upper
+        if upper is not None:
+            u, v, edge_w, unary = upper.u, upper.v, upper.edge_w, upper.unary
+        else:
+            # A float is a dyadic rational, so over the common denominator
+            # of all the weights each one is an exact integer.
+            ratios = [Fraction(w) for w in (*(w for (_, _, w) in model.edges), *model.unary)]
+            den = math.lcm(*(r.denominator for r in ratios))
+            w = np.array([int(r * den) for r in ratios], dtype=object)
+            u, v = _endpoints(model.edges)
+            edge_w, unary = w[: len(u)], w[len(u) :]
+        rows = np.concatenate((u, v))
+        by_row = np.argsort(rows, kind="stable")
+        self.unary = unary
+        self.rows, self.cols = rows[by_row], np.concatenate((v, u))[by_row]
+        self.weight = np.concatenate((edge_w, edge_w))[by_row]
+        self.start = [0, *np.cumsum(np.bincount(rows, minlength=model.num_nodes)).tolist()]
+        self.col, self.w2 = self.cols.tolist(), (2 * self.weight).tolist()
+
+    def __call__(self, x: np.ndarray) -> list[int] | None:
+        """The labels after ICM from the int8 labels ``x``, or None when no
+        node flips."""
+        delta = np.where(x.view(bool), -self.unary, self.unary)
+        same = x[self.rows] == x[self.cols]
+        np.add.at(delta, self.rows, np.where(same, self.weight, -self.weight))
+        if not (delta < 0).any():
+            return None
+        y, delta = x.tolist(), delta.tolist()
+        start, col, w2 = self.start, self.col, self.w2
+        swept = False
+        while not swept:
+            swept = True
+            for i, d in enumerate(delta):
+                if d < 0:
+                    swept = False
+                    yi = y[i] = 1 - y[i]
+                    delta[i] = -d
+                    for k in range(start[i], start[i + 1]):
+                        j = col[k]
+                        delta[j] += w2[k] if y[j] == yi else -w2[k]
+        return y
+
+    def polish(self, cand: Sequence[int], ub: float) -> tuple[Labels, float]:
+        """(labels, energy): the candidate ``cand`` of energy ``ub`` after
+        ICM when its energy, exact from ``upper`` on the int64 path and from
+        ``energy()`` on any other model, is strictly lower; else ``cand``."""
+        x = np.asarray(cand, dtype=np.int8)
+        y = self(x)
+        if y is not None:
+            if self.upper is not None:
+                e = self.upper.energies(np.array(y, dtype=np.int8))[0]
+            else:
+                e = energy(self.model, y)
+            if e < ub:
+                return tuple(y), e
+        return tuple(x.tolist()), ub
+
+
 def optimize(
     model: BinaryMRF,
     embedding: PlanarEmbedding,
@@ -389,10 +481,14 @@ def optimize(
     """Full solve: iterate exact lower bounds and decoded upper bounds,
     improving the splits by projected subgradient with Polyak steps.
 
-    The step is factor * (best_upper - lb) / |g|^2.  The factor starts at
-    1.5; after 3 iterations in a row whose lb does not beat best_lower it is
-    halved (never below 0.05) and the count restarts.  A trace row's factor
-    is step_size * subgrad_norm2 / (best_upper - lower_bound).
+    Each iterate's decoded candidate that beats best_upper is polished by
+    ICM (``_ICM.polish``), and the polished one is kept when its exact
+    energy is lower; a trace row's upper_bound is the candidate before the
+    polish.  The step is factor * (best_upper - lb) / |g|^2.  The factor
+    starts at 1.5; after ``STALL_PATIENCE`` (5) iterations in a row whose lb
+    does not beat best_lower it is halved (never below 0.05) and the count
+    restarts.  A trace row's factor is step_size * subgrad_norm2 /
+    (best_upper - lower_bound).
 
     Stops when best_upper - best_lower < tol, at max_iters, or on a zero
     subgradient.  The certificate is ``certificate_of`` at the best integer
@@ -409,6 +505,7 @@ def optimize(
     scale = int(matching_scale)
     base = _scale_base(model, scale)
     upper = _UpperBound(model) if _UpperBound.fits(model) else None
+    icm = _ICM(model, upper)
     n = model.num_nodes
 
     trace = BoundTrace()
@@ -430,14 +527,13 @@ def optimize(
             x = config[:n]
             cand, ub = upper.decode(x) if upper is not None else decode_upper(model, x.tolist())
             if best_upper is None or ub < best_upper:
-                best_upper = ub
-                best_assignment = tuple(np.asarray(cand).tolist())
+                best_assignment, best_upper = icm.polish(cand, ub)
             if best_gs is None or gs > best_gs:
                 best_gs, best_lower = gs, lb
                 stalls = 0
             else:
                 stalls += 1
-                if stalls == 3:
+                if stalls == STALL_PATIENCE:
                     factor = max(factor / 2, 0.05)
                     stalls = 0
             gap = best_upper - best_lower

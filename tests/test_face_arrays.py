@@ -266,3 +266,25 @@ def test_pcc_graph_matches_reference(name, edges, rotations):
     )
     assert g.dual.bridge.tolist() == bridge
     assert g.dual.tree == reference_tree([(i, j, 0) for (i, j) in aug_edges], aug)
+
+
+@pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])
+def test_edge_darts_find_each_edge_or_reject_the_set(name, edges, rotations):
+    fs = faces(PlanarEmbedding(rotations))
+    shuffled = edges[:]
+    random.Random(name).shuffle(shuffled)
+    u = np.array([i for (i, _) in shuffled], dtype=np.int64)
+    v = np.array([j for (_, j) in shuffled], dtype=np.int64)
+    forward = fs.edge_darts(u, v)
+    assert fs.tail[forward].tolist() == u.tolist()
+    assert fs.head[forward].tolist() == v.tolist()
+    assert fs.tail[fs.twin[forward]].tolist() == v.tolist()
+    assert fs.head[fs.twin[forward]].tolist() == u.tolist()
+    if edges:
+        # One edge short, or one edge swapped for a pair that is no edge.
+        assert fs.edge_darts(u[1:], v[1:]) is None
+        present = set(edges)
+        others = [p for p in combinations(range(len(rotations)), 2) if p not in present]
+        if others:
+            u[0], v[0] = others[0]
+            assert fs.edge_darts(u, v) is None
