@@ -1,7 +1,9 @@
-"""Cold solves and ground states of this tree against another tree's,
-alternated call by call in one process.
+"""Cold solves, ground states and PCC set-up and certify runs of this tree
+against another tree's, alternated call by call in one process.
 
-    python3 benchmarks/kernel_pairs.py OTHER_TREE LABEL
+    python3 benchmarks/kernel_pairs.py OTHER_TREE LABEL [GROUP ...]
+
+GROUP is ``kernel``, ``ground`` or ``certify``; without one, all three run.
 
 Imports planarcc from the ``src/`` of the tree this script sits in, and
 ``OTHER_TREE/src/planarcc`` as a second package, ``planarcc_other`` (the
@@ -18,6 +20,11 @@ their compiled kernel.
   decode), each tree building its own instance and a fresh
   ``PlanarEmbedding`` per call, outside the timed region.  Each set also
   records both trees' port graph sizes (ports and port edges).
+- Certify: the same turns for each tree's ``build_pcc`` and for its
+  ``optimize`` (as the benchmark calls it: ``max_iters`` 1000, ``tol`` 1)
+  on the instances of the benchmark's certify workloads (12x12 a=3.2 and
+  8x8 a=0.2): the first pass that ``perfbench/bench.py`` plans from each
+  of ``BENCH_SEEDS``, ``CERTIFY_REPS`` calls per instance.
 
 Turns in one process let drift in the machine's speed reach both trees
 alike, which files written one after the other do not.  It writes per set
@@ -37,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from certify_iterations import ROOT, commit, cpu
@@ -45,6 +53,10 @@ from kernel_solves import SETS, p50_p90, record, set_name
 REPS = 5
 GROUND_SIDES = [8, 12, 16, 24, 32, 48]
 GROUND_CALLS = 31
+CERTIFY_WORKLOADS = ["certify-strong", "certify-weak"]
+BENCH_SEEDS = [901, 902, 903, 904]
+CERTIFY_REPS = 5
+GROUPS = ["kernel", "ground", "certify"]
 
 
 def load_other(tree: Path):
@@ -117,10 +129,54 @@ def ground_set(side: int, packages) -> dict:
     )
 
 
+def certify_sets(name: str, packages) -> list[dict]:
+    """A ``build_pcc`` set and an ``optimize`` set on the instances of the
+    benchmark workload ``name`` (see the module doc)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import bench
+
+    workload = bench.WORKLOADS[name]
+    reference = bench.load_reference(workload)
+    picks = [
+        pick for seed in BENCH_SEEDS for pick in next(bench.plan_passes(workload, reference, seed))
+    ]
+    instances = []
+    for side, seed in picks:
+        per = []
+        for pkg in packages:
+            model, emb = pkg.harness.generate_grid_instance(
+                pkg.harness.InstanceSpec(side, side, workload.a, seed, bench.SCALE)
+            )
+            per.append((pkg, model, emb.rotations))
+        instances.append(per)
+    steps = {
+        "build_pcc": lambda pkg: pkg.build_pcc,
+        "optimize": lambda pkg: partial(pkg.optimize, max_iters=bench.MAX_ITERS, tol=bench.TOL),
+    }
+    sets = []
+    for step, entry in steps.items():
+        pairs = []
+        for k, per in enumerate(instances):
+            for rep in range(CERTIFY_REPS):
+                # A fresh embedding per call, built outside the timed region.
+                (f0, m0, e0), (f1, m1, e1) = [
+                    (entry(pkg), model, pkg.PlanarEmbedding(rot)) for pkg, model, rot in per
+                ]
+                pairs.append(alternate(lambda: f0(m0, e0), lambda: f1(m1, e1), 1, k + rep))
+        side = picks[0][0]
+        sets.append(summary(
+            f"{side}x{side} a={workload.a} {step}", pairs, workload=name,
+            instances=len(picks), calls=len(pairs),
+        ))
+    return sets
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not re.fullmatch(r"[\w.-]+", argv[1]):
-        print("usage: python3 benchmarks/kernel_pairs.py OTHER_TREE LABEL "
-              "(letters, digits, '_', '.', '-')", file=sys.stderr)
+    groups = argv[2:] or GROUPS
+    if len(argv) < 2 or not re.fullmatch(r"[\w.-]+", argv[1]) or set(groups) - set(GROUPS):
+        print("usage: python3 benchmarks/kernel_pairs.py OTHER_TREE LABEL [GROUP ...] "
+              "(LABEL of letters, digits, '_', '.', '-'; GROUP one of "
+              + ", ".join(GROUPS) + ")", file=sys.stderr)
         return 2
     other_tree, label = Path(argv[0]).resolve(), argv[1]
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -151,9 +207,16 @@ def main(argv: list[str]) -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "reps": REPS,
-        "sets": [kernel_set(spec, kernel, this_entry, other_entry) for spec in SETS]
-        + [ground_set(side, (planarcc, other)) for side in GROUND_SIDES],
+        "certify_reps": CERTIFY_REPS,
+        "sets": [],
     }
+    if "kernel" in groups:
+        result["sets"] += [kernel_set(spec, kernel, this_entry, other_entry) for spec in SETS]
+    if "ground" in groups:
+        result["sets"] += [ground_set(side, (planarcc, other)) for side in GROUND_SIDES]
+    if "certify" in groups:
+        for name in CERTIFY_WORKLOADS:
+            result["sets"] += certify_sets(name, (planarcc, other))
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -5,7 +5,7 @@ minimum-weight perfect matching, and certified lower/upper bounds for models
 with unary terms via subgradient optimization of per-face unary splits.
 """
 
-from .embedding import Face, Faces, PlanarEmbedding, cycle, euler_check, faces, grid
+from .embedding import Faces, PlanarEmbedding, cycle, euler_check, faces, grid
 from .errors import (
     NoPerfectMatchingError,
     NotPlanarEmbeddingError,

@@ -14,7 +14,6 @@ breadth-first spanning tree that decodes cuts into labels.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,36 +113,18 @@ class PlanarEmbedding:
         return len(self._twin) // 2
 
 
-@dataclass(frozen=True)
-class Face:
-    """One face of an embedded graph.
-
-    boundary is the cyclic sequence of directed edges (darts) around the
-    face; boundary_vertices deduplicates the walk's vertices in first-visit
-    order (a face may visit a cut vertex, or both sides of a bridge, more
-    than once).
-    """
-
-    id: int
-    boundary: tuple[tuple[int, int], ...]
-    boundary_vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.boundary)
-
-
-class Faces(Sequence[Face]):
+class Faces:
     """The faces of a connected embedded graph, backed by dart arrays.
 
     Dart d runs from tail[d] to head[d]; darts are numbered by (vertex id,
     rotation position), vertex v's darts are offset[v] to offset[v + 1] - 1,
     twin[d] is the dart head[d] -> tail[d], and succ[d] is the dart after d
     in its tail's rotation.  Face f's boundary is the darts
-    walk[starts[f]:starts[f + 1]] in walk order, and face_of[d] is the face
-    of dart d.  ``tree`` is a spanning tree as the int64 array of its darts
-    parent -> vertex, in breadth-first order from vertex 0 with each
-    rotation scanned in order.  A ``Face`` is built only when indexed or
-    iterated.
+    walk[starts[f]:starts[f + 1]] in walk order (the single-vertex graph
+    has one face, without darts), and face_of[d] is the face of dart d.
+    ``tree`` is a spanning tree as the int64 array of its darts
+    parent -> vertex; ``faces`` finds it breadth-first from vertex 0 with
+    each rotation scanned in order.
     """
 
     def __init__(self, offset, tail, head, twin, succ, by_key, walk, starts, face_of, tree):
@@ -163,16 +144,9 @@ class Faces(Sequence[Face]):
     def __len__(self) -> int:
         return len(self.starts) - 1
 
-    def __getitem__(self, f):
-        if isinstance(f, slice):
-            return [self[k] for k in range(len(self))[f]]
-        f = range(len(self))[f]
-        darts = self.walk[self.starts[f] : self.starts[f + 1]]
-        tails = self.tail[darts].tolist()
-        # Only the single-vertex graph has a face without darts; vertex 0
-        # lies on it.
-        verts = tuple(dict.fromkeys(tails)) or (0,)
-        return Face(f, tuple(zip(tails, self.head[darts].tolist())), verts)
+    @property
+    def num_vertices(self) -> int:
+        return len(self.offset) - 1
 
     def edge_darts(self, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
         """Index of dart u[t] -> v[t] for each t when the embedded graph's
@@ -198,7 +172,7 @@ def euler_check(num_vertices: int, num_edges: int, num_faces: int) -> bool:
 
 def faces(embedding: PlanarEmbedding) -> Faces:
     """Enumerate the faces of a connected embedded graph, by one walk over
-    the embedding's dart index, as a lazy ``Faces`` sequence.
+    the embedding's dart index, as ``Faces`` arrays.
 
     Deterministic: faces are numbered in order of their smallest starting
     dart (vertex id, then rotation position).  A single vertex lies on one

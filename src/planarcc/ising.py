@@ -28,14 +28,18 @@ the bridge is decoded as cut exactly when w < 0.
 
 ``ground_state`` and the PCC loop share this one reduction: the port graph
 is built once per embedded topology, from the darts and faces of
-``faces(embedding)``, and ``ExpandedDual.solve`` maps edge weights to port
-weights, runs the matching kernel and decodes the matching.  The PCC loop
-solves one port graph at many weights, on one kernel session.  The decode
-labels node 0 with 0 and propagates the cut along ``Faces.tree``, the
-breadth-first tree that ``faces`` finds while checking connectivity, by
-pointer jumping: each round folds every vertex's label into the path to
-its current ancestor and doubles how far that ancestor lies, so a tree of
-depth d takes ceil(log2 d) rounds of array operations.
+``faces(embedding)`` (for the PCC loop, from the augmented faces that
+``pcc.build_pcc`` derives from the base faces), and ``ExpandedDual.solve``
+maps edge weights to port weights, runs the matching kernel and decodes
+the matching.  The PCC loop solves one port graph at many weights, on one
+kernel session.  The decode labels node 0 with 0 and propagates the cut along ``Faces.tree`` by
+pointer jumping.  For an embedding it is the breadth-first tree that
+``faces`` finds while checking connectivity; for a PCC graph, the base
+graph's breadth-first tree and one spoke per face, from the face's first
+incidence to its vertex (see ``pcc.build_pcc``).  Each round of pointer
+jumping folds every vertex's label into the path to its current ancestor
+and doubles how far that ancestor lies, so a tree of depth d takes
+ceil(log2 d) rounds of array operations.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import PlanarEmbedding, faces
+from .embedding import Faces, PlanarEmbedding, faces
 from .errors import NotPlanarEmbeddingError, WeightRangeError
 from .matching import (
     MAX_ABS_WEIGHT,
@@ -72,9 +76,10 @@ class ExpandedDual:
     decoded; the rest are the zero-weight face gadgets.  edge_u and edge_v
     hold the model edges' endpoints.  The decode tree is ``Faces.tree``
     with each dart replaced by its model edge: tree_vertex lists the
-    vertices other than node 0 in breadth-first order from node 0,
-    tree_edge the model edge to each one's parent, and parent[v] is the
-    parent of vertex v (node 0 is its own).  ``weights`` are the model's
+    vertices other than node 0 in the tree's order (breadth-first from
+    node 0 for an embedding's faces), tree_edge the model edge to each
+    one's parent, and parent[v] is the parent of vertex v (node 0 is its
+    own).  ``weights`` are the model's
     int64 edge weights: the minimum matching weight of ``match_graph`` plus
     their sum equals the ground-state energy.
     """
@@ -280,14 +285,18 @@ def _check_endpoints(num_nodes: int, u: np.ndarray, v: np.ndarray) -> None:
 
 
 def build_expanded_dual(
-    ising: SymmetricIsing | tuple[np.ndarray, np.ndarray], embedding: PlanarEmbedding
+    ising: SymmetricIsing | tuple[np.ndarray, np.ndarray],
+    embedding: PlanarEmbedding | Faces,
 ) -> ExpandedDual:
     """Construct the port graph whose minimum perfect matching encodes the
     minimum cut of the embedded symmetric model.
 
     ``ising`` is the model, or a topology whose weights every solve
     supplies: the int64 endpoint arrays (u, v) of its edges, each with
-    u < v, taken as weight 0.
+    u < v, taken as weight 0.  ``embedding`` is the model's embedding, whose
+    faces are walked here, or its ``Faces`` when the caller has them
+    (``build_pcc`` derives the augmented graph's); the decode tree is
+    ``Faces.tree``.
     """
     if isinstance(ising, SymmetricIsing):
         if not ising.is_integer:
@@ -311,7 +320,7 @@ def build_expanded_dual(
         edge_u, edge_v = ising
         _check_endpoints(embedding.num_vertices, edge_u, edge_v)
         weights = np.zeros(len(edge_u), dtype=np.int64)
-    fs = faces(embedding)
+    fs = embedding if isinstance(embedding, Faces) else faces(embedding)
     forward = fs.edge_darts(edge_u, edge_v)
     if forward is None:
         raise NotPlanarEmbeddingError("embedding edge set differs from model edge set")

@@ -30,12 +30,14 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import PlanarEmbedding, faces
+from .embedding import Faces, PlanarEmbedding, _tails, euler_check, faces
 from .errors import WeightRangeError
 from .ising import ExpandedDual, _endpoints, build_expanded_dual
 from .matching import MAX_ABS_WEIGHT
@@ -61,10 +63,11 @@ class PCCGraph:
     each face), and inc_count[i] is the number of incidences of node i (the
     size of its N_i); by_node lists them grouped by node, node i's group
     from by_node[node_start[i]].  These are int64 arrays; ``unary`` is the
-    model's, as float64.  ``embedding`` is the
-    combined rotation system of the augmented graph, which is planar by
-    construction; ``dual`` is the port-graph reduction of its topology,
-    whose edges are listed by ``augmented_edges``.
+    model's, as float64.  ``augmented_faces`` are the faces of the augmented
+    graph, which is planar by construction, derived from the base faces;
+    ``embedding``, its rotation system, is built from their darts when first
+    read.  ``dual`` is the port-graph reduction of its topology, whose edges
+    are listed by ``augmented_edges``.
     """
 
     model: BinaryMRF
@@ -75,8 +78,14 @@ class PCCGraph:
     by_node: np.ndarray
     node_start: np.ndarray
     unary: np.ndarray
-    embedding: PlanarEmbedding
+    augmented_faces: Faces = field(repr=False)
     dual: ExpandedDual = field(repr=False)
+
+    @cached_property
+    def embedding(self) -> PlanarEmbedding:
+        """The augmented graph's rotation system."""
+        fs = self.augmented_faces
+        return PlanarEmbedding.from_darts(fs.offset, fs.head)
 
     @property
     def num_vertices(self) -> int:
@@ -161,8 +170,11 @@ class SolveResult:
 
 def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     """Attach one auxiliary vertex per face (outer face included) to the
-    distinct vertices on that face's boundary, and build the combined
-    planar embedding."""
+    distinct vertices on that face's boundary, and build the port graph of
+    the combined planar graph.
+
+    The faces are walked once, on ``embedding``; the augmented graph's
+    faces are derived from them (see ``_augmented_faces``) and checked."""
     if embedding.num_vertices != model.num_nodes:
         raise ValueError(
             f"embedding has {embedding.num_vertices} vertices, model has {model.num_nodes}"
@@ -177,7 +189,10 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     if n == 1:
         # Single vertex: no darts; its one face connects to it directly.
         inc_node, inc_face = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        # Darts 0 -> 1 and 1 -> 0, twins, bound its one face.
         offset, head = np.array([0, 1, 2], dtype=np.int64), np.array([1, 0], dtype=np.int64)
+        twin, walk, starts = head, np.array([0, 1], dtype=np.int64), offset[::2]
+        tree = np.zeros(1, dtype=np.int64)
     else:
         # A face connects to each boundary vertex at the corner where its
         # walk first visits the vertex: incidences are those first visits,
@@ -208,10 +223,11 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         reverse = bounds[inc_face] + bounds[inc_face + 1] - 1 - np.arange(len(inc_face))
         offset = np.concatenate((at[fs.offset], at[-1] + bounds[1:]))
         head = np.concatenate((flat, inc_node[reverse]))
+        twin, walk, starts, tree = _augmented_faces(fs, visit, bounds, reverse, at)
 
-    aug_embedding = PlanarEmbedding.from_darts(offset, head)
     # Only the topology matters: each solve supplies the edge weights.
     topology = (np.concatenate((base_u, inc_node)), np.concatenate((base_v, n + inc_face)))
+    aug_faces = _checked_faces(offset, head, twin, walk, starts, tree)
 
     inc_count = np.bincount(inc_node, minlength=n)
     return PCCGraph(
@@ -223,9 +239,103 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         by_node=np.argsort(inc_node, kind="stable"),
         node_start=np.cumsum(inc_count) - inc_count,
         unary=np.asarray(model.unary, dtype=np.float64),
-        embedding=aug_embedding,
-        dual=build_expanded_dual(topology, aug_embedding),
+        augmented_faces=aug_faces,
+        dual=build_expanded_dual(topology, aug_faces),
     )
+
+
+def _augmented_faces(
+    fs: Faces, visit: np.ndarray, bounds: np.ndarray, reverse: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(twin, walk, starts, tree) of the augmented graph's darts, derived
+    from the base faces ``fs`` without a walk.
+
+    Incidence t of base face f, at walk position visit[t] with vertex x_t,
+    bounds one augmented face: F -> x_t, the base darts from visit[t] up to
+    the next corner of f, then x_t' -> F, t' the next incidence of f (its
+    first after its last).  Base dart d is augmented dart at[d]; spoke
+    x_t -> F follows the dart whose rotation successor is x_t's corner, and
+    F -> x_t is F's dart reverse[t] (see ``build_pcc``).  Faces are numbered
+    as ``faces`` numbers them, by smallest dart, each walk starting there.
+    The tree is the base tree and, per face, the spoke from its first
+    incidence to F.
+    """
+    m, T = len(fs.walk), len(visit)
+    pred = np.empty(m, dtype=np.int64)
+    pred[fs.succ] = np.arange(m)
+    out = at[pred[fs.walk[visit]]] + 1  # x_t -> F
+    into = at[-1] + reverse  # F -> x_t
+    twin = np.empty(at[-1] + T, dtype=np.int64)
+    twin[at[:-1]] = at[fs.twin]
+    twin[out], twin[into] = into, out
+
+    # Face t in walk order: into[t], the base darts, out[next[t]].
+    nxt = np.arange(1, T + 1)
+    nxt[bounds[1:] - 1] = bounds[:-1]
+    base_len = np.diff(visit, append=m)
+    size = base_len + 2
+    seg = visit + 2 * np.arange(T)
+    natural = np.empty(m + 2 * T, dtype=np.int64)
+    natural[seg] = into
+    natural[seg + size - 1] = out[nxt]
+    natural[np.arange(m) + 2 * np.repeat(np.arange(T), base_len) + 1] = at[fs.walk]
+
+    # Renumber by smallest dart and rotate each walk to start there.
+    low = np.minimum.reduceat(natural, seg)
+    shift = np.flatnonzero(natural == np.repeat(low, size)) - seg
+    order = np.argsort(low)
+    starts = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(size[order], out=starts[1:])
+    face = np.repeat(order, size[order])
+    step = np.arange(m + 2 * T) - starts[:-1].repeat(size[order])
+    walk = natural[seg[face] + (shift[face] + step) % size[face]]
+    return twin, walk, starts, np.concatenate((at[fs.tree], out[bounds[:-1]]))
+
+
+def _checked_faces(offset, head, twin, walk, starts, tree) -> Faces:
+    """The ``Faces`` of the darts given by ``offset`` and ``head``, from a
+    derived ``twin``, face ``walk``, face ``starts`` and spanning ``tree``,
+    checked as a walk of the faces would find them.
+
+    Raises AssertionError when the twins are not an involution pairing
+    opposite darts, a dart key repeats, the walk does not cover each dart
+    once along the next-dart rule, the faces are not numbered by smallest
+    dart, or Euler's formula fails.
+    """
+    n, m = len(offset) - 1, len(head)
+    tail = _tails(offset)
+    start = offset[tail]
+    succ = start + (np.arange(m) - start + 1) % (offset[tail + 1] - start)
+    by_key = np.argsort(tail * n + head, kind="stable")
+    face_of = np.empty(m, dtype=np.int64)
+    face_of[walk] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    aug = Faces(offset, tail, head, twin, succ, by_key, walk, starts, face_of, tree)
+
+    def failed(problem: str) -> AssertionError:
+        return AssertionError(f"derived augmented faces: {problem}; this is a bug")
+
+    if not (np.array_equal(twin[twin], np.arange(m)) and np.array_equal(head[twin], tail)):
+        raise failed("twins are not paired")
+    if (aug._keys[1:] == aug._keys[:-1]).any():
+        raise failed("a dart key repeats")
+    covered = np.zeros(m, dtype=bool)
+    covered[walk] = True
+    if len(walk) != m or not covered.all():
+        raise failed("the walk does not cover every dart once")
+    following = np.empty(m, dtype=np.int64)
+    following[:-1] = walk[1:]
+    following[starts[1:] - 1] = walk[starts[:-1]]
+    if not np.array_equal(succ[twin[walk]], following):
+        raise failed("the walk breaks the next-dart rule")
+    first = walk[starts[:-1]]
+    if not (
+        np.array_equal(np.minimum.reduceat(walk, starts[:-1]), first)
+        and (first[1:] > first[:-1]).all()
+    ):
+        raise failed("faces are not numbered by smallest dart")
+    if not euler_check(n, m // 2, len(starts) - 1):
+        raise failed("Euler's formula fails")
+    return aug
 
 
 def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
@@ -236,12 +346,47 @@ def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
     return VariationalParams(pcc, pcc.unary[pcc.inc_node] / pcc.inc_count[pcc.inc_node])
 
 
-def _scale_base(model: BinaryMRF, matching_scale: int) -> tuple[np.ndarray, np.ndarray]:
+def _int64_weights(model: BinaryMRF, integer: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """``model``'s edge weights and unaries as int64 arrays, read once, when
+    ``integer`` (its ``is_integer``) holds and no partial sum of its
+    energies can reach 2**63; else None."""
+    if not integer:
+        return None
+    try:
+        edge_w = np.fromiter(map(itemgetter(2), model.edges), np.int64, len(model.edges))
+        unary = np.fromiter(model.unary, np.int64, model.num_nodes)
+    except OverflowError:
+        return None
+    largest = max(abs(model.constant), _max_abs(edge_w), _max_abs(unary))
+    return (edge_w, unary) if largest * (len(edge_w) + len(unary) + 1) < 2**62 else None
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """The largest |a[i]| as a Python int (0 when a is empty); exact where
+    ``np.abs`` wraps."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _scale_base(
+    model: BinaryMRF,
+    matching_scale: int,
+    weights: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Base edge weights and each node's unary target in matching-scale
-    units, as int64 arrays: the floor of each exact scaled value."""
+    units, as int64 arrays: the floor of each exact scaled value.
+    ``weights`` are the model's from ``_int64_weights``, when it gave them;
+    else, or when ``matching_scale`` passes the weight range (so that only
+    zero weights fit it), each weight is read from ``model``."""
     if matching_scale < 1:
         raise ValueError("matching_scale must be >= 1")
     scale = int(matching_scale)
+    edge_range = "scaled edge weight exceeds safe range; lower matching_scale"
+    unary_range = "sum of scaled split weights exceeds safe range; lower matching_scale"
+    if weights is not None and scale <= MAX_ABS_WEIGHT:
+        for w, message in zip(weights, (edge_range, unary_range)):
+            if _max_abs(w) * scale > MAX_ABS_WEIGHT:
+                raise WeightRangeError(message)
+        return weights[0] * scale, weights[1] * scale
 
     def floor_scaled(w: float) -> int:
         if isinstance(w, int):
@@ -252,9 +397,9 @@ def _scale_base(model: BinaryMRF, matching_scale: int) -> tuple[np.ndarray, np.n
     base = [floor_scaled(w) for (_, _, w) in model.edges]
     target = [floor_scaled(w) for w in model.unary]
     if max(map(abs, base), default=0) > MAX_ABS_WEIGHT:
-        raise WeightRangeError("scaled edge weight exceeds safe range; lower matching_scale")
+        raise WeightRangeError(edge_range)
     if max(map(abs, target), default=0) > MAX_ABS_WEIGHT:
-        raise WeightRangeError("sum of scaled split weights exceeds safe range; lower matching_scale")
+        raise WeightRangeError(unary_range)
     return np.array(base, dtype=np.int64), np.array(target, dtype=np.int64)
 
 
@@ -309,14 +454,19 @@ def lower_bound(
     return gs / scale + pcc.model.constant, tuple(labels.tolist())
 
 
-def certificate_of(model: BinaryMRF, best_gs: int, scale: int, best_upper: float) -> str:
+def certificate_of(
+    model: BinaryMRF, best_gs: int, scale: int, best_upper: float, integer: bool | None = None
+) -> str:
     """"optimal" when ``model`` is integer and its optimum, at least
     ceil(best_gs / scale) + constant for a best augmented ground state
     best_gs at matching scale ``scale``, is best_upper; else "gap".  Decided
-    in Python integers.  It is a proof, not a stopping decision: tol plays
-    no part."""
+    in Python integers; ``integer`` is ``model.is_integer``, computed here
+    when None.  tol plays no part: ``optimize`` stops at the first
+    iteration where this reads "optimal"."""
+    if integer is None:
+        integer = model.is_integer
     ceil_gs = -(-best_gs // scale)
-    return "optimal" if model.is_integer and ceil_gs + model.constant >= best_upper else "gap"
+    return "optimal" if integer and ceil_gs + model.constant >= best_upper else "gap"
 
 
 def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
@@ -370,14 +520,16 @@ class _UpperBound:
     @staticmethod
     def fits(model: BinaryMRF) -> bool:
         """True when no partial sum of ``model``'s energies can reach 2**63."""
-        terms = [*(w for (_, _, w) in model.edges), *model.unary, model.constant]
-        return model.is_integer and max(map(abs, terms)) * len(terms) < 2**62
+        return _int64_weights(model, model.is_integer) is not None
 
-    def __init__(self, model: BinaryMRF):
-        self.u, self.v = _endpoints(model.edges)
+    def __init__(self, model: BinaryMRF, arrays: tuple[np.ndarray, ...] | None = None):
+        """``arrays`` are ``model``'s edge endpoints u and v, edge weights
+        and unaries as int64 arrays (see ``_int64_weights``), read from
+        ``model`` when None."""
+        if arrays is None:
+            arrays = (*_endpoints(model.edges), *_int64_weights(model, True))
+        self.u, self.v, self.edge_w, self.unary = arrays
         self.constant = model.constant
-        self.edge_w = np.array([w for (_, _, w) in model.edges], dtype=np.int64)
-        self.unary = np.array(model.unary, dtype=np.int64)
         self.unary_total = int(self.unary.sum())
 
     def energies(self, x: np.ndarray) -> tuple[int, int]:
@@ -490,11 +642,15 @@ def optimize(
     restarts.  A trace row's factor is step_size * subgrad_norm2 /
     (best_upper - lower_bound).
 
-    Stops when best_upper - best_lower < tol, at max_iters, or on a zero
-    subgradient.  The certificate is ``certificate_of`` at the best integer
-    ground state; it reads "optimal" only for integer-weight models.
+    Stops at the first iteration where the certificate, ``certificate_of``
+    at the best integer ground state, reads "optimal" (only integer-weight
+    models get one), when best_upper - best_lower < tol, at max_iters, or on
+    a zero subgradient.  The model's weights are read into int64 arrays
+    once, for integer models whose energies int64 holds exactly, and serve
+    the scaling, the upper bound and ICM.
     """
-    if not model.is_integer:
+    integer = model.is_integer
+    if not integer:
         warnings.warn(
             "model weights are not integers; the gap is reported but no "
             "optimality certificate will be issued",
@@ -503,10 +659,14 @@ def optimize(
     pcc = build_pcc(model, embedding)
     params = init_params(model, pcc)
     scale = int(matching_scale)
-    base = _scale_base(model, scale)
-    upper = _UpperBound(model) if _UpperBound.fits(model) else None
+    n, weights = model.num_nodes, _int64_weights(model, integer)
+    base = _scale_base(model, scale, weights)
+    upper = None
+    if weights is not None:
+        num_edges = len(model.edges)
+        edge_u, edge_v = pcc.dual.edge_u[:num_edges], pcc.dual.edge_v[:num_edges]
+        upper = _UpperBound(model, (edge_u, edge_v, *weights))
     icm = _ICM(model, upper)
-    n = model.num_nodes
 
     trace = BoundTrace()
     best_upper: float | None = None
@@ -537,10 +697,11 @@ def optimize(
                     factor = max(factor / 2, 0.05)
                     stalls = 0
             gap = best_upper - best_lower
+            certificate = certificate_of(model, best_gs, scale, best_upper, integer)
 
             g = subgradient(pcc, config)
             gn2 = float(g @ g)
-            stop = gap < tol or iteration == limit or gn2 == 0.0
+            stop = certificate == "optimal" or gap < tol or iteration == limit or gn2 == 0.0
             lam = 0.0
             if not stop:
                 lam = polyak_step(best_upper, lb, gn2, factor)
@@ -568,7 +729,7 @@ def optimize(
         best_assignment=best_assignment,
         best_upper=best_upper,
         best_lower=best_lower,
-        certificate=certificate_of(model, best_gs, scale, best_upper),
+        certificate=certificate,
         gap=gap,
         iterations=iteration,
         trace=trace,

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from planarcc import (
@@ -16,14 +17,14 @@ def test_faces_2x2_grid():
     _, emb = grid(2, 2)
     fs = faces(emb)
     assert len(fs) == 2
-    assert sorted(len(f) for f in fs) == [4, 4]
+    assert sorted(np.diff(fs.starts).tolist()) == [4, 4]
 
 
 def test_faces_3x3_grid():
     _, emb = grid(3, 3)
     fs = faces(emb)
     assert len(fs) == 5
-    assert sorted(len(f) for f in fs) == [4, 4, 4, 4, 8]
+    assert sorted(np.diff(fs.starts).tolist()) == [4, 4, 4, 4, 8]
 
 
 def test_faces_cycle():
@@ -31,7 +32,7 @@ def test_faces_cycle():
         _, emb = cycle(k)
         fs = faces(emb)
         assert len(fs) == 2
-        assert all(len(f) == k for f in fs)
+        assert np.diff(fs.starts).tolist() == [k, k]
 
 
 def test_grid_examples():
@@ -97,25 +98,28 @@ def test_disconnected_rejected():
 
 def test_single_vertex_special_case():
     fs = faces(PlanarEmbedding(((),)))
+    # One face without darts, on which vertex 0 lies.
     assert len(fs) == 1
-    assert fs[0].boundary == ()
-    assert fs[0].boundary_vertices == (0,)
+    assert fs.starts.tolist() == [0, 0]
+    assert fs.walk.size == 0 and fs.num_vertices == 1
 
 
 def test_every_dart_on_exactly_one_face():
     for rows, cols in [(2, 3), (3, 4), (1, 5)]:
         _, emb = grid(rows, cols)
         fs = faces(emb)
-        darts = [d for f in fs for d in f.boundary]
-        assert len(darts) == 2 * emb.num_edges
-        assert len(set(darts)) == len(darts)
+        assert len(fs.walk) == 2 * emb.num_edges
+        assert sorted(fs.walk.tolist()) == list(range(len(fs.walk)))
+        on = np.repeat(np.arange(len(fs)), np.diff(fs.starts))
+        assert fs.face_of[fs.walk].tolist() == on.tolist()
 
 
 def test_face_traversal_deterministic():
     _, emb = grid(3, 4)
     a = faces(emb)
     b = faces(emb)
-    assert [(f.id, f.boundary) for f in a] == [(f.id, f.boundary) for f in b]
+    for name in ("walk", "starts", "face_of", "tail", "head"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist()
 
 
 def test_bridge_face_repeats_vertices():
@@ -123,16 +127,16 @@ def test_bridge_face_repeats_vertices():
     emb = PlanarEmbedding(((1,), (0, 2), (1,)))
     fs = faces(emb)
     assert len(fs) == 1
-    assert len(fs[0].boundary) == 4
-    assert fs[0].boundary_vertices == (0, 1, 2)
+    assert len(fs.walk) == 4
+    assert list(dict.fromkeys(fs.tail[fs.walk].tolist())) == [0, 1, 2]
 
 
 def test_boundary_darts_chain():
     _, emb = grid(3, 3)
-    for f in faces(emb):
-        m = len(f.boundary)
-        for t in range(m):
-            assert f.boundary[t][1] == f.boundary[(t + 1) % m][0]
+    fs = faces(emb)
+    for f in range(len(fs)):
+        darts = fs.walk[fs.starts[f] : fs.starts[f + 1]]
+        assert fs.head[darts].tolist() == fs.tail[np.roll(darts, -1)].tolist()
 
 
 def test_random_trees_have_one_face():
@@ -147,4 +151,4 @@ def test_random_trees_have_one_face():
         emb = PlanarEmbedding(tuple(tuple(a) for a in adj))
         fs = faces(emb)
         assert len(fs) == 1
-        assert len(fs[0].boundary) == 2 * (n - 1)
+        assert len(fs.walk) == 2 * (n - 1)

@@ -27,7 +27,7 @@ from planarcc import (
     grid,
 )
 
-from conftest import random_polygon_triangulation, random_tree
+from conftest import random_grid_model, random_polygon_triangulation, random_tree
 
 
 def reference_faces(rotations):
@@ -211,11 +211,15 @@ def test_faces_match_reference(name, edges, rotations):
     fs = faces(PlanarEmbedding(rotations))
     want = reference_faces(rotations)
     assert len(fs) == len(want)
-    assert [(f.id, f.boundary, f.boundary_vertices) for f in fs] == [
-        (k, b, v) for k, (b, v) in enumerate(want)
-    ]
-    assert fs[-1] == fs[len(fs) - 1]
-    assert fs[:2] == [fs[k] for k in range(min(2, len(fs)))]
+    got = []
+    for f in range(len(fs)):
+        darts = fs.walk[fs.starts[f] : fs.starts[f + 1]]
+        assert (fs.face_of[darts] == f).all()
+        tails = fs.tail[darts].tolist()
+        # The single vertex lies on its one face, which has no darts.
+        verts = tuple(dict.fromkeys(tails)) or (0,)
+        got.append((tuple(zip(tails, fs.head[darts].tolist())), verts))
+    assert got == want
 
 
 @pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])
@@ -265,7 +269,166 @@ def test_pcc_graph_matches_reference(name, edges, rotations):
         num_ports, port_u, port_v,
     )
     assert g.dual.bridge.tolist() == bridge
-    assert g.dual.tree == reference_tree([(i, j, 0) for (i, j) in aug_edges], aug)
+    # The decode tree is the base graph's breadth-first tree, then one
+    # spoke per face, from its first incidence to the face vertex.
+    first = [inc_face.index(f) for f in range(g.num_faces)]
+    spokes = tuple((n + f, inc_node[t], len(edges) + t) for f, t in enumerate(first))
+    base = [(i, j, 0) for (i, j) in edges]
+    assert g.dual.tree == reference_tree(base, rotations) + spokes
+
+
+def random_grids():
+    """(name, edges, rotations) of random grid shapes."""
+    rng = random.Random(23)
+    for k in range(9):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        edges, emb = grid(rows, cols)
+        yield f"grid{rows}x{cols}-{k}", edges, emb.rotations
+
+
+FACE_ARRAYS = (
+    "offset", "tail", "head", "twin", "succ", "walk", "starts", "face_of", "_by_key", "_keys",
+)
+
+
+@pytest.mark.parametrize(
+    "name,edges,rotations",
+    GRAPHS + list(random_grids()),
+    ids=[g[0] for g in GRAPHS + list(random_grids())],
+)
+def test_build_pcc_hands_on_the_faces_a_walk_finds(monkeypatch, name, edges, rotations):
+    import planarcc.pcc as pcc_module
+
+    walked, handed = [], []
+
+    def counting_faces(embedding):
+        walked.append(embedding)
+        return faces(embedding)
+
+    def capturing_dual(topology, fs):
+        handed.append(fs)
+        return build_expanded_dual(topology, fs)
+
+    monkeypatch.setattr(pcc_module, "faces", counting_faces)
+    monkeypatch.setattr(pcc_module, "build_expanded_dual", capturing_dual)
+    n = len(rotations)
+    model = BinaryMRF(n, tuple((i, j, 1) for (i, j) in edges), (1,) * n, 0)
+    g = build_pcc(model, PlanarEmbedding(rotations))
+    # One walk, of the base embedding; the augmented faces are derived.
+    assert len(walked) == 1 and walked[0].rotations == rotations
+    [derived] = handed
+    assert derived is g.augmented_faces
+    want = faces(g.embedding)
+    for attr in FACE_ARRAYS:
+        got, expected = getattr(derived, attr), getattr(want, attr)
+        assert got.dtype == expected.dtype == np.int64, attr
+        assert got.tolist() == expected.tolist(), attr
+
+
+def walked_darts(rotations):
+    """(offset, head, twin, walk, starts) of a rotation system's darts and
+    faces, from ``reference_faces``."""
+    offset = np.cumsum([0] + [len(rot) for rot in rotations])
+    dart = {
+        (v, u): int(offset[v]) + k for v, rot in enumerate(rotations) for k, u in enumerate(rot)
+    }
+    head = [u for rot in rotations for u in rot]
+    twin = [dart[(u, v)] for (v, u) in sorted(dart, key=dart.get)]
+    boundaries = [b for (b, _) in reference_faces(rotations)]
+    walk = [dart[d] for b in boundaries for d in b]
+    starts = np.cumsum([0] + [len(b) for b in boundaries])
+    return offset, np.array(head), np.array(twin), np.array(walk), starts
+
+
+def derived_3x3():
+    """The checked arguments of ``_checked_faces`` for the augmented 3x3 grid."""
+    edges, emb = grid(3, 3)
+    g = build_pcc(BinaryMRF(9, tuple((i, j, 1) for (i, j) in edges), (1,) * 9, 0), emb)
+    fs = g.augmented_faces
+    return [a.copy() for a in (fs.offset, fs.head, fs.twin, fs.walk, fs.starts)]
+
+
+def unpaired_twins():
+    offset, head, twin, walk, starts = derived_3x3()
+    twin[[0, 1]] = twin[[1, 0]]
+    return offset, head, twin, walk, starts
+
+
+def twins_of_other_darts():
+    # An involution, but dart 0's twin is dart 1, which leaves vertex 0 too.
+    offset, head, twin, walk, starts = derived_3x3()
+    a, b = twin[0], twin[1]
+    twin[[0, 1, a, b]] = [1, 0, b, a]
+    return offset, head, twin, walk, starts
+
+
+def digon():
+    # Two parallel edges between vertices 0 and 1: twins pair up and the
+    # two faces obey Euler's formula, but the keys 0 -> 1 and 1 -> 0 repeat.
+    arrays = ([0, 2, 4], [1, 1, 0, 0], [3, 2, 1, 0], [0, 2, 1, 3], [0, 2, 4])
+    return tuple(np.array(a) for a in arrays)
+
+
+def dart_twice():
+    offset, head, twin, walk, starts = derived_3x3()
+    walk[1] = walk[0]
+    return offset, head, twin, walk, starts
+
+
+def swapped_darts():
+    # Face 0 is a triangle; its second and third darts change places.
+    offset, head, twin, walk, starts = derived_3x3()
+    walk[[1, 2]] = walk[[2, 1]]
+    return offset, head, twin, walk, starts
+
+
+def rotated_face():
+    # The walk of face 0 starts one dart on: still a walk of the face.
+    offset, head, twin, walk, starts = derived_3x3()
+    walk[:3] = np.roll(walk[:3], -1)
+    return offset, head, twin, walk, starts
+
+
+def toroidal_k4():
+    # K4 with vertex 3's rotation reversed: two faces, genus 1.
+    return walked_darts(((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 2, 1)))
+
+
+CORRUPTIONS = [
+    (unpaired_twins, "twins are not paired"),
+    (twins_of_other_darts, "twins are not paired"),
+    (digon, "a dart key repeats"),
+    (dart_twice, "the walk does not cover every dart once"),
+    (swapped_darts, "the walk breaks the next-dart rule"),
+    (rotated_face, "faces are not numbered by smallest dart"),
+    (toroidal_k4, "Euler's formula fails"),
+]
+
+
+@pytest.mark.parametrize("corrupt,problem", CORRUPTIONS, ids=[c.__name__ for c, _ in CORRUPTIONS])
+def test_checks_of_derived_faces_fire(corrupt, problem):
+    from planarcc.pcc import _checked_faces
+
+    offset, head, twin, walk, starts = derived_3x3()
+    assert len(_checked_faces(offset, head, twin, walk, starts, np.zeros(0, np.int64))) == 24
+    with pytest.raises(AssertionError, match=f"{problem}; this is a bug"):
+        _checked_faces(*corrupt(), np.zeros(0, np.int64))
+
+
+def test_build_pcc_rejects_a_corrupted_derived_walk(monkeypatch):
+    import planarcc.pcc as pcc_module
+
+    derive = pcc_module._augmented_faces
+
+    def swapping(*args):
+        twin, walk, starts, tree = derive(*args)
+        walk[[1, 2]] = walk[[2, 1]]
+        return twin, walk, starts, tree
+
+    monkeypatch.setattr(pcc_module, "_augmented_faces", swapping)
+    model, emb = random_grid_model(random.Random(5), 3, 3, a_scaled=100)
+    with pytest.raises(AssertionError, match="next-dart rule; this is a bug"):
+        build_pcc(model, emb)
 
 
 @pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])

@@ -19,7 +19,7 @@ from planarcc.harness import InstanceSpec, generate_grid_instance
 OPTIMIZE = {
     (8, 0.2, 0, 300, 1.0): "84b1bdf1801f05899fc625600e690263aa566ed113f8f0b836ffc41b652c6987",
     (8, 0.2, 1, 300, 1.0): "1cd103fdb3a95a91e09e84e33620cf34adaccfbf2033664502954895a20f67cf",
-    (8, 0.2, 5, 300, 0.0): "e1f1489e8435de0f1a62f32bcb11709dffc49bbc4f776bb8b605ab002eb6e262",
+    (8, 0.2, 5, 300, 0.0): "f578bb851f1fbc291de40bb4338d4d40eaf7ec4acc9a6ed9f8b01b0df074a283",
     (12, 3.2, 0, 300, 1.0): "62f208d6ba72384503c278fdb7b1ce6c656ab792b1ca1d3aff4d7bd305f50e0e",
     (12, 3.2, 2, 300, 1.0): "fec38d45d4520c3644b42dacfd617628794d2650bc77ebc52cdd64a6f5cd00b4",
     (12, 3.2, 7, 60, 0.0): "236bf121a813851a90a1eee92d2893860601c154e395251df99a784c2ce0551f",

@@ -370,6 +370,18 @@ def test_step_factor_schedule_in_trace():
     assert sum(f == pytest.approx(0.05, rel=1e-9) for f in factors) > 3
 
 
+def test_optimize_stops_on_the_proof_even_at_tol_zero():
+    # Certified from iteration 25: a run that went on would solve the same
+    # bound again at a step of 0 up to max_iters.
+    model, emb = generate_grid_instance(InstanceSpec(10, 10, 0.2, 31, 500))
+    res = optimize(model, emb, max_iters=100, tol=0.0)
+    assert (res.iterations, res.certificate) == (25, "optimal")
+    assert res.trace.rows[-1].step_size == 0.0
+    assert all(r.step_size > 0 for r in res.trace.rows[:-1])
+    short = optimize(model, emb, max_iters=24, tol=0.0)
+    assert (short.iterations, short.certificate) == (24, "gap")
+
+
 def test_certify_iteration_budget_8x8():
     # The fixed factor 1/2 needed 597 iterations on these seeds, the slowest
     # seed 112; the adaptive schedule aimed at the ICM-polished upper bound
