@@ -51,7 +51,7 @@ from certify_iterations import ROOT, commit, cpu
 from kernel_solves import SETS, p50_p90, record, set_name
 
 REPS = 5
-GROUND_SIDES = [8, 12, 16, 24, 32, 48]
+GROUND_SIDES = [4, 8, 12, 16, 24, 32, 48]
 GROUND_CALLS = 31
 CERTIFY_WORKLOADS = ["certify-strong", "certify-weak"]
 BENCH_SEEDS = [901, 902, 903, 904]

@@ -5,7 +5,7 @@ minimum-weight perfect matching, and certified lower/upper bounds for models
 with unary terms via subgradient optimization of per-face unary splits.
 """
 
-from .embedding import Faces, PlanarEmbedding, cycle, euler_check, faces, grid
+from .embedding import Faces, PlanarEmbedding, cycle, faces, grid
 from .errors import (
     NoPerfectMatchingError,
     NotPlanarEmbeddingError,
@@ -24,13 +24,11 @@ from .matching import (
 )
 from .model import (
     BinaryMRF,
-    PairwisePotentialTable,
     SymmetricIsing,
     complement,
     energy,
     ising_energy,
     load_model,
-    reparameterize,
     save_model,
     scale_to_integer,
 )

@@ -74,6 +74,22 @@ def _from_keys(cls, keys: dict, where: str):
         raise PlanarCCError(f"{where}: {exc}") from None
 
 
+def _read(path: str, load):
+    """``load(path)``; a file whose content ``load`` rejects raises
+    PlanarCCError, which names the file and the problem."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise PlanarCCError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _batch_doc(path: str) -> tuple[list, dict]:
+    """(specs, options) of a batch file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    return list(doc["specs"]), doc.get("options", {})
+
+
 def cmd_gen_grid(args) -> int:
     spec = _from_keys(
         InstanceSpec,
@@ -87,7 +103,7 @@ def cmd_gen_grid(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model, rotations, meta = load_model(args.model)
+    model, rotations, meta = _read(args.model, load_model)
     embedding = _embedding_for(model, rotations)
     options = _from_keys(
         SolverOptions,
@@ -133,7 +149,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    model, _, _ = load_model(args.model)
+    model, _, _ = _read(args.model, load_model)
     result = brute_force_map(model)
     print(json.dumps({
         "energy": result.energy,
@@ -143,10 +159,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    with open(args.spec) as fh:
-        doc = json.load(fh)
-    specs = [_from_keys(InstanceSpec, s, "batch specs") for s in doc["specs"]]
-    options = _from_keys(SolverOptions, doc.get("options", {}), "batch options")
+    specs, options = _read(args.spec, _batch_doc)
+    specs = [_from_keys(InstanceSpec, s, "batch specs") for s in specs]
+    options = _from_keys(SolverOptions, options, "batch options")
     summaries = batch(specs, options, jobs=args.jobs, out=args.out)
     agg = aggregate(summaries)
     if args.aggregate_out:
@@ -206,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlanarCCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PlanarCCError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

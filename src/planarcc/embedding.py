@@ -8,8 +8,12 @@ all directed edges into face boundaries and V - E + F = 2 holds; rotation
 systems of non-planar graphs fail that check.
 
 A ``PlanarEmbedding`` indexes its directed edges (darts) once, when it is
-validated; ``faces`` walks that index and, in the same call, finds the
-breadth-first spanning tree that decodes cuts into labels.
+validated.  ``faces`` finds the breadth-first spanning tree that decodes
+cuts into labels, then the faces, on arrays: the next-dart rule is a
+permutation of the darts whose cycles are the faces, and pointer doubling
+(Wyllie's list ranking, 1979) gives every dart its face's smallest dart and
+its place in that face's walk.  ``pcc.build_pcc`` walks the darts of its
+augmented graph with the same function.
 """
 
 from __future__ import annotations
@@ -171,15 +175,15 @@ def euler_check(num_vertices: int, num_edges: int, num_faces: int) -> bool:
 
 
 def faces(embedding: PlanarEmbedding) -> Faces:
-    """Enumerate the faces of a connected embedded graph, by one walk over
-    the embedding's dart index, as ``Faces`` arrays.
+    """Enumerate the faces of a connected embedded graph, from the
+    embedding's dart index, as ``Faces`` arrays.
 
-    Deterministic: faces are numbered in order of their smallest starting
-    dart (vertex id, then rotation position).  A single vertex lies on one
-    face without darts.  The breadth-first search that checks connectivity
-    also yields ``Faces.tree``.  Raises NotPlanarEmbeddingError when the
-    graph is empty or disconnected, or when the rotation system does not
-    describe a plane graph (Euler check fails).
+    Deterministic: faces are numbered in order of their smallest dart
+    (vertex id, then rotation position), and each walk starts there.  A
+    single vertex lies on one face without darts.  The breadth-first search
+    that checks connectivity also yields ``Faces.tree``.  Raises
+    NotPlanarEmbeddingError when the graph is empty or disconnected, or when
+    the rotation system does not describe a plane graph (Euler check fails).
     """
     n = embedding.num_vertices
     if n == 0:
@@ -187,8 +191,6 @@ def faces(embedding: PlanarEmbedding) -> Faces:
     offset, twin = embedding._offset, embedding._twin
     tail = _tails(offset)
     head = tail[twin]
-    start = offset[tail]
-    succ = start + (np.arange(len(tail)) - start + 1) % (offset[tail + 1] - start)
 
     offset_list, head_list = offset.tolist(), head.tolist()
     seen = [False] * n
@@ -204,47 +206,59 @@ def faces(embedding: PlanarEmbedding) -> Faces:
                 tree.append(d)
     if len(order) != n:
         raise NotPlanarEmbeddingError("graph is disconnected; split components first")
+    return _walk(offset, tail, head, twin, embedding._by_key, np.array(tree, dtype=np.int64))
 
-    # After dart a -> b comes the successor of its twin b -> a in b's
-    # rotation.  Twins and successors are permutations of the darts, so
-    # each walk closes on its first dart.
-    nxt = succ[twin].tolist()
-    m = len(nxt)
-    face_of = [-1] * m
-    walk: list[int] = []
-    starts: list[int] = []
-    for d in range(m):
-        if face_of[d] >= 0:
-            continue
-        f = len(starts)
-        starts.append(len(walk))
-        e = d
-        while face_of[e] < 0:
-            face_of[e] = f
-            walk.append(e)
-            e = nxt[e]
-    if not starts:
-        starts.append(0)
-    starts.append(m)
 
-    num_faces = len(starts) - 1
-    if not euler_check(n, m // 2, num_faces):
+def _walk(offset, tail, head, twin, by_key, tree) -> Faces:
+    """The ``Faces`` of the darts given by ``offset``, ``tail``, ``head``,
+    ``twin`` and ``by_key`` (see ``Faces``), with spanning ``tree``.
+
+    After dart a -> b comes the successor of its twin b -> a in b's
+    rotation; twins and successors are permutations of the darts, so each
+    face is a cycle of that next-dart permutation.  Pointer doubling
+    (Wyllie's list ranking) finds, for every dart at once, its face's
+    smallest dart and how many darts the face's walk passes from there to
+    it.  Raises NotPlanarEmbeddingError when Euler's formula fails.
+    """
+    n, m = len(offset) - 1, len(head)
+    darts = np.arange(m)
+    start = offset[tail]
+    succ = start + (darts - start + 1) % (offset[tail + 1] - start)
+    prev = np.empty(m, dtype=np.int64)
+    prev[succ[twin]] = darts
+
+    # Pointer doubling.  key[d] packs low << shift | behind: after round k,
+    # low is the smallest of the 2**k darts up to d along its face and
+    # behind how far back from d it lies (the nearest copy once the window
+    # wraps round the face); jump[d] is the dart 2**k back.  The smaller key
+    # wins, so when a round lowers no key, every low is equal along its face
+    # and is the face's smallest dart.  A round of step s runs only when a
+    # face is longer than s / 2, so behind stays below 4m, under the shift.
+    shift = m.bit_length() + 2
+    key, jump, step = darts << shift, prev, 1
+    while True:
+        earlier = key[jump] + step
+        if not np.count_nonzero(earlier < key):
+            break
+        np.minimum(key, earlier, out=key)
+        jump, step = jump[jump], 2 * step
+
+    # Faces are numbered by smallest dart, and a dart lies behind[d] darts
+    # into its face's walk.
+    low, behind = key >> shift, key & ((1 << shift) - 1)
+    face_of = np.searchsorted(np.flatnonzero(behind == 0), low)
+    size = np.bincount(face_of, minlength=1)
+    starts = np.zeros(len(size) + 1, dtype=np.int64)
+    np.cumsum(size, out=starts[1:])
+    walk = np.empty(m, dtype=np.int64)
+    walk[starts[face_of] + behind] = darts
+
+    if not euler_check(n, m // 2, len(size)):
         raise NotPlanarEmbeddingError(
-            f"Euler check failed: V={n} E={m // 2} F={num_faces}; "
+            f"Euler check failed: V={n} E={m // 2} F={len(size)}; "
             "rotation system is not a planar embedding"
         )
-    return Faces(
-        offset,
-        tail,
-        head,
-        twin,
-        succ,
-        embedding._by_key,
-        np.array(walk, dtype=np.int64),
-        np.array(starts, dtype=np.int64),
-        np.array(face_of, dtype=np.int64),
-        np.array(tree, dtype=np.int64),
-    )
+    return Faces(offset, tail, head, twin, succ, by_key, walk, starts, face_of, tree)
 
 
 def grid(rows: int, cols: int) -> tuple[list[tuple[int, int]], PlanarEmbedding]:

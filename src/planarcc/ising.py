@@ -28,10 +28,10 @@ the bridge is decoded as cut exactly when w < 0.
 
 ``ground_state`` and the PCC loop share this one reduction: the port graph
 is built once per embedded topology, from the darts and faces of
-``faces(embedding)`` (for the PCC loop, from the augmented faces that
-``pcc.build_pcc`` derives from the base faces), and ``ExpandedDual.solve``
-maps edge weights to port weights, runs the matching kernel and decodes
-the matching.  The PCC loop solves one port graph at many weights, on one
+``faces(embedding)`` (for the PCC loop, from the augmented darts that
+``pcc.build_pcc`` builds and walks as ``faces`` walks an embedding's), and
+``ExpandedDual.solve`` maps edge weights to port weights, runs the matching
+kernel and decodes the matching.  The PCC loop solves one port graph at many weights, on one
 kernel session.  The decode labels node 0 with 0 and propagates the cut along ``Faces.tree`` by
 pointer jumping.  For an embedding it is the breadth-first tree that
 ``faces`` finds while checking connectivity; for a PCC graph, the base
@@ -295,7 +295,7 @@ def build_expanded_dual(
     supplies: the int64 endpoint arrays (u, v) of its edges, each with
     u < v, taken as weight 0.  ``embedding`` is the model's embedding, whose
     faces are walked here, or its ``Faces`` when the caller has them
-    (``build_pcc`` derives the augmented graph's); the decode tree is
+    (``build_pcc`` walks the augmented graph's); the decode tree is
     ``Faces.tree``.
     """
     if isinstance(ising, SymmetricIsing):

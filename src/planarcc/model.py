@@ -2,9 +2,11 @@
 
 A model is parameterized by pairwise disagreement costs ``theta_ij`` (paid
 when two neighbors take different labels), unary costs ``theta_i`` (paid when
-a variable takes label 1), and an additive constant accumulated by
-reparameterization.  Any pairwise binary MRF can be rewritten this way
-(``reparameterize``).  A model without unary terms (``SymmetricIsing``) is
+a variable takes label 1), and an additive constant.  Any pairwise binary MRF
+can be rewritten this way: a 2x2 table phi on edge (i, j) is
+theta_ij = (phi01 + phi10 - phi00 - phi11) / 2, plus unaries
+phi10 - phi00 - theta_ij on i and phi01 - phi00 - theta_ij on j and the
+constant phi00.  A model without unary terms (``SymmetricIsing``) is
 flip-invariant; ``pcc`` absorbs unary terms into edges to one auxiliary node
 per face, which keeps the graph planar.
 """
@@ -15,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SizeMismatchError, WeightRangeError
 from .matching import MAX_ABS_WEIGHT
@@ -108,21 +110,6 @@ class SymmetricIsing:
         return _integer_edges(self.edges)
 
 
-@dataclass(frozen=True)
-class PairwisePotentialTable:
-    """2x2 table of energies phi(x_i, x_j) for one edge."""
-
-    i: int
-    j: int
-    table: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self):
-        for row in self.table:
-            for v in row:
-                if not math.isfinite(v):
-                    raise ValueError("potential table entries must be finite")
-
-
 def energy(model: BinaryMRF, x: Sequence[int]) -> float:
     """Energy of an assignment: sum of violated disagreement costs, unary
     costs of label-1 nodes, and the model constant.
@@ -153,45 +140,6 @@ def ising_energy(ising: SymmetricIsing, x: Sequence[int]) -> float:
 def complement(x: Sequence[int]) -> Labels:
     """Flip every label."""
     return tuple(1 - int(v) for v in x)
-
-
-def reparameterize(
-    tables: Iterable[PairwisePotentialTable], node_count: int
-) -> BinaryMRF:
-    """Convert a sum of 2x2 pairwise potential tables to disagreement form.
-
-    The returned model's energy equals the summed table entries exactly for
-    every assignment.  Contributions from multiple tables on the same edge or
-    node accumulate; edges whose accumulated disagreement cost is zero are
-    still kept (they may matter for the embedding).
-    """
-    edge_theta: dict[tuple[int, int], float] = {}
-    unary = [0] * node_count
-    constant = 0
-    for t in tables:
-        i, j = t.i, t.j
-        if i == j:
-            raise ValueError(f"self-loop table at node {i}")
-        if not (0 <= i < node_count and 0 <= j < node_count):
-            raise ValueError(f"table references invalid pair ({i},{j})")
-        tab = t.table
-        if i > j:
-            i, j = j, i
-            tab = ((tab[0][0], tab[1][0]), (tab[0][1], tab[1][1]))
-        p00, p01 = tab[0]
-        p10, p11 = tab[1]
-        # phi(xi,xj) = theta*[xi!=xj] + a_i*[xi!=0] + a_j*[xj!=0] + c
-        theta = (p01 + p10 - p00 - p11) / 2
-        if isinstance(theta, float) and theta.is_integer():
-            theta = int(theta)
-        a_i = p10 - theta - p00
-        a_j = p01 - theta - p00
-        edge_theta[(i, j)] = edge_theta.get((i, j), 0) + theta
-        unary[i] += a_i
-        unary[j] += a_j
-        constant += p00
-    edges = tuple((i, j, w) for (i, j), w in sorted(edge_theta.items()))
-    return BinaryMRF(node_count, edges, tuple(unary), constant)
 
 
 def _round_half_away(value: float) -> int:

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import Faces, PlanarEmbedding, _tails, euler_check, faces
+from .embedding import Faces, PlanarEmbedding, _tails, _walk, faces
 from .errors import WeightRangeError
 from .ising import ExpandedDual, _endpoints, build_expanded_dual
 from .matching import MAX_ABS_WEIGHT
@@ -64,10 +64,11 @@ class PCCGraph:
     size of its N_i); by_node lists them grouped by node, node i's group
     from by_node[node_start[i]].  These are int64 arrays; ``unary`` is the
     model's, as float64.  ``augmented_faces`` are the faces of the augmented
-    graph, which is planar by construction, derived from the base faces;
-    ``embedding``, its rotation system, is built from their darts when first
-    read.  ``dual`` is the port-graph reduction of its topology, whose edges
-    are listed by ``augmented_edges``.
+    graph, which is planar by construction: its darts are derived from the
+    base faces and walked as ``faces`` walks an embedding's.  ``embedding``,
+    its rotation system, is built from those darts when first read.
+    ``dual`` is the port-graph reduction of its topology, whose edges are
+    listed by ``augmented_edges``.
     """
 
     model: BinaryMRF
@@ -173,8 +174,9 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     distinct vertices on that face's boundary, and build the port graph of
     the combined planar graph.
 
-    The faces are walked once, on ``embedding``; the augmented graph's
-    faces are derived from them (see ``_augmented_faces``) and checked."""
+    ``faces`` runs once, on ``embedding``.  The augmented graph's darts and
+    decode tree are derived from the base faces' arrays, and its faces are
+    found from those darts by the same walk (see ``_checked_walk``)."""
     if embedding.num_vertices != model.num_nodes:
         raise ValueError(
             f"embedding has {embedding.num_vertices} vertices, model has {model.num_nodes}"
@@ -191,8 +193,7 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         inc_node, inc_face = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         # Darts 0 -> 1 and 1 -> 0, twins, bound its one face.
         offset, head = np.array([0, 1, 2], dtype=np.int64), np.array([1, 0], dtype=np.int64)
-        twin, walk, starts = head, np.array([0, 1], dtype=np.int64), offset[::2]
-        tree = np.zeros(1, dtype=np.int64)
+        twin, tree = head, np.zeros(1, dtype=np.int64)
     else:
         # A face connects to each boundary vertex at the corner where its
         # walk first visits the vertex: incidences are those first visits,
@@ -223,11 +224,24 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
         reverse = bounds[inc_face] + bounds[inc_face + 1] - 1 - np.arange(len(inc_face))
         offset = np.concatenate((at[fs.offset], at[-1] + bounds[1:]))
         head = np.concatenate((flat, inc_node[reverse]))
-        twin, walk, starts, tree = _augmented_faces(fs, visit, bounds, reverse, at)
+        # Base dart d is augmented dart at[d].  Incidence t joins x_t =
+        # inc_node[t] to face vertex F: spoke x_t -> F follows the dart whose
+        # rotation successor is x_t's corner, and F -> x_t is F's dart
+        # reverse[t].
+        pred = np.empty(m, dtype=np.int64)
+        pred[fs.succ] = np.arange(m)
+        out = at[pred[fs.walk[visit]]] + 1
+        into = at[-1] + reverse
+        twin = np.empty(len(head), dtype=np.int64)
+        twin[at[:-1]] = at[fs.twin]
+        twin[out], twin[into] = into, out
+        # The decode tree is the base tree and, per face, the spoke from its
+        # first incidence.
+        tree = np.concatenate((at[fs.tree], out[bounds[:-1]]))
 
     # Only the topology matters: each solve supplies the edge weights.
     topology = (np.concatenate((base_u, inc_node)), np.concatenate((base_v, n + inc_face)))
-    aug_faces = _checked_faces(offset, head, twin, walk, starts, tree)
+    aug_faces = _checked_walk(offset, head, twin, tree)
 
     inc_count = np.bincount(inc_node, minlength=n)
     return PCCGraph(
@@ -244,98 +258,23 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     )
 
 
-def _augmented_faces(
-    fs: Faces, visit: np.ndarray, bounds: np.ndarray, reverse: np.ndarray, at: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(twin, walk, starts, tree) of the augmented graph's darts, derived
-    from the base faces ``fs`` without a walk.
-
-    Incidence t of base face f, at walk position visit[t] with vertex x_t,
-    bounds one augmented face: F -> x_t, the base darts from visit[t] up to
-    the next corner of f, then x_t' -> F, t' the next incidence of f (its
-    first after its last).  Base dart d is augmented dart at[d]; spoke
-    x_t -> F follows the dart whose rotation successor is x_t's corner, and
-    F -> x_t is F's dart reverse[t] (see ``build_pcc``).  Faces are numbered
-    as ``faces`` numbers them, by smallest dart, each walk starting there.
-    The tree is the base tree and, per face, the spoke from its first
-    incidence to F.
-    """
-    m, T = len(fs.walk), len(visit)
-    pred = np.empty(m, dtype=np.int64)
-    pred[fs.succ] = np.arange(m)
-    out = at[pred[fs.walk[visit]]] + 1  # x_t -> F
-    into = at[-1] + reverse  # F -> x_t
-    twin = np.empty(at[-1] + T, dtype=np.int64)
-    twin[at[:-1]] = at[fs.twin]
-    twin[out], twin[into] = into, out
-
-    # Face t in walk order: into[t], the base darts, out[next[t]].
-    nxt = np.arange(1, T + 1)
-    nxt[bounds[1:] - 1] = bounds[:-1]
-    base_len = np.diff(visit, append=m)
-    size = base_len + 2
-    seg = visit + 2 * np.arange(T)
-    natural = np.empty(m + 2 * T, dtype=np.int64)
-    natural[seg] = into
-    natural[seg + size - 1] = out[nxt]
-    natural[np.arange(m) + 2 * np.repeat(np.arange(T), base_len) + 1] = at[fs.walk]
-
-    # Renumber by smallest dart and rotate each walk to start there.
-    low = np.minimum.reduceat(natural, seg)
-    shift = np.flatnonzero(natural == np.repeat(low, size)) - seg
-    order = np.argsort(low)
-    starts = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(size[order], out=starts[1:])
-    face = np.repeat(order, size[order])
-    step = np.arange(m + 2 * T) - starts[:-1].repeat(size[order])
-    walk = natural[seg[face] + (shift[face] + step) % size[face]]
-    return twin, walk, starts, np.concatenate((at[fs.tree], out[bounds[:-1]]))
-
-
-def _checked_faces(offset, head, twin, walk, starts, tree) -> Faces:
-    """The ``Faces`` of the darts given by ``offset`` and ``head``, from a
-    derived ``twin``, face ``walk``, face ``starts`` and spanning ``tree``,
-    checked as a walk of the faces would find them.
+def _checked_walk(offset: np.ndarray, head: np.ndarray, twin: np.ndarray, tree: np.ndarray) -> Faces:
+    """The ``Faces`` of the derived darts given by ``offset``, ``head`` and
+    ``twin``, with spanning ``tree``, walked as ``faces`` walks an
+    embedding's darts.
 
     Raises AssertionError when the twins are not an involution pairing
-    opposite darts, a dart key repeats, the walk does not cover each dart
-    once along the next-dart rule, the faces are not numbered by smallest
-    dart, or Euler's formula fails.
+    opposite darts or a dart key repeats, and NotPlanarEmbeddingError when
+    Euler's formula fails.
     """
     n, m = len(offset) - 1, len(head)
     tail = _tails(offset)
-    start = offset[tail]
-    succ = start + (np.arange(m) - start + 1) % (offset[tail + 1] - start)
-    by_key = np.argsort(tail * n + head, kind="stable")
-    face_of = np.empty(m, dtype=np.int64)
-    face_of[walk] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    aug = Faces(offset, tail, head, twin, succ, by_key, walk, starts, face_of, tree)
-
-    def failed(problem: str) -> AssertionError:
-        return AssertionError(f"derived augmented faces: {problem}; this is a bug")
-
     if not (np.array_equal(twin[twin], np.arange(m)) and np.array_equal(head[twin], tail)):
-        raise failed("twins are not paired")
-    if (aug._keys[1:] == aug._keys[:-1]).any():
-        raise failed("a dart key repeats")
-    covered = np.zeros(m, dtype=bool)
-    covered[walk] = True
-    if len(walk) != m or not covered.all():
-        raise failed("the walk does not cover every dart once")
-    following = np.empty(m, dtype=np.int64)
-    following[:-1] = walk[1:]
-    following[starts[1:] - 1] = walk[starts[:-1]]
-    if not np.array_equal(succ[twin[walk]], following):
-        raise failed("the walk breaks the next-dart rule")
-    first = walk[starts[:-1]]
-    if not (
-        np.array_equal(np.minimum.reduceat(walk, starts[:-1]), first)
-        and (first[1:] > first[:-1]).all()
-    ):
-        raise failed("faces are not numbered by smallest dart")
-    if not euler_check(n, m // 2, len(starts) - 1):
-        raise failed("Euler's formula fails")
-    return aug
+        raise AssertionError("derived augmented darts: twins are not paired; this is a bug")
+    fs = _walk(offset, tail, head, twin, np.argsort(tail * n + head, kind="stable"), tree)
+    if (fs._keys[1:] == fs._keys[:-1]).any():
+        raise AssertionError("derived augmented darts: a dart key repeats; this is a bug")
+    return fs
 
 
 def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:

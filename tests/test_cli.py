@@ -155,9 +155,32 @@ def test_single_node_grid(tmp_path):
     assert out["certificate"] == "optimal"
 
 
-def test_missing_file_errors():
+def test_missing_file_errors(tmp_path):
     r = cli("solve", "/nonexistent/model.json")
     assert r.returncode == 2
+    r = cli("oracle", str(tmp_path))
+    assert r.returncode == 2 and r.stderr.startswith("error: [Errno")
+
+
+@pytest.mark.parametrize("command,text,says", [
+    ("solve", '{"num_nodes": 2,', "JSONDecodeError: "),
+    ("solve", '{"edges": []}', "KeyError: 'num_nodes'"),
+    ("oracle", '{"num_nodes": 2, "edges": [[0, 1, "x"]]}', "ValueError: expected a number, got 'x'"),
+    ("oracle", '{"num_nodes": 2, "edges": [[1, 1, 3]]}', "ValueError: self-loop at node 1"),
+    ("batch", "specs:", "JSONDecodeError: "),
+    ("batch", '{"options": {}}', "KeyError: 'specs'"),
+    ("batch", '{"specs": 5}', "TypeError: "),
+])
+def test_malformed_input_file_is_an_error(tmp_path, capsys, command, text, says):
+    path, out = tmp_path / "input.json", tmp_path / "results.csv"
+    path.write_text(text)
+    if command == "batch":
+        assert main(["batch", "--spec", str(path), "--out", str(out)]) == 2
+    else:
+        assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {says}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_solve_reports_the_engine_that_ran(tmp_path):

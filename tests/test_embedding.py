@@ -7,10 +7,10 @@ from planarcc import (
     NotPlanarEmbeddingError,
     PlanarEmbedding,
     cycle,
-    euler_check,
     faces,
     grid,
 )
+from planarcc.embedding import euler_check
 
 
 def test_faces_2x2_grid():
@@ -73,6 +73,10 @@ def test_k5_fails_euler():
     )
     with pytest.raises(NotPlanarEmbeddingError):
         faces(PlanarEmbedding(rotations))
+    # Nor K4 with vertex 3's rotation reversed: two faces, genus 1.
+    toroidal_k4 = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 2, 1))
+    with pytest.raises(NotPlanarEmbeddingError, match="Euler check failed: V=4 E=6 F=2"):
+        faces(PlanarEmbedding(toroidal_k4))
 
 
 def test_invalid_rotations_rejected():

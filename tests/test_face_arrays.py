@@ -194,9 +194,16 @@ def graphs():
     for k in range(10):
         edges, rotations = random_polygon_triangulation(rng, rng.randint(3, 12))
         yield f"triangulation{k}", edges, tuple(rotations)
-    for length in (3, 4, 7):
+    # Faces of 257 and 300 darts take 9 rounds of pointer doubling.
+    for length in (3, 4, 7, 257, 300):
         edges, emb = cycle(length)
         yield f"cycle{length}", edges, emb.rotations
+    # A path or a star has one face, of 2(n - 1) darts.
+    for n in (3, 40, 200):
+        rotations = ((1,),) + tuple((v - 1, v + 1) for v in range(1, n - 1)) + ((n - 2,),)
+        yield f"path{n}", [(v, v + 1) for v in range(n - 1)], rotations
+    for n in (4, 33):
+        yield f"star{n}", [(0, v) for v in range(1, n)], (tuple(range(1, n)),) + ((0,),) * (n - 1)
     k4 = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 1, 2))
     yield "K4", [(i, j) for i in range(4) for j in range(i + 1, 4)], k4
     yield "single", [], ((),)
@@ -314,7 +321,8 @@ def test_build_pcc_hands_on_the_faces_a_walk_finds(monkeypatch, name, edges, rot
     n = len(rotations)
     model = BinaryMRF(n, tuple((i, j, 1) for (i, j) in edges), (1,) * n, 0)
     g = build_pcc(model, PlanarEmbedding(rotations))
-    # One walk, of the base embedding; the augmented faces are derived.
+    # ``faces`` runs once, on the base embedding; the augmented darts are
+    # derived from its arrays and walked as ``faces`` walks an embedding.
     assert len(walked) == 1 and walked[0].rotations == rotations
     [derived] = handed
     assert derived is g.augmented_faces
@@ -325,110 +333,50 @@ def test_build_pcc_hands_on_the_faces_a_walk_finds(monkeypatch, name, edges, rot
         assert got.tolist() == expected.tolist(), attr
 
 
-def walked_darts(rotations):
-    """(offset, head, twin, walk, starts) of a rotation system's darts and
-    faces, from ``reference_faces``."""
-    offset = np.cumsum([0] + [len(rot) for rot in rotations])
-    dart = {
-        (v, u): int(offset[v]) + k for v, rot in enumerate(rotations) for k, u in enumerate(rot)
-    }
-    head = [u for rot in rotations for u in rot]
-    twin = [dart[(u, v)] for (v, u) in sorted(dart, key=dart.get)]
-    boundaries = [b for (b, _) in reference_faces(rotations)]
-    walk = [dart[d] for b in boundaries for d in b]
-    starts = np.cumsum([0] + [len(b) for b in boundaries])
-    return offset, np.array(head), np.array(twin), np.array(walk), starts
-
-
 def derived_3x3():
-    """The checked arguments of ``_checked_faces`` for the augmented 3x3 grid."""
+    """The darts ``_checked_walk`` checks for the augmented 3x3 grid:
+    (offset, head, twin)."""
     edges, emb = grid(3, 3)
     g = build_pcc(BinaryMRF(9, tuple((i, j, 1) for (i, j) in edges), (1,) * 9, 0), emb)
     fs = g.augmented_faces
-    return [a.copy() for a in (fs.offset, fs.head, fs.twin, fs.walk, fs.starts)]
+    return [a.copy() for a in (fs.offset, fs.head, fs.twin)]
 
 
 def unpaired_twins():
-    offset, head, twin, walk, starts = derived_3x3()
+    offset, head, twin = derived_3x3()
     twin[[0, 1]] = twin[[1, 0]]
-    return offset, head, twin, walk, starts
+    return offset, head, twin
 
 
 def twins_of_other_darts():
     # An involution, but dart 0's twin is dart 1, which leaves vertex 0 too.
-    offset, head, twin, walk, starts = derived_3x3()
+    offset, head, twin = derived_3x3()
     a, b = twin[0], twin[1]
     twin[[0, 1, a, b]] = [1, 0, b, a]
-    return offset, head, twin, walk, starts
+    return offset, head, twin
 
 
 def digon():
     # Two parallel edges between vertices 0 and 1: twins pair up and the
     # two faces obey Euler's formula, but the keys 0 -> 1 and 1 -> 0 repeat.
-    arrays = ([0, 2, 4], [1, 1, 0, 0], [3, 2, 1, 0], [0, 2, 1, 3], [0, 2, 4])
-    return tuple(np.array(a) for a in arrays)
-
-
-def dart_twice():
-    offset, head, twin, walk, starts = derived_3x3()
-    walk[1] = walk[0]
-    return offset, head, twin, walk, starts
-
-
-def swapped_darts():
-    # Face 0 is a triangle; its second and third darts change places.
-    offset, head, twin, walk, starts = derived_3x3()
-    walk[[1, 2]] = walk[[2, 1]]
-    return offset, head, twin, walk, starts
-
-
-def rotated_face():
-    # The walk of face 0 starts one dart on: still a walk of the face.
-    offset, head, twin, walk, starts = derived_3x3()
-    walk[:3] = np.roll(walk[:3], -1)
-    return offset, head, twin, walk, starts
-
-
-def toroidal_k4():
-    # K4 with vertex 3's rotation reversed: two faces, genus 1.
-    return walked_darts(((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 2, 1)))
+    return tuple(np.array(a) for a in ([0, 2, 4], [1, 1, 0, 0], [3, 2, 1, 0]))
 
 
 CORRUPTIONS = [
     (unpaired_twins, "twins are not paired"),
     (twins_of_other_darts, "twins are not paired"),
     (digon, "a dart key repeats"),
-    (dart_twice, "the walk does not cover every dart once"),
-    (swapped_darts, "the walk breaks the next-dart rule"),
-    (rotated_face, "faces are not numbered by smallest dart"),
-    (toroidal_k4, "Euler's formula fails"),
 ]
 
 
 @pytest.mark.parametrize("corrupt,problem", CORRUPTIONS, ids=[c.__name__ for c, _ in CORRUPTIONS])
 def test_checks_of_derived_faces_fire(corrupt, problem):
-    from planarcc.pcc import _checked_faces
+    from planarcc.pcc import _checked_walk
 
-    offset, head, twin, walk, starts = derived_3x3()
-    assert len(_checked_faces(offset, head, twin, walk, starts, np.zeros(0, np.int64))) == 24
+    no_tree = np.zeros(0, np.int64)
+    assert len(_checked_walk(*derived_3x3(), no_tree)) == 24
     with pytest.raises(AssertionError, match=f"{problem}; this is a bug"):
-        _checked_faces(*corrupt(), np.zeros(0, np.int64))
-
-
-def test_build_pcc_rejects_a_corrupted_derived_walk(monkeypatch):
-    import planarcc.pcc as pcc_module
-
-    derive = pcc_module._augmented_faces
-
-    def swapping(*args):
-        twin, walk, starts, tree = derive(*args)
-        walk[[1, 2]] = walk[[2, 1]]
-        return twin, walk, starts, tree
-
-    monkeypatch.setattr(pcc_module, "_augmented_faces", swapping)
-    model, emb = random_grid_model(random.Random(5), 3, 3, a_scaled=100)
-    with pytest.raises(AssertionError, match="next-dart rule; this is a bug"):
-        build_pcc(model, emb)
+        _checked_walk(*corrupt(), no_tree)
 
 
 @pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])

@@ -6,7 +6,6 @@ import pytest
 
 from planarcc import (
     BinaryMRF,
-    PairwisePotentialTable,
     SizeMismatchError,
     SymmetricIsing,
     WeightRangeError,
@@ -14,7 +13,6 @@ from planarcc import (
     energy,
     ising_energy,
     load_model,
-    reparameterize,
     save_model,
     scale_to_integer,
 )
@@ -55,58 +53,6 @@ def test_model_validation():
         BinaryMRF(3, ((0, 1, float("nan")),), (0, 0, 0), 0)
     with pytest.raises(SizeMismatchError):
         BinaryMRF(3, (), (0, 0), 0)
-
-
-def test_reparameterize_pure_disagreement():
-    m = reparameterize([PairwisePotentialTable(0, 1, ((0, 1), (1, 0)))], 2)
-    assert m.edges == ((0, 1, 1),)
-    assert m.unary == (0, 0)
-    assert m.constant == 0
-
-
-def test_reparameterize_constant_table():
-    m = reparameterize([PairwisePotentialTable(0, 1, ((5, 5), (5, 5)))], 2)
-    assert m.edges == ((0, 1, 0),)
-    assert m.unary == (0, 0)
-    assert m.constant == 5
-
-
-def test_reparameterize_general_table():
-    m = reparameterize([PairwisePotentialTable(0, 1, ((0, 3), (1, 2)))], 2)
-    assert m.edges == ((0, 1, 1),)
-    assert m.unary == (0, 2)
-    assert m.constant == 0
-
-
-def test_reparameterize_reproduces_tables_exactly():
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        tables = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.7:
-                    tables.append(
-                        PairwisePotentialTable(
-                            i, j,
-                            tuple(
-                                tuple(rng.randint(-9, 9) for _ in range(2))
-                                for _ in range(2)
-                            ),
-                        )
-                    )
-        if not tables:
-            continue
-        m = reparameterize(tables, n)
-        for x in itertools.product((0, 1), repeat=n):
-            direct = sum(t.table[x[t.i]][x[t.j]] for t in tables)
-            assert energy(m, x) == direct
-
-
-def test_reparameterize_accumulates_parallel_tables():
-    t = PairwisePotentialTable(0, 1, ((0, 1), (1, 0)))
-    m = reparameterize([t, t], 2)
-    assert m.edges == ((0, 1, 2),)
 
 
 def test_flip_symmetry():
