@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .embedding import Faces, PlanarEmbedding, _tails, _walk, faces
-from .errors import WeightRangeError
+from .errors import NotPlanarEmbeddingError, WeightRangeError
 from .ising import ExpandedDual, _endpoints, build_expanded_dual
 from .matching import MAX_ABS_WEIGHT
 from .model import BinaryMRF, Labels, complement, energy
@@ -264,14 +264,16 @@ def _checked_walk(offset: np.ndarray, head: np.ndarray, twin: np.ndarray, tree: 
     embedding's darts.
 
     Raises AssertionError when the twins are not an involution pairing
-    opposite darts or a dart key repeats, and NotPlanarEmbeddingError when
-    Euler's formula fails.
+    opposite darts, a dart key repeats or Euler's formula fails.
     """
     n, m = len(offset) - 1, len(head)
     tail = _tails(offset)
     if not (np.array_equal(twin[twin], np.arange(m)) and np.array_equal(head[twin], tail)):
         raise AssertionError("derived augmented darts: twins are not paired; this is a bug")
-    fs = _walk(offset, tail, head, twin, np.argsort(tail * n + head, kind="stable"), tree)
+    try:
+        fs = _walk(offset, tail, head, twin, np.argsort(tail * n + head, kind="stable"), tree)
+    except NotPlanarEmbeddingError:
+        raise AssertionError("derived augmented darts: Euler's formula fails; this is a bug") from None
     if (fs._keys[1:] == fs._keys[:-1]).any():
         raise AssertionError("derived augmented darts: a dart key repeats; this is a bug")
     return fs

@@ -362,10 +362,19 @@ def digon():
     return tuple(np.array(a) for a in ([0, 2, 4], [1, 1, 0, 0], [3, 2, 1, 0]))
 
 
+def toroidal_k4():
+    # K4 with vertex 3's rotation reversed: two faces, genus 1.
+    emb = PlanarEmbedding(((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 2, 1)))
+    offset, twin = emb._offset, emb._twin
+    tail = np.repeat(np.arange(len(offset) - 1), np.diff(offset))
+    return offset, tail[twin], twin
+
+
 CORRUPTIONS = [
     (unpaired_twins, "twins are not paired"),
     (twins_of_other_darts, "twins are not paired"),
     (digon, "a dart key repeats"),
+    (toroidal_k4, "Euler's formula fails"),
 ]
 
 
