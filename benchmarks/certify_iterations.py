@@ -14,7 +14,9 @@ Imports planarcc from the ``src/`` of the tree this script sits in, runs
 - 12x12 a=3.2, seeds 0-9: the instance size of the certify-strong
   benchmark, where a few large steps certify;
 - 24x24 a=0.2 seeds 0-9, 32x32 a=0.2 seeds 0-2 and 32x32 a=3.2 seeds
-  0-2: the tail, where runs take hundreds of iterations or stop at the cap.
+  0-2: the tail, where runs take hundreds of iterations or stop at the cap;
+- 48x48 a=0.2 seed 0: the largest grid that certifies, in about a minute,
+  after a long stretch at its final upper bound.
 
 The K4 set runs with ``max_iters=500``: K4 embedded as a triangle with
 vertex 3 in the middle, for seeds 0-7 with weights -300 + randint(-60, 60)
@@ -28,6 +30,9 @@ is below 1), the first iteration whose best upper bound is the final one,
 and the wall time of ``optimize`` (instance generation excluded); per set,
 the sums.  It also records the engine, the commit and the CPU.  Iteration
 counts and bounds are deterministic; wall times depend on the machine.
+``wall_s`` is one run per seed, so it cannot compare two trees on a noisy
+machine: compare their times with ``benchmarks/kernel_pairs.py``, which
+alternates the trees call by call in one process.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ SETS = [
     {"rows": 24, "cols": 24, "a": 0.2, "seeds": list(range(10))},
     {"rows": 32, "cols": 32, "a": 0.2, "seeds": list(range(3))},
     {"rows": 32, "cols": 32, "a": 3.2, "seeds": list(range(3))},
+    {"rows": 48, "cols": 48, "a": 0.2, "seeds": [0]},
     {"name": "K4", "seeds": list(range(8))},
 ]
 K4_ROTATIONS = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1))
@@ -157,6 +163,7 @@ def main(argv: list[str]) -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "optimize": {"max_iters": GRID_ITERS, "tol": 1.0, "k4_max_iters": K4_ITERS},
+        "wall_s": "one run per seed; compare trees with benchmarks/kernel_pairs.py",
         "sets": [run_set(spec) for spec in SETS],
     }
     out = ROOT / f"BENCH_{label}.json"

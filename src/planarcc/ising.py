@@ -95,12 +95,6 @@ class ExpandedDual:
     tree_edge: np.ndarray
     parent: np.ndarray
 
-    @property
-    def tree(self) -> tuple[tuple[int, int, int], ...]:
-        """The decode tree as (vertex, parent, model edge) triples."""
-        v = self.tree_vertex
-        return tuple(zip(v.tolist(), self.parent[v].tolist(), self.tree_edge.tolist()))
-
     @cached_property
     def match_graph(self) -> WeightedMatchGraph:
         """The port graph at the model's weights."""

@@ -451,24 +451,16 @@ def decode_upper(model: BinaryMRF, config: Sequence[int]) -> tuple[Labels, float
 
 class _UpperBound:
     """``decode_upper`` on arrays, for an integer model whose energies int64
-    holds exactly (``fits``): the labels x of the model's nodes are an int8
-    array, ``energies`` gives the energies of x and of its complement, equal
-    to ``energy()``, and ``decode`` picks the candidate as ``decode_upper``
-    does.  x and its complement cut the same edges; the complement pays the
-    unary of the nodes x labels 0.
+    holds exactly (``_int64_weights`` gave its weights): the labels x of
+    the model's nodes are an int8 array, ``energies`` gives the energies of
+    x and of its complement, equal to ``energy()``, and ``decode`` picks the
+    candidate as ``decode_upper`` does.  x and its complement cut the same
+    edges; the complement pays the unary of the nodes x labels 0.
     """
 
-    @staticmethod
-    def fits(model: BinaryMRF) -> bool:
-        """True when no partial sum of ``model``'s energies can reach 2**63."""
-        return _int64_weights(model, model.is_integer) is not None
-
-    def __init__(self, model: BinaryMRF, arrays: tuple[np.ndarray, ...] | None = None):
+    def __init__(self, model: BinaryMRF, arrays: tuple[np.ndarray, ...]):
         """``arrays`` are ``model``'s edge endpoints u and v, edge weights
-        and unaries as int64 arrays (see ``_int64_weights``), read from
-        ``model`` when None."""
-        if arrays is None:
-            arrays = (*_endpoints(model.edges), *_int64_weights(model, True))
+        and unaries as int64 arrays (see ``_int64_weights``)."""
         self.u, self.v, self.edge_w, self.unary = arrays
         self.constant = model.constant
         self.unary_total = int(self.unary.sum())

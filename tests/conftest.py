@@ -21,6 +21,13 @@ def assert_same(got, want):
     assert got[0].dtype == got[1].dtype == np.int64
 
 
+def decode_tree(dual):
+    """An ``ExpandedDual``'s decode tree as (vertex, parent, model edge)
+    triples, in the tree's order."""
+    v = dual.tree_vertex
+    return tuple(zip(v.tolist(), dual.parent[v].tolist(), dual.tree_edge.tolist()))
+
+
 def random_match_graph(rng: random.Random, n: int, density: float, lo=-20, hi=20):
     edges = []
     for i in range(n):

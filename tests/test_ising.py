@@ -24,7 +24,7 @@ from planarcc.ising import decode_matching
 from planarcc.matching import MAX_ABS_WEIGHT, engine_kernel
 from planarcc.oracle import brute_force_map_ising
 
-from conftest import random_grid_ising, random_grid_model, random_tree
+from conftest import decode_tree, random_grid_ising, random_grid_model, random_tree
 from test_face_arrays import GRAPHS
 
 SINGLE_EDGE_EMB = PlanarEmbedding(((1,), (0,)))
@@ -324,7 +324,7 @@ def tree_loop_labels(dual, cut):
     replaced: each vertex's label is its parent's XOR the cut of the tree
     edge between them."""
     labels = [0] * len(dual.parent)
-    for v, parent, t in dual.tree:
+    for v, parent, t in decode_tree(dual):
         labels[v] = labels[parent] ^ int(cut[t])
     return tuple(labels)
 

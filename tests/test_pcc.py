@@ -27,6 +27,7 @@ from planarcc import (
 )
 from planarcc.errors import WeightRangeError
 from planarcc.harness import InstanceSpec, generate_grid_instance
+from planarcc.ising import _endpoints
 from planarcc.matching import (
     COMPILED_UNAVAILABLE,
     MAX_ABS_WEIGHT,
@@ -36,7 +37,7 @@ from planarcc.matching import (
     has_compiled_kernel,
 )
 from planarcc.oracle import brute_force_map, brute_force_map_ising
-from planarcc.pcc import _ICM, _UpperBound, certificate_of
+from planarcc.pcc import _ICM, _UpperBound, _int64_weights, certificate_of
 
 from conftest import random_grid_model, random_tree
 
@@ -440,14 +441,21 @@ def upper_bound_models(rng):
         )
 
 
+def int64_upper(model):
+    """``model``'s ``_UpperBound`` from the arrays ``optimize`` reads, or
+    None where int64 cannot hold its energies exactly."""
+    weights = _int64_weights(model, model.is_integer)
+    return None if weights is None else _UpperBound(model, (*_endpoints(model.edges), *weights))
+
+
 def test_array_upper_bound_equals_energy_exactly():
     rng = random.Random(97)
     for name, model in upper_bound_models(rng):
-        fits = _UpperBound.fits(model)
+        upper = int64_upper(model)
+        fits = upper is not None
         assert fits == (name in ("integer", "tie")), name
         if not fits:
             continue
-        upper = _UpperBound(model)
         n = model.num_nodes
         for trial in range(25):
             x = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.int8)
@@ -523,7 +531,7 @@ def exact_flip_deltas(model, x):
 def test_icm_polish_is_exact_never_worse_and_a_local_minimum():
     rng = random.Random(103)
     for name, model in upper_bound_models(rng):
-        upper = _UpperBound(model) if _UpperBound.fits(model) else None
+        upper = int64_upper(model)
         icm = _ICM(model, upper)
         lowered = 0
         for _ in range(10):
