@@ -17,7 +17,7 @@ their compiled kernel.
   - ``optimize(max_iters=2000, tol=1.0)`` on 8x8 a=0.2 (seeds 0-5), 12x12
     a=3.2 (seeds 0-9) and 16x16 a=0.2 (seeds 0-2), every solve;
   - ``optimize(max_iters=3)`` on 24x24, 32x32, 48x48 and 64x64 a=0.2
-    (seed 0), the first 3 solves;
+    (seeds 0-9), the first 3 solves of each run, 30 a set;
   - late solves, which cost more than first ones because blossoms nest
     deeper: ``optimize(max_iters=2000, tol=1.0)`` on 24x24 a=0.2 (seeds
     0-9) and 32x32 a=0.2 (seeds 0-2), the last ``LATE_SOLVES`` solves of
@@ -82,10 +82,10 @@ SETS = [
     {"rows": 8, "a": 0.2, "seeds": list(range(6)), "max_iters": 2000},
     {"rows": 12, "a": 3.2, "seeds": list(range(10)), "max_iters": 2000},
     {"rows": 16, "a": 0.2, "seeds": list(range(3)), "max_iters": 2000},
-    {"rows": 24, "a": 0.2, "seeds": [0], "max_iters": 3},
-    {"rows": 32, "a": 0.2, "seeds": [0], "max_iters": 3},
-    {"rows": 48, "a": 0.2, "seeds": [0], "max_iters": 3},
-    {"rows": 64, "a": 0.2, "seeds": [0], "max_iters": 3},
+    {"rows": 24, "a": 0.2, "seeds": list(range(10)), "max_iters": 3},
+    {"rows": 32, "a": 0.2, "seeds": list(range(10)), "max_iters": 3},
+    {"rows": 48, "a": 0.2, "seeds": list(range(10)), "max_iters": 3},
+    {"rows": 64, "a": 0.2, "seeds": list(range(10)), "max_iters": 3},
     {"rows": 24, "a": 0.2, "seeds": list(range(10)), "max_iters": 2000, "late": True},
     {"rows": 32, "a": 0.2, "seeds": list(range(3)), "max_iters": 2000, "late": True},
     {"rows": 16, "a": 0.0, "seeds": list(range(10)), "ground": True},

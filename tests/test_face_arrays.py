@@ -123,11 +123,31 @@ def reference_tree(edges, rotations):
     return tuple(tree)
 
 
+def reference_cover(rotations):
+    """Indices of the faces that get a face node: all but a greedy maximal
+    independent set of the dual graph, whose faces are adjacent when they
+    share an edge, a face with a bridge being adjacent to itself; faces are
+    visited by (boundary darts, index).  A single vertex keeps its face."""
+    face_list = reference_faces(rotations)
+    if len(rotations) == 1:
+        return [0]
+    face_of_dart = {d: f for f, (boundary, _) in enumerate(face_list) for d in boundary}
+    blocked = {f for (a, b), f in face_of_dart.items() if face_of_dart[(b, a)] == f}
+    independent = set()
+    for f in sorted(range(len(face_list)), key=lambda f: (len(face_list[f][0]), f)):
+        if f not in blocked:
+            independent.add(f)
+            blocked |= {face_of_dart[(b, a)] for (a, b) in face_list[f][0]}
+    return [f for f in range(len(face_list)) if f not in independent]
+
+
 def reference_pcc(rotations):
-    """(inc_node, inc_face, node_incidences, augmented rotations)."""
+    """(inc_node, inc_face, node_incidences, augmented rotations): the
+    chosen faces of ``reference_cover`` are face nodes n, n + 1, ... in
+    face order."""
     face_list = reference_faces(rotations)
     n = len(rotations)
-    face_vertex = [n + f for f in range(len(face_list))]
+    face_vertex = {f: n + k for k, f in enumerate(reference_cover(rotations))}
     inc_node, inc_face = [], []
     node_incidences = [[] for _ in range(n)]
     corner, face_of_dart = {}, {}
@@ -135,10 +155,12 @@ def reference_pcc(rotations):
         for dart in boundary:
             corner.setdefault((fid, dart[0]), dart)
             face_of_dart[dart] = fid
+        if fid not in face_vertex:
+            continue
         for u in verts:
             node_incidences[u].append(len(inc_node))
             inc_node.append(u)
-            inc_face.append(fid)
+            inc_face.append(face_vertex[fid] - n)
     if n == 1:
         aug = [(face_vertex[0],)]
     else:
@@ -149,10 +171,10 @@ def reference_pcc(rotations):
                 new_rot.append(u)
                 w = rot[(t + 1) % len(rot)]
                 fid = face_of_dart[(v, w)]
-                if corner[(fid, v)] == (v, w):
+                if fid in face_vertex and corner[(fid, v)] == (v, w):
                     new_rot.append(face_vertex[fid])
             aug.append(tuple(new_rot))
-    aug += [tuple(reversed(verts)) for (_, verts) in face_list]
+    aug += [tuple(reversed(face_list[f][1])) for f in face_vertex]
     return (
         tuple(inc_node),
         tuple(inc_face),
@@ -277,11 +299,47 @@ def test_pcc_graph_matches_reference(name, edges, rotations):
     )
     assert g.dual.bridge.tolist() == bridge
     # The decode tree is the base graph's breadth-first tree, then one
-    # spoke per face, from its first incidence to the face vertex.
+    # spoke per chosen face, from its first incidence to the face vertex.
     first = [inc_face.index(f) for f in range(g.num_faces)]
     spokes = tuple((n + f, inc_node[t], len(edges) + t) for f, t in enumerate(first))
     base = [(i, j, 0) for (i, j) in edges]
     assert decode_tree(g.dual) == reference_tree(base, rotations) + spokes
+
+
+def chosen_faces(g, rotations):
+    """The indices into ``reference_faces(rotations)`` of the base faces
+    that got a face node in ``g``: a base face without one stays a face of
+    the augmented graph, with no face vertex on it."""
+    n = len(rotations)
+    aug = reference_faces(g.embedding.rotations)
+    whole = {frozenset(walk) for walk, verts in aug if max(verts) < n}
+    return {f for f, (walk, _) in enumerate(reference_faces(rotations)) if frozenset(walk) not in whole}
+
+
+@pytest.mark.parametrize("name,edges,rotations", GRAPHS, ids=[g[0] for g in GRAPHS])
+def test_chosen_faces_cover_every_edge_and_leave_a_maximal_independent_set(name, edges, rotations):
+    n = len(rotations)
+    model = BinaryMRF(n, tuple((i, j, 1) for (i, j) in edges), (1,) * n, 0)
+    g = build_pcc(model, PlanarEmbedding(rotations))
+    chosen = chosen_faces(g, rotations)
+    assert len(chosen) == g.num_faces
+    face_list = reference_faces(rotations)
+    face_of_dart = {d: f for f, (walk, _) in enumerate(face_list) for d in walk}
+    # Every base edge lies on a chosen face, so it gets the triangle of the
+    # chosen face's node and its two ends.
+    for (i, j) in edges:
+        assert {face_of_dart[(i, j)], face_of_dart[(j, i)]} & chosen, (i, j)
+    # The unchosen faces share no edge, and none has a bridge ...
+    unchosen = set(range(len(face_list))) - chosen
+    for (a, b), f in face_of_dart.items():
+        assert f in chosen or face_of_dart[(b, a)] in chosen, (a, b)
+    # ... and no chosen face could join them: each has a bridge or shares an
+    # edge with an unchosen face.
+    for f in chosen:
+        across = {face_of_dart[(b, a)] for (a, b) in face_list[f][0]}
+        assert f in across or across & unchosen or n == 1, f
+    # Every node has an edge or a unary of 1, and each gets an incidence.
+    assert (g.inc_count >= 1).all()
 
 
 def random_grids():
@@ -383,7 +441,9 @@ def test_checks_of_derived_faces_fire(corrupt, problem):
     from planarcc.pcc import _checked_walk
 
     no_tree = np.zeros(0, np.int64)
-    assert len(_checked_walk(*derived_3x3(), no_tree)) == 24
+    # Two chosen inner faces split into 4 faces each and the outer face into
+    # 8; the two other inner faces stay whole.
+    assert len(_checked_walk(*derived_3x3(), no_tree)) == 18
     with pytest.raises(AssertionError, match=f"{problem}; this is a bug"):
         _checked_walk(*corrupt(), no_tree)
 

@@ -17,12 +17,12 @@ from planarcc.harness import InstanceSpec, generate_grid_instance
 
 # (side, a, seed, max_iters, tol) -> sha256 of the trace CSV and result.
 OPTIMIZE = {
-    (8, 0.2, 0, 300, 1.0): "84b1bdf1801f05899fc625600e690263aa566ed113f8f0b836ffc41b652c6987",
-    (8, 0.2, 1, 300, 1.0): "1cd103fdb3a95a91e09e84e33620cf34adaccfbf2033664502954895a20f67cf",
-    (8, 0.2, 5, 300, 0.0): "f578bb851f1fbc291de40bb4338d4d40eaf7ec4acc9a6ed9f8b01b0df074a283",
-    (12, 3.2, 0, 300, 1.0): "62f208d6ba72384503c278fdb7b1ce6c656ab792b1ca1d3aff4d7bd305f50e0e",
-    (12, 3.2, 2, 300, 1.0): "fec38d45d4520c3644b42dacfd617628794d2650bc77ebc52cdd64a6f5cd00b4",
-    (12, 3.2, 7, 60, 0.0): "236bf121a813851a90a1eee92d2893860601c154e395251df99a784c2ce0551f",
+    (8, 0.2, 0, 300, 1.0): "5d249b17a896e0edd2612c9f96bd6e87a05ee582eddb758e958dffd796733f5f",
+    (8, 0.2, 1, 300, 1.0): "b3986ea867a2137fd2924397a550fed56a4f124ee95b48c9fa547c0609859a53",
+    (8, 0.2, 5, 300, 0.0): "c1caade1e55f5059b72fe458888f04bdc24a3859815321fa09c8ffe1e2cca8bc",
+    (12, 3.2, 0, 300, 1.0): "8ff99240622b83d2e7fe114eab330e9ce5265ee1d26d1a6bb7ec9609834fa686",
+    (12, 3.2, 2, 300, 1.0): "b01d41c158bc66ccfd907ba3c70380059acae85bb704a2ed7ac154c58959e551",
+    (12, 3.2, 7, 60, 0.0): "f325381072a2aa19b867c253d7af9350c6d111fd114ac6322a95769b28301921",
 }
 
 # (side, seed) -> sha256 of the unary-free model's ground state.

@@ -52,22 +52,30 @@ def unit_grid_model(rows, cols, unary=0):
 
 
 def test_build_pcc_3x3_counts():
+    # Face nodes go on the outer face and on the two inner faces of one
+    # checkerboard colour: 9 + 3 vertices, 12 edges and 8 + 4 + 4 spokes.
     model, emb = unit_grid_model(3, 3)
     g = build_pcc(model, emb)
-    assert g.num_vertices == 14
-    assert g.num_edges == 36
-    assert g.inc_count[4] == 4  # center: four interior faces
-    assert g.inc_count[0] == 2  # corner: one interior + outer
+    assert g.num_vertices == 12
+    assert g.num_edges == 28
+    assert g.inc_count[4] == 2  # center: two chosen inner faces
+    assert g.inc_count[0] == 1  # corner 0: the outer face only
+    assert g.inc_count[2] == 2  # corner 2: one chosen inner face + outer
 
 
 def test_build_pcc_structural_invariant_grids():
+    # n + (chosen faces) vertices and E + (incidences) edges.  On a grid the
+    # chosen faces are the outer face and the inner faces of the colour
+    # opposite the first inner face: half of them, rounded down.
     for rows, cols in [(2, 2), (2, 3), (3, 4), (4, 4), (5, 5)]:
         model, emb = unit_grid_model(rows, cols)
         g = build_pcc(model, emb)
-        F = len(faces(emb))
+        inner = (len(faces(emb)) - 1) // 2
         E = len(model.edges)
-        assert g.num_vertices == model.num_nodes + F
-        assert g.num_edges == 3 * E
+        assert g.num_faces == inner + 1
+        assert g.num_vertices == model.num_nodes + inner + 1
+        assert len(g.inc_node) == 4 * inner + 2 * (rows - 1) + 2 * (cols - 1)
+        assert g.num_edges == E + len(g.inc_node)
         # augmented embedding is planar (faces() raises otherwise)
         faces(g.embedding)
 
@@ -76,9 +84,10 @@ def test_build_pcc_cycle():
     edges, emb = cycle(6)
     model = BinaryMRF(6, tuple((i, j, 1) for (i, j) in edges), (1,) * 6, 0)
     g = build_pcc(model, emb)
-    assert g.num_faces == 2
-    assert g.inc_count.tolist() == [2] * 6
-    assert np.bincount(g.inc_face).tolist() == [6, 6]
+    # Both faces hold every edge, so one of them carries the face node.
+    assert g.num_faces == 1
+    assert g.inc_count.tolist() == [1] * 6
+    assert np.bincount(g.inc_face).tolist() == [6]
 
 
 def test_build_pcc_trees_and_single_vertex():
@@ -116,8 +125,9 @@ def test_init_params_examples():
     model, emb = unit_grid_model(3, 3, unary=4)
     g = build_pcc(model, emb)
     params = init_params(model, g)
-    # center node has four faces: each split is 1
-    assert params.values[g.inc_node == 4].tolist() == [1.0] * 4
+    # center node has two chosen faces: each split is 2; corner 0 has one
+    assert params.values[g.inc_node == 4].tolist() == [2.0] * 2
+    assert params.values[g.inc_node == 0].tolist() == [4.0]
     zero_model, _ = unit_grid_model(3, 3, unary=0)
     zp = init_params(zero_model, build_pcc(zero_model, emb))
     assert np.all(zp.values == 0)
@@ -288,28 +298,27 @@ def test_certificate_where_a_float_gap_reads_one():
 
 
 def test_subgradient_example():
-    # node 0 on a path has a single face; build a cycle to get two faces
-    edges, emb = cycle(4)
-    model = BinaryMRF(4, tuple((i, j, 1) for (i, j) in edges), (1, 0, 0, 0), 0)
+    # The centre of the 3x3 grid lies on two chosen faces, 1 and 2.
+    model, emb = unit_grid_model(3, 3, unary=1)
     g = build_pcc(model, emb)
-    # config: original nodes all 0; face node 0 labeled 1, face node 1 labeled 0
-    config = [0, 0, 0, 0] + [0, 0]
-    config[4] = 1
+    assert g.inc_face[g.inc_node == 4].tolist() == [1, 2]
+    # config: original nodes all 0; face node 1 labeled 1, the others 0
+    config = [0] * 9 + [0, 1, 0]
     grad = subgradient(g, config)
-    [t_f] = np.flatnonzero((g.inc_node == 0) & (g.inc_face == 0))
-    [t_g] = np.flatnonzero((g.inc_node == 0) & (g.inc_face == 1))
+    [t_f] = np.flatnonzero((g.inc_node == 4) & (g.inc_face == 1))
+    [t_g] = np.flatnonzero((g.inc_node == 4) & (g.inc_face == 2))
     assert grad[t_f] == pytest.approx(0.5)
     assert grad[t_g] == pytest.approx(-0.5)
 
 
 def test_subgradient_zero_when_copies_agree():
-    edges, emb = cycle(5)
-    model = BinaryMRF(5, tuple((i, j, 1) for (i, j) in edges), (1,) * 5, 0)
+    model, emb = unit_grid_model(3, 3, unary=1)
     g = build_pcc(model, emb)
+    assert (g.inc_count == 2).any()
     config = (0,) * g.num_vertices
     assert np.all(subgradient(g, config) == 0.0)
-    config = tuple(random.Random(1).randint(0, 1) for _ in range(5)) + (1, 1)
-    # copies agree with each other (both faces labeled 1): zero gradient
+    config = tuple(random.Random(1).randint(0, 1) for _ in range(9)) + (1, 1, 1)
+    # copies agree with each other (every face labeled 1): zero gradient
     assert np.all(subgradient(g, config) == 0.0)
 
 
@@ -372,15 +381,15 @@ def test_step_factor_schedule_in_trace():
 
 
 def test_optimize_stops_on_the_proof_even_at_tol_zero():
-    # Certified from iteration 25: a run that went on would solve the same
+    # Certified from iteration 26: a run that went on would solve the same
     # bound again at a step of 0 up to max_iters.
     model, emb = generate_grid_instance(InstanceSpec(10, 10, 0.2, 31, 500))
     res = optimize(model, emb, max_iters=100, tol=0.0)
-    assert (res.iterations, res.certificate) == (25, "optimal")
+    assert (res.iterations, res.certificate) == (26, "optimal")
     assert res.trace.rows[-1].step_size == 0.0
     assert all(r.step_size > 0 for r in res.trace.rows[:-1])
-    short = optimize(model, emb, max_iters=24, tol=0.0)
-    assert (short.iterations, short.certificate) == (24, "gap")
+    short = optimize(model, emb, max_iters=25, tol=0.0)
+    assert (short.iterations, short.certificate) == (25, "gap")
 
 
 def test_certify_iteration_budget_8x8():
@@ -493,29 +502,61 @@ def test_optimize_decodes_with_energy_where_int64_is_not_exact(monkeypatch):
     monkeypatch.setattr(pcc_module._ICM, "polish", record_polish)
     rng = random.Random(101)
     models = dict(upper_bound_models(rng))
+    # An integer model on the int64 path whose last polish lowers the best
+    # upper bound; on "integer" the last decoded candidate is the optimum.
+    models["grid"] = generate_grid_instance(InstanceSpec(8, 8, 0.8, 0, 500))[0]
+    int64_path = ("integer", "grid")
     runs = itertools.product(
-        available_engines(), (("float", 10**6), ("limit", 1), ("integer", 10**6))
+        available_engines(),
+        (("float", 10**6), ("limit", 1), ("integer", 10**6), ("grid", 10**6)),
     )
     for engine, (name, scale) in runs:
         # The seam of the ``engine`` fixture: every solve goes through this kernel.
         monkeypatch.setattr(planarcc.matching, "DEFAULT_ENGINE", engine)
         model = models[name]
-        side = 24 if name == "limit" else 5
+        side = {"limit": 24, "grid": 8}.get(name, 5)
         _, emb = grid(side, model.num_nodes // side)
         calls.clear()
         polished.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = optimize(model, emb, max_iters=3, matching_scale=scale)
-        assert calls == ([] if name == "integer" else [model.num_nodes] * res.iterations), name
+        assert calls == ([] if name in int64_path else [model.num_nodes] * res.iterations), name
         for row in res.trace.rows:
             assert row.upper_bound >= res.best_upper
         assert energy(model, res.best_assignment) == res.best_upper, name
-        # The best upper bound is the last polish's, and on these two
-        # models the polish lowered it.
+        # The best upper bound is the last polish's, and on "limit" and
+        # "grid" the polish lowered it.
         assert polished and polished[-1][1] == res.best_upper, name
-        if name != "float":
+        if name in ("limit", "grid"):
             assert polished[-1][1] < polished[-1][0], name
+
+
+def test_steps_keep_every_split_within_range_near_the_limit(monkeypatch, engine):
+    # Uncapped, Polyak's step carries a split of either model past
+    # MAX_ABS_WEIGHT by iteration 2.  The step is capped so that every scaled
+    # split the kernel sees stays within range.
+    from planarcc.ising import ExpandedDual
+
+    largest = []
+    solve = ExpandedDual.solve
+
+    def record(self, weights, session=None):
+        largest.append(int(np.abs(weights[num_edges:]).max()))
+        return solve(self, weights, session)
+
+    monkeypatch.setattr(ExpandedDual, "solve", record)
+    models = dict(upper_bound_models(random.Random(101)))
+    _, emb = grid(24, 24)
+    for name in ("limit", "limit-near"):
+        model, num_edges = models[name], len(models[name].edges)
+        largest.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = optimize(model, emb, max_iters=12, matching_scale=1)
+        assert res.iterations == len(largest) == 12, name
+        assert max(largest) <= MAX_ABS_WEIGHT, name
+        assert max(largest) > MAX_ABS_WEIGHT // 2, name
 
 
 def exact_flip_deltas(model, x):
