@@ -24,8 +24,10 @@ kernel's weight range (see ``_step_cap``).
 
 Polyak's rule aims at the best upper bound, so a poor one makes the first
 steps overshoot.  Each candidate that beats the best upper bound is
-therefore polished by iterated conditional modes (``_ICM``) before it is
-kept; its energy stays exact.
+therefore polished by iterated conditional modes (``_Upper.polish``)
+before it is kept; its energy stays exact.  The model's weights are read
+exactly once per run (``_exact_weights``), and that one reading gives the
+scaled weights, the upper bounds and ICM's flip gains.
 
 The step factor follows Held, Wolfe & Crowder ("Validation of subgradient
 optimization", Math. Prog. 1974): it starts at 1.5 and is halved, down to
@@ -331,19 +333,32 @@ def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
     return VariationalParams(pcc, pcc.unary[pcc.inc_node] / pcc.inc_count[pcc.inc_node])
 
 
-def _int64_weights(model: BinaryMRF, integer: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """``model``'s edge weights and unaries as int64 arrays, read once, when
-    ``integer`` (its ``is_integer``) holds and no partial sum of its
-    energies can reach 2**63; else None."""
-    if not integer:
-        return None
-    try:
-        edge_w = np.fromiter(map(itemgetter(2), model.edges), np.int64, len(model.edges))
-        unary = np.fromiter(model.unary, np.int64, model.num_nodes)
-    except OverflowError:
-        return None
-    largest = max(abs(model.constant), _max_abs(edge_w), _max_abs(unary))
-    return (edge_w, unary) if largest * (len(edge_w) + len(unary) + 1) < 2**62 else None
+def _exact_weights(model: BinaryMRF, integer: bool) -> tuple[int, np.ndarray, np.ndarray]:
+    """``model``'s weights read exactly, once: (den, edge_w, unary), each
+    weight equal to its numerator in edge_w or unary over den.
+
+    An integer model (``integer``, its ``is_integer``) has den 1, and its
+    numerators are int64 arrays when no partial sum of its energies can
+    reach 2**63.  Otherwise they are object arrays of Python ints; a float
+    is a dyadic rational, so over den, the lcm of the weights'
+    denominators (a power of two), each weight is an exact integer."""
+    m = len(model.edges)
+    weights = [*map(itemgetter(2), model.edges), *model.unary]
+    den = 1
+    if integer:
+        try:
+            w = np.array(weights, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if max(abs(model.constant), _max_abs(w)) * (len(w) + 1) < 2**62:
+                return den, w[:m], w[m:]
+    else:
+        ratios = [Fraction(x) for x in weights]
+        den = math.lcm(*(r.denominator for r in ratios))
+        weights = [int(r * den) for r in ratios]
+    w = np.array(weights, dtype=object)
+    return den, w[:m], w[m:]
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -352,40 +367,32 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def _scale_base(
-    model: BinaryMRF,
-    matching_scale: int,
-    weights: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _scale_base(exact: tuple, matching_scale: int) -> tuple[np.ndarray, np.ndarray]:
     """Base edge weights and each node's unary target in matching-scale
-    units, as int64 arrays: the floor of each exact scaled value.
-    ``weights`` are the model's from ``_int64_weights``, when it gave them;
-    else, or when ``matching_scale`` passes the weight range (so that only
-    zero weights fit it), each weight is read from ``model``."""
+    units, as int64 arrays: the floor of each weight of ``exact`` (from
+    ``_exact_weights``) times ``matching_scale``.  Raises WeightRangeError
+    when one passes ``MAX_ABS_WEIGHT``, edge weights checked first."""
     if matching_scale < 1:
         raise ValueError("matching_scale must be >= 1")
     scale = int(matching_scale)
-    edge_range = "scaled edge weight exceeds safe range; lower matching_scale"
-    unary_range = "sum of scaled split weights exceeds safe range; lower matching_scale"
-    if weights is not None and scale <= MAX_ABS_WEIGHT:
-        for w, message in zip(weights, (edge_range, unary_range)):
+    den, *weights = exact
+    messages = (
+        "scaled edge weight exceeds safe range; lower matching_scale",
+        "sum of scaled split weights exceeds safe range; lower matching_scale",
+    )
+    scaled = []
+    for w, message in zip(weights, messages):
+        if w.dtype == np.int64 and scale <= MAX_ABS_WEIGHT:
+            # den is 1: an int64 multiply, once the largest product fits.
             if _max_abs(w) * scale > MAX_ABS_WEIGHT:
                 raise WeightRangeError(message)
-        return weights[0] * scale, weights[1] * scale
-
-    def floor_scaled(w: float) -> int:
-        if isinstance(w, int):
-            return w * scale
-        num, den = float(w).as_integer_ratio()  # exact
-        return num * scale // den
-
-    base = [floor_scaled(w) for (_, _, w) in model.edges]
-    target = [floor_scaled(w) for w in model.unary]
-    if max(map(abs, base), default=0) > MAX_ABS_WEIGHT:
-        raise WeightRangeError(edge_range)
-    if max(map(abs, target), default=0) > MAX_ABS_WEIGHT:
-        raise WeightRangeError(unary_range)
-    return np.array(base, dtype=np.int64), np.array(target, dtype=np.int64)
+            scaled.append(w * scale)
+        else:
+            w = w.astype(object) * scale // den
+            if _max_abs(w) > MAX_ABS_WEIGHT:
+                raise WeightRangeError(message)
+            scaled.append(w.astype(np.int64))
+    return tuple(scaled)
 
 
 def _bound(
@@ -435,7 +442,8 @@ def lower_bound(
     if model != pcc.model:
         raise ValueError("model differs from the model the PCC graph was built for")
     scale = int(matching_scale)
-    gs, labels = _bound(pcc, params, scale, _scale_base(pcc.model, scale))
+    exact = _exact_weights(model, model.is_integer)
+    gs, labels = _bound(pcc, params, scale, _scale_base(exact, scale))
     return gs / scale + pcc.model.constant, tuple(labels.tolist())
 
 
@@ -510,74 +518,58 @@ def decode_upper(model: BinaryMRF, config: Sequence[int]) -> tuple[Labels, float
     return x, e
 
 
-class _UpperBound:
-    """``decode_upper`` on arrays, for an integer model whose energies int64
-    holds exactly (``_int64_weights`` gave its weights): the labels x of
-    the model's nodes are an int8 array, ``energies`` gives the energies of
-    x and of its complement, equal to ``energy()``, and ``decode`` picks the
-    candidate as ``decode_upper`` does.  x and its complement cut the same
-    edges; the complement pays the unary of the nodes x labels 0.
+class _Upper:
+    """Each iterate's upper bound: the labels x of the model's nodes, an
+    int8 array, decode to a candidate as ``decode_upper`` picks it, and a
+    candidate is polished by iterated conditional modes (Besag, "On the
+    statistical analysis of dirty pictures", JRSS B 1986).
+
+    Built once per run from ``_exact_weights``'s reading ``exact`` and the
+    edges' endpoints u and v.  On an integer model (``integer``)
+    ``energies`` gives exact energies from the arrays, equal to
+    ``energy()``'s: x and its complement cut the same edges, and the
+    complement pays the unary of the nodes x labels 0.  Any other model
+    decodes with ``decode_upper`` and measures with ``energy()``, so its
+    float energies are ``energy()``'s bit for bit.
+
+    ICM sweeps the nodes in index order and flips each one whose flip
+    strictly lowers the energy, until a sweep flips nothing: a single-flip
+    local minimum.  Flipping node i changes the energy by delta[i] =
+    +-theta_i (+ when x_i is 0) plus theta_ij for each neighbour j with
+    x_j = x_i, less theta_ij for each other.  Over den every delta is an
+    exact integer (an int64 reading cannot overflow), so the sweeps end.  A
+    flip of i negates delta[i] and moves each neighbour's delta by
+    2 theta_ij.  Node i's neighbours are col[start[i]:start[i + 1]], with
+    twice the edge weights in w2.
     """
 
-    def __init__(self, model: BinaryMRF, arrays: tuple[np.ndarray, ...]):
-        """``arrays`` are ``model``'s edge endpoints u and v, edge weights
-        and unaries as int64 arrays (see ``_int64_weights``)."""
-        self.u, self.v, self.edge_w, self.unary = arrays
-        self.constant = model.constant
-        self.unary_total = int(self.unary.sum())
-
-    def energies(self, x: np.ndarray) -> tuple[int, int]:
-        """(energy of x, energy of its complement)."""
-        cut_sum = self.constant + int(self.edge_w @ (x[self.u] != x[self.v]))
-        ones = int(self.unary @ x.view(bool))
-        return cut_sum + ones, cut_sum + self.unary_total - ones
-
-    def decode(self, x: np.ndarray) -> tuple[np.ndarray, int]:
-        """(candidate, energy): the complement of x when its energy is
-        strictly lower, else x."""
-        e, ebar = self.energies(x)
-        return (1 - x, ebar) if ebar < e else (x, e)
-
-
-class _ICM:
-    """Iterated conditional modes (Besag, "On the statistical analysis of
-    dirty pictures", JRSS B 1986): sweep the nodes in index order and flip
-    each one whose flip strictly lowers the energy, until a sweep flips
-    nothing.  The result is a single-flip local minimum.
-
-    Flipping node i changes the energy by delta[i] = +-theta_i (+ when x_i
-    is 0) plus theta_ij for each neighbour j with x_j = x_i, less theta_ij
-    for each with x_j != x_i.  Every delta is exact, so each flip lowers the
-    energy and the sweeps end: on the int64 path of ``upper`` the weights
-    are its int64 arrays, whose sums cannot overflow; on any other model
-    they are Python ints over one common denominator.  A flip of i negates
-    delta[i] and moves each neighbour's delta by 2 theta_ij.
-
-    Node i's neighbours are col[start[i]:start[i + 1]], with twice the
-    edge weights in w2; these lists are built once per run.
-    """
-
-    def __init__(self, model: BinaryMRF, upper: _UpperBound | None):
-        self.model, self.upper = model, upper
-        if upper is not None:
-            u, v, edge_w, unary = upper.u, upper.v, upper.edge_w, upper.unary
-        else:
-            # A float is a dyadic rational, so over the common denominator
-            # of all the weights each one is an exact integer.
-            ratios = [Fraction(w) for w in (*(w for (_, _, w) in model.edges), *model.unary)]
-            den = math.lcm(*(r.denominator for r in ratios))
-            w = np.array([int(r * den) for r in ratios], dtype=object)
-            u, v = _endpoints(model.edges)
-            edge_w, unary = w[: len(u)], w[len(u) :]
+    def __init__(self, model: BinaryMRF, integer: bool, exact: tuple, u: np.ndarray, v: np.ndarray):
+        _, edge_w, unary = exact
+        self.model, self.integer = model, integer
+        self.u, self.v, self.edge_w, self.unary = u, v, edge_w, unary
+        self.unary_total = int(unary.sum())
         rows = np.concatenate((u, v))
         by_row = np.argsort(rows, kind="stable")
-        self.unary = unary
         self.rows, self.cols = rows[by_row], np.concatenate((v, u))[by_row]
         self.weight = np.concatenate((edge_w, edge_w))[by_row]
         self.start = [0, *np.cumsum(np.bincount(rows, minlength=model.num_nodes)).tolist()]
         self.col, self.w2 = self.cols.tolist(), (2 * self.weight).tolist()
 
-    def __call__(self, x: np.ndarray) -> list[int] | None:
+    def energies(self, x: np.ndarray) -> tuple[int, int]:
+        """(energy of x, energy of its complement), on an integer model."""
+        cut_sum = self.model.constant + int(self.edge_w @ (x[self.u] != x[self.v]))
+        ones = int(self.unary @ x.view(bool))
+        return cut_sum + ones, cut_sum + self.unary_total - ones
+
+    def decode(self, x: np.ndarray) -> tuple[Sequence[int], float]:
+        """(candidate, energy): the complement of x when its energy is
+        strictly lower, else x."""
+        if not self.integer:
+            return decode_upper(self.model, x.tolist())
+        e, ebar = self.energies(x)
+        return (1 - x, ebar) if ebar < e else (x, e)
+
+    def icm(self, x: np.ndarray) -> list[int] | None:
         """The labels after ICM from the int8 labels ``x``, or None when no
         node flips."""
         delta = np.where(x.view(bool), -self.unary, self.unary)
@@ -602,13 +594,13 @@ class _ICM:
 
     def polish(self, cand: Sequence[int], ub: float) -> tuple[Labels, float]:
         """(labels, energy): the candidate ``cand`` of energy ``ub`` after
-        ICM when its energy, exact from ``upper`` on the int64 path and from
-        ``energy()`` on any other model, is strictly lower; else ``cand``."""
+        ICM when its energy, from ``energies`` on an integer model and from
+        ``energy()`` on any other, is strictly lower; else ``cand``."""
         x = np.asarray(cand, dtype=np.int8)
-        y = self(x)
+        y = self.icm(x)
         if y is not None:
-            if self.upper is not None:
-                e = self.upper.energies(np.array(y, dtype=np.int8))[0]
+            if self.integer:
+                e = self.energies(np.array(y, dtype=np.int8))[0]
             else:
                 e = energy(self.model, y)
             if e < ub:
@@ -628,7 +620,7 @@ def optimize(
     improving the splits by projected subgradient with Polyak steps.
 
     Each iterate's decoded candidate that beats best_upper is polished by
-    ICM (``_ICM.polish``), and the polished one is kept when its exact
+    ICM (``_Upper.polish``), and the polished one is kept when its exact
     energy is lower; a trace row's upper_bound is the candidate before the
     polish.  The step is factor * (best_upper - lb) / |g|^2, capped by
     ``_step_cap`` so that every scaled split stays within the kernel's
@@ -640,9 +632,8 @@ def optimize(
     Stops at the first iteration where the certificate, ``certificate_of``
     at the best integer ground state, reads "optimal" (only integer-weight
     models get one), when best_upper - best_lower < tol, at max_iters, or on
-    a zero subgradient.  The model's weights are read into int64 arrays
-    once, for integer models whose energies int64 holds exactly, and serve
-    the scaling, the upper bound and ICM.
+    a zero subgradient.  The model's weights are read once, exactly, by
+    ``_exact_weights``, and serve the scaling, the upper bound and ICM.
     """
     integer = model.is_integer
     if not integer:
@@ -654,14 +645,10 @@ def optimize(
     pcc = build_pcc(model, embedding)
     params = init_params(model, pcc)
     scale = int(matching_scale)
-    n, weights = model.num_nodes, _int64_weights(model, integer)
-    base = _scale_base(model, scale, weights)
-    upper = None
-    if weights is not None:
-        num_edges = len(model.edges)
-        edge_u, edge_v = pcc.dual.edge_u[:num_edges], pcc.dual.edge_v[:num_edges]
-        upper = _UpperBound(model, (edge_u, edge_v, *weights))
-    icm = _ICM(model, upper)
+    n, exact = model.num_nodes, _exact_weights(model, integer)
+    base = _scale_base(exact, scale)
+    num_edges = len(model.edges)
+    upper = _Upper(model, integer, exact, pcc.dual.edge_u[:num_edges], pcc.dual.edge_v[:num_edges])
 
     trace = BoundTrace()
     best_upper: float | None = None
@@ -679,10 +666,9 @@ def optimize(
             iteration += 1
             gs, config = _bound(pcc, params, scale, base, session)
             lb = gs / scale + model.constant
-            x = config[:n]
-            cand, ub = upper.decode(x) if upper is not None else decode_upper(model, x.tolist())
+            cand, ub = upper.decode(config[:n])
             if best_upper is None or ub < best_upper:
-                best_assignment, best_upper = icm.polish(cand, ub)
+                best_assignment, best_upper = upper.polish(cand, ub)
             if best_gs is None or gs > best_gs:
                 best_gs, best_lower = gs, lb
                 stalls = 0

@@ -37,7 +37,7 @@ from planarcc.matching import (
     has_compiled_kernel,
 )
 from planarcc.oracle import brute_force_map, brute_force_map_ising
-from planarcc.pcc import _ICM, _UpperBound, _int64_weights, certificate_of
+from planarcc.pcc import _Upper, _exact_weights, _scale_base, certificate_of
 
 from conftest import random_grid_model, random_tree
 
@@ -450,21 +450,20 @@ def upper_bound_models(rng):
         )
 
 
-def int64_upper(model):
-    """``model``'s ``_UpperBound`` from the arrays ``optimize`` reads, or
-    None where int64 cannot hold its energies exactly."""
-    weights = _int64_weights(model, model.is_integer)
-    return None if weights is None else _UpperBound(model, (*_endpoints(model.edges), *weights))
+def upper_of(model):
+    """``model``'s ``_Upper``, from the reading ``optimize`` makes."""
+    integer = model.is_integer
+    return _Upper(model, integer, _exact_weights(model, integer), *_endpoints(model.edges))
 
 
 def test_array_upper_bound_equals_energy_exactly():
+    # Every integer model gets exact energies from the arrays: int64 ones
+    # on "integer" and "tie", Python ints near the weight limit.
     rng = random.Random(97)
     for name, model in upper_bound_models(rng):
-        upper = int64_upper(model)
-        fits = upper is not None
-        assert fits == (name in ("integer", "tie")), name
-        if not fits:
+        if not model.is_integer:
             continue
+        upper = upper_of(model)
         n = model.num_nodes
         for trial in range(25):
             x = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.int8)
@@ -481,13 +480,14 @@ def test_array_upper_bound_equals_energy_exactly():
 
 
 def test_optimize_decodes_with_energy_where_int64_is_not_exact(monkeypatch):
-    # Float models and integer models near the weight limit take their
-    # upper bounds from decode_upper, so they equal energy() bit for bit.
-    # The polish of an improving candidate measures it with energy() too.
+    # Float models take their upper bounds from decode_upper, so they equal
+    # energy() bit for bit, and the polish of an improving candidate
+    # measures it with energy() too.  Integer models, near the weight limit
+    # too, take exact energies from the arrays and make no decode_upper call.
     import planarcc.pcc as pcc_module
 
     calls, polished = [], []
-    polish = pcc_module._ICM.polish
+    polish = pcc_module._Upper.polish
 
     def record(model, config):
         calls.append(len(config))
@@ -499,13 +499,13 @@ def test_optimize_decodes_with_energy_where_int64_is_not_exact(monkeypatch):
         return got
 
     monkeypatch.setattr(pcc_module, "decode_upper", record)
-    monkeypatch.setattr(pcc_module._ICM, "polish", record_polish)
+    monkeypatch.setattr(pcc_module._Upper, "polish", record_polish)
     rng = random.Random(101)
     models = dict(upper_bound_models(rng))
     # An integer model on the int64 path whose last polish lowers the best
     # upper bound; on "integer" the last decoded candidate is the optimum.
     models["grid"] = generate_grid_instance(InstanceSpec(8, 8, 0.8, 0, 500))[0]
-    int64_path = ("integer", "grid")
+    exact_path = ("integer", "limit", "grid")
     runs = itertools.product(
         available_engines(),
         (("float", 10**6), ("limit", 1), ("integer", 10**6), ("grid", 10**6)),
@@ -521,7 +521,7 @@ def test_optimize_decodes_with_energy_where_int64_is_not_exact(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = optimize(model, emb, max_iters=3, matching_scale=scale)
-        assert calls == ([] if name in int64_path else [model.num_nodes] * res.iterations), name
+        assert calls == ([] if name in exact_path else [model.num_nodes] * res.iterations), name
         for row in res.trace.rows:
             assert row.upper_bound >= res.best_upper
         assert energy(model, res.best_assignment) == res.best_upper, name
@@ -530,6 +530,72 @@ def test_optimize_decodes_with_energy_where_int64_is_not_exact(monkeypatch):
         assert polished and polished[-1][1] == res.best_upper, name
         if name in ("limit", "grid"):
             assert polished[-1][1] < polished[-1][0], name
+
+
+def test_exact_weights_reproduce_every_weight_and_feed_the_first_bound():
+    # One reading per run: every weight is its numerator over den, and the
+    # numerators are int64 exactly where no partial sum of an integer
+    # model's energies can reach 2**63.
+    models = dict(upper_bound_models(random.Random(107)))
+    for name, model in models.items():
+        den, edge_w, unary = _exact_weights(model, model.is_integer)
+        weights = [*(w for (_, _, w) in model.edges), *model.unary]
+        nums = edge_w.tolist() + unary.tolist()
+        assert [Fraction(num, den) for num in nums] == [Fraction(w) for w in weights], name
+        largest = max(abs(w) for w in (*weights, model.constant))
+        fits = model.is_integer and largest * (len(weights) + 1) < 2**62
+        assert edge_w.dtype == unary.dtype == (np.int64 if fits else object), name
+        assert fits == (name in ("integer", "tie")), name
+    # lower_bound reads the model as optimize does: at the initial splits
+    # both give the same bound.
+    for name, scale in (("float", 10**6), ("integer", 10**6), ("limit", 1)):
+        model = models[name]
+        side = 24 if name == "limit" else 5
+        _, emb = grid(side, model.num_nodes // side)
+        pcc = build_pcc(model, emb)
+        lb, _ = lower_bound(model, pcc, init_params(model, pcc), scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = optimize(model, emb, max_iters=1, matching_scale=scale)
+        assert lb == res.trace.rows[0].lower_bound, name
+
+
+@pytest.mark.parametrize(
+    "reading, kind, constant", [("int64", int, 0), ("big-integer", int, 2**62), ("float", float, 0)]
+)
+def test_scale_base_range_checks_on_each_reading(reading, kind, constant):
+    big = MAX_ABS_WEIGHT
+
+    def scale_base(edge_w, unary, scale=1):
+        model = BinaryMRF(2, ((0, 1, kind(edge_w)),), tuple(map(kind, unary)), constant)
+        exact = _exact_weights(model, model.is_integer)
+        assert exact[1].dtype == exact[2].dtype == (np.int64 if reading == "int64" else object)
+        base, target = _scale_base(exact, scale)
+        return base.tolist(), target.tolist()
+
+    # A scaled floor of exactly +-MAX_ABS_WEIGHT fits; one unit beyond
+    # raises, and edge weights are checked before unaries.
+    assert scale_base(big, (-big, big)) == ([big], [-big, big])
+    assert scale_base(-big, (big, 0)) == ([-big], [big, 0])
+    assert scale_base(2**26, (-(2**26), 0), 2**26) == ([big], [-big, 0])
+    assert scale_base(0, (0, 0), 2**60) == ([0], [0, 0])
+    with pytest.raises(WeightRangeError, match="scaled edge weight"):
+        scale_base(big + 1, (0, 0))
+    with pytest.raises(WeightRangeError, match="scaled edge weight"):
+        scale_base(-big - 1, (big + 1, 0))
+    with pytest.raises(WeightRangeError, match="scaled edge weight"):
+        scale_base(2**26, (0, 0), 2**26 + 1)
+    with pytest.raises(WeightRangeError, match="sum of scaled split weights"):
+        scale_base(big, (0, -big - 1))
+    with pytest.raises(WeightRangeError, match="sum of scaled split weights"):
+        scale_base(2**26, (0, -(2**26) - 1), 2**26)
+    if reading == "float":
+        # A negative weight floors away from zero: -(2**52 - 0.5) to
+        # exactly -MAX_ABS_WEIGHT, and -(2**52 + 1) is one unit beyond.
+        assert scale_base(-0.5, (-0.5, 0.5), 3) == ([-2], [-2, 1])
+        assert scale_base(-(2**51 - 0.25), (2**51 - 0.25, 0), 2) == ([-big], [big - 1, 0])
+        with pytest.raises(WeightRangeError, match="sum of scaled split weights"):
+            scale_base(0, (-(2**51 + 0.5), 0), 2)
 
 
 def test_steps_keep_every_split_within_range_near_the_limit(monkeypatch, engine):
@@ -572,8 +638,7 @@ def exact_flip_deltas(model, x):
 def test_icm_polish_is_exact_never_worse_and_a_local_minimum():
     rng = random.Random(103)
     for name, model in upper_bound_models(rng):
-        upper = int64_upper(model)
-        icm = _ICM(model, upper)
+        icm = upper_of(model)
         lowered = 0
         for _ in range(10):
             config = [rng.randint(0, 1) for _ in range(model.num_nodes)]
@@ -585,14 +650,14 @@ def test_icm_polish_is_exact_never_worse_and_a_local_minimum():
             lowered += e < ub
             # ICM ends at a single-flip local minimum, in exact arithmetic,
             # and an accepted polish is that minimum.
-            x = icm(np.array(cand, dtype=np.int8)) or list(cand)
+            x = icm.icm(np.array(cand, dtype=np.int8)) or list(cand)
             assert min(exact_flip_deltas(model, x)) >= 0, name
             assert e == ub or list(labels) == x, name
         assert lowered, name
     # A gain too small for the float energy to show: the candidate stays.
     model = BinaryMRF(1, (), (-1.0,), 2.0**60)
-    icm = _ICM(model, None)
-    assert icm(np.zeros(1, dtype=np.int8)) == [1]
+    icm = upper_of(model)
+    assert icm.icm(np.zeros(1, dtype=np.int8)) == [1]
     assert energy(model, (1,)) == energy(model, (0,))
     assert icm.polish((0,), 2.0**60) == ((0,), 2.0**60)
 
