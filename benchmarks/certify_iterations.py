@@ -66,10 +66,11 @@ K4_ROTATIONS = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1))
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def commit() -> str | None:
+def commit(tree: Path = ROOT) -> str | None:
+    """``git describe`` of the checkout at ``tree``, or None."""
     try:
         out = subprocess.run(
-            ["git", "-C", str(ROOT), "describe", "--always", "--dirty", "--abbrev=12"],
+            ["git", "-C", str(tree), "describe", "--always", "--dirty", "--abbrev=12"],
             capture_output=True, text=True, check=True,
         )
     except (OSError, subprocess.CalledProcessError):

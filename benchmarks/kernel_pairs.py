@@ -4,12 +4,17 @@ tree against another tree's, alternated call by call in one process.
     python3 benchmarks/kernel_pairs.py OTHER_TREE LABEL [GROUP ...]
 
 GROUP is ``kernel``, ``ground``, ``setup`` or ``certify``; without one, all
-four run.
+four run.  OTHER_TREE is a directory holding a checkout, or a git revision
+of this repository (``HEAD~1``, a sha, a branch), which the script extracts
+with ``git archive`` into a temporary directory and removes afterwards.
 
 Imports planarcc from the ``src/`` of the tree this script sits in, and
 ``OTHER_TREE/src/planarcc`` as a second package, ``planarcc_other`` (the
 package's modules import each other relatively).  Both trees must load
-their compiled kernel.
+their compiled kernel.  The record names this tree's commit (``git
+describe``, ``-dirty`` when uncommitted changes exist) and the other's: a
+revision's full sha, or ``git describe`` of a directory that is a git
+checkout (null otherwise).
 
 - Kernel: it records the port graphs that this tree's solver hands the
   kernel in the runs of ``SETS``:
@@ -67,6 +72,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import deque
 from functools import partial
@@ -109,6 +115,22 @@ def load_other(tree: Path):
     sys.modules["planarcc_other"] = package
     spec.loader.exec_module(package)
     return package
+
+
+def extract(revision: str, into: Path) -> str | None:
+    """Full sha of ``revision`` of this repository, whose tree is written
+    into ``into``; None when ``revision`` names no commit."""
+    sha = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
+        capture_output=True, text=True,
+    ).stdout.strip()
+    if not sha:
+        return None
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", sha], capture_output=True, check=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return sha
 
 
 def set_name(spec: dict) -> str:
@@ -287,10 +309,22 @@ def main(argv: list[str]) -> int:
     groups = argv[2:] or GROUPS
     if len(argv) < 2 or not re.fullmatch(r"[\w.-]+", argv[1]) or set(groups) - set(GROUPS):
         print("usage: python3 benchmarks/kernel_pairs.py OTHER_TREE LABEL [GROUP ...] "
-              "(LABEL of letters, digits, '_', '.', '-'; GROUP one of "
-              + ", ".join(GROUPS) + ")", file=sys.stderr)
+              "(OTHER_TREE a directory or a git revision; LABEL of letters, digits, "
+              "'_', '.', '-'; GROUP one of " + ", ".join(GROUPS) + ")", file=sys.stderr)
         return 2
-    other_tree, label = Path(argv[0]).resolve(), argv[1]
+    if Path(argv[0]).is_dir():
+        return compare(Path(argv[0]).resolve(), commit(Path(argv[0])), argv[1], groups)
+    with tempfile.TemporaryDirectory(prefix="kernel-pairs-") as tmp:
+        sha = extract(argv[0], Path(tmp))
+        if sha is None:
+            print(f"{argv[0]}: neither a directory nor a git revision", file=sys.stderr)
+            return 2
+        return compare(Path(tmp), sha, argv[1], groups)
+
+
+def compare(other_tree: Path, other_commit: str | None, label: str, groups: list[str]) -> int:
+    """Runs ``groups`` of this tree against ``other_tree`` and writes the
+    record (see the module doc)."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
@@ -311,10 +345,7 @@ def main(argv: list[str]) -> int:
     result = {
         "label": label,
         "commit": commit(),
-        "other_commit": subprocess.run(
-            ["git", "-C", str(other_tree), "describe", "--always", "--dirty", "--abbrev=12"],
-            capture_output=True, text=True,
-        ).stdout.strip() or None,
+        "other_commit": other_commit,
         "cpu": cpu(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,

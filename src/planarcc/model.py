@@ -16,8 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .errors import SizeMismatchError, WeightRangeError
 from .matching import MAX_ABS_WEIGHT
@@ -50,6 +53,31 @@ def _check_edges(num_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Non
             raise ValueError(f"edge ({i},{j}) has non-finite weight")
 
 
+# The numpy float types, whose scalars are stored as the Python floats they
+# equal (exact up to float64), so that energies sum and weights read as
+# they do for Python floats.
+_NUMPY_FLOATS = frozenset((np.float16, np.float32, np.float64, np.longdouble))
+
+
+def _python_float(w):
+    return float(w) if type(w) in _NUMPY_FLOATS else w
+
+
+def _python_floats(weights: tuple) -> tuple:
+    """``weights`` with numpy floats as Python floats (``weights`` itself
+    when it holds none)."""
+    if _NUMPY_FLOATS.isdisjoint(map(type, weights)):
+        return weights
+    return tuple(map(_python_float, weights))
+
+
+def _python_edges(edges: tuple) -> tuple:
+    """``edges`` with numpy float weights as Python floats."""
+    if _NUMPY_FLOATS.isdisjoint(map(type, map(itemgetter(2), edges))):
+        return edges
+    return tuple((i, j, _python_float(w)) for (i, j, w) in edges)
+
+
 def _integer_edges(edges: Sequence[tuple[int, int, float]]) -> bool:
     return all(isinstance(w, int) for (_, _, w) in edges)
 
@@ -63,6 +91,8 @@ class BinaryMRF:
         edges: tuple of (i, j, theta_ij) with i < j, no duplicates.
         unary: per-node theta_i, length num_nodes.
         constant: additive energy offset.
+
+    numpy float weights are stored as the Python floats they equal.
     """
 
     num_nodes: int
@@ -71,6 +101,9 @@ class BinaryMRF:
     constant: float = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", _python_edges(self.edges))
+        object.__setattr__(self, "unary", _python_floats(self.unary))
+        object.__setattr__(self, "constant", _python_float(self.constant))
         if self.num_nodes < 0:
             raise ValueError("num_nodes must be non-negative")
         if len(self.unary) != self.num_nodes:
@@ -96,13 +129,15 @@ class BinaryMRF:
 class SymmetricIsing:
     """Unary-free binary model: only pairwise disagreement costs.
 
-    Its energy is invariant under flipping all labels.
+    Its energy is invariant under flipping all labels.  numpy float weights
+    are stored as the Python floats they equal.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", _python_edges(self.edges))
         _check_edges(self.num_nodes, self.edges)
 
     @property

@@ -106,8 +106,15 @@ def test_criterion_2_planar_ising_exactness():
             ok = False
             break
         checked += 1
+    # Unary-free 4x6 grids: 24 nodes, the oracle's cap, and a 16-dart
+    # outer face.
+    for seed in range(2):
+        model, emb = generate_grid_instance(InstanceSpec(4, 6, 0.0, seed, 500))
+        ising = SymmetricIsing(model.num_nodes, model.edges)
+        if ground_state(ising, emb).energy == brute_force_map_ising(ising).energy:
+            checked += 1
     elapsed = time.perf_counter() - t0
-    ok = ok and checked == 200 and elapsed < 30.0
+    ok = ok and checked == 202 and elapsed < 30.0
     report(2, "planar-ising-exactness", ok, f"{checked} instances in {elapsed:.1f}s")
 
 
@@ -205,21 +212,26 @@ def test_criterion_7_sum_constraint_conservation():
 
 def test_criterion_8_certificate_soundness():
     checked = 0
+    checked_at_cap = 0
     sound = True
-    for a in (0.2, 0.8, 3.2):
-        for seed in range(10):
-            model, emb = generate_grid_instance(InstanceSpec(4, 4, a, seed, 500))
-            res = optimize(model, emb, max_iters=1000, tol=1.0)
-            if res.certificate != "optimal":
-                continue
-            truth = brute_force_map(model).energy
-            if res.best_upper != truth:
-                sound = False
-            if energy(model, res.best_assignment) != res.best_upper:
-                sound = False
-            checked += 1
-    report(8, "certificate-soundness", sound and checked > 0,
-           f"{checked} optimal certificates, all equal to oracle")
+    # 4x4 grids, and 4x6 grids at the oracle's 24-node cap.
+    cases = [(4, a, seed) for a in (0.2, 0.8, 3.2) for seed in range(10)]
+    cases += [(6, a, seed) for a in (0.2, 3.2) for seed in range(2)]
+    for cols, a, seed in cases:
+        model, emb = generate_grid_instance(InstanceSpec(4, cols, a, seed, 500))
+        res = optimize(model, emb, max_iters=1000, tol=1.0)
+        if res.certificate != "optimal":
+            continue
+        truth = brute_force_map(model).energy
+        if res.best_upper != truth:
+            sound = False
+        if energy(model, res.best_assignment) != res.best_upper:
+            sound = False
+        checked += 1
+        checked_at_cap += cols == 6
+    report(8, "certificate-soundness", sound and checked > 0 and checked_at_cap == 4,
+           f"{checked} optimal certificates ({checked_at_cap} of 24 nodes), "
+           "all equal to oracle")
 
 
 @pytest.mark.parametrize("a,need", [(3.2, 9), (0.2, 7)])

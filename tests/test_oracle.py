@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from planarcc import (
     min_weight_perfect_matching,
 )
 from planarcc.errors import NoPerfectMatchingError
+from planarcc.harness import InstanceSpec, generate_grid_instance
 
 from conftest import random_match_graph
 
@@ -51,35 +53,73 @@ def test_lexicographically_smallest_tie():
     assert brute_force_map(m).assignment == (0, 0)
 
 
+# Weight draws: random integers and floats, and small sets of integers and
+# dyadic floats (exact sums) that force ties between minimizers.
+WEIGHTS = {
+    "int": lambda rng: rng.randint(-9, 9),
+    "float": lambda rng: rng.uniform(-9, 9),
+    "tie": lambda rng: rng.choice((-1, 0, 1)),
+    "dyadic tie": lambda rng: rng.choice((-0.5, 0.0, 0.5)),
+}
+
+
+def random_edges(rng, n, weight):
+    return tuple(
+        (i, j, weight(rng))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    )
+
+
+def oracle_inputs(rng, count, max_n):
+    """(kind, n) of ``count`` integer models of 1..max_n nodes, then of 5
+    models of each other kind and of one 13- or 14-node model of each kind.
+    The oracle runs a 14-node model's high codes in two blocks."""
+    yield from (("int", rng.randint(1, max_n)) for _ in range(count))
+    for kind in WEIGHTS:
+        if kind != "int":
+            yield from ((kind, rng.randint(1, max_n)) for _ in range(5))
+    for k, kind in enumerate(WEIGHTS):
+        yield kind, 14 - k % 2
+
+
 def test_matches_exhaustive_loop():
     rng = random.Random(15)
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        edges = tuple(
-            (i, j, rng.randint(-9, 9))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        )
-        m = BinaryMRF(n, edges, tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-3, 3))
+    for kind, n in oracle_inputs(rng, 20, 7):
+        weight = WEIGHTS[kind]
+        edges = random_edges(rng, n, weight)
+        m = BinaryMRF(n, edges, tuple(weight(rng) for _ in range(n)), rng.randint(-3, 3))
         res = brute_force_map(m)
-        want = min(energy(m, x) for x in itertools.product((0, 1), repeat=n))
-        assert res.energy == want
+        energies = [energy(m, x) for x in itertools.product((0, 1), repeat=n)]
+        want = min(energies)
+        if kind == "float":
+            assert res.energy == pytest.approx(want, rel=1e-9)
+        else:
+            assert res.energy == want
         assert energy(m, res.assignment) == want
+        # product() runs in lexicographic order: the first minimizer wins.
+        first = energies.index(want)
+        assert res.assignment == tuple((first >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def test_ising_oracle_matches_unary_free_map():
     rng = random.Random(29)
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        edges = tuple(
-            (i, j, rng.randint(-9, 9))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        )
+    for kind, n in oracle_inputs(rng, 20, 6):
+        edges = random_edges(rng, n, WEIGHTS[kind])
         sym = brute_force_map_ising(SymmetricIsing(n, edges))
         assert sym.energy == brute_force_map(BinaryMRF(n, edges, (0,) * n, 0)).energy
+
+
+def test_map_memory_at_the_cap():
+    model, _ = generate_grid_instance(InstanceSpec(4, 6, 0.8, 1, 500))
+    tracemalloc.start()
+    try:
+        brute_force_map(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_map_size_cap():

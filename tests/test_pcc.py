@@ -799,6 +799,33 @@ def test_optimize_non_integer_model_warns_and_withholds_certificate():
     assert res.certificate == "gap"
 
 
+def test_numpy_float_weights_run_as_the_python_floats_they_equal():
+    edges, emb = grid(2, 2)
+    ew = (0.7, -1.3, 2.1, -0.4)
+    uw = (0.3, -0.9, 1.5, -2.2)
+    runs = []
+    for cast in (np.float32, lambda w: float(np.float32(w))):
+        model = BinaryMRF(
+            4,
+            tuple((i, j, cast(w)) for (i, j), w in zip(sorted(edges), ew)),
+            tuple(map(cast, uw)),
+            cast(0.5),
+        )
+        pcc = build_pcc(model, emb)
+        with pytest.warns(UserWarning):
+            res = optimize(model, emb, max_iters=50)
+        runs.append((
+            lower_bound(model, pcc, init_params(model, pcc)),
+            res.best_upper,
+            res.best_lower,
+            res.best_assignment,
+            res.certificate,
+            [(r.lower_bound, r.upper_bound, r.best_upper, r.step_size) for r in res.trace.rows],
+        ))
+    assert runs[0] == runs[1]
+    assert all(type(x) is float for x in (runs[0][0][0], *runs[0][1:3]))
+
+
 def test_trace_csv_format_and_determinism(tmp_path):
     rng = random.Random(113)
     model, emb = random_grid_model(rng, 3, 3, a_scaled=200)
