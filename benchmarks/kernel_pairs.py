@@ -3,8 +3,8 @@ tree against another tree's, alternated call by call in one process.
 
     python3 benchmarks/kernel_pairs.py OTHER_TREE LABEL [GROUP ...]
 
-GROUP is ``kernel``, ``ground``, ``setup`` or ``certify``; without one, all
-four run.  OTHER_TREE is a directory holding a checkout, or a git revision
+GROUP is ``kernel``, ``ground``, ``setup``, ``certify`` or ``warm``;
+without one, all five run.  OTHER_TREE is a directory holding a checkout, or a git revision
 of this repository (``HEAD~1``, a sha, a branch), which the script extracts
 with ``git archive`` into a temporary directory and removes afterwards.
 
@@ -49,9 +49,17 @@ checkout (null otherwise).
   a=0.2): the first pass that ``perfbench/bench.py`` plans from each of
   ``BENCH_SEEDS``.
 
-In the last three groups each tree builds its own instances, and each call
-gets a fresh ``PlanarEmbedding``, built outside the timed region, so that
-nothing one call computes can serve the next.  The grids' pairwise weights
+- Warm: ``CALLS`` turns of each tree's ``ground_state`` on the unary-free
+  grids of ``GROUND_SIDES``, and of its ``optimize`` (as in the certify
+  group) on the 8x8 a=0.2 and 12x12 a=3.2 grids, all on one embedding per
+  tree and grid.  Call c solves the model of seed c mod ``WARM_SEEDS``, and
+  each tree makes one untimed call on the embedding first.  A tree that
+  keeps an embedding's topology between calls builds it only then.
+
+In the ground, setup and certify groups each tree builds its own
+instances, and each call gets a fresh ``PlanarEmbedding``, built outside
+the timed region, so that nothing one call computes can serve the next:
+they are the case with no reuse.  The grids' pairwise weights
 are the benchmark's, scaled by 500; ``generate_grid_instance`` draws them
 before the unaries, so a=0 and a=0.2 grids of one seed share them.
 
@@ -102,7 +110,12 @@ SETUP_STEPS = ["faces", "build_expanded_dual", "build_pcc"]
 CERTIFY_WORKLOADS = ["certify-strong", "certify-weak"]
 BENCH_SEEDS = [901, 902, 903, 904]
 CERTIFY_REPS = 5
-GROUPS = ["kernel", "ground", "setup", "certify"]
+WARM_CERTIFY = [(8, 0.2), (12, 3.2)]
+# perfbench/bench.py's MAX_ITERS and TOL; the warm group runs without
+# perfbench on the path.
+WARM_MAX_ITERS, WARM_TOL = 1000, 1.0
+WARM_SEEDS = 10
+GROUPS = ["kernel", "ground", "setup", "certify", "warm"]
 
 
 def load_other(tree: Path):
@@ -305,6 +318,32 @@ def certify_sets(name: str, packages) -> list[dict]:
     return sets
 
 
+def warm_set(name: str, side: int, a: float, packages) -> dict:
+    """One warm set (see the module doc): ``name`` is ``ground_state`` or
+    ``optimize``."""
+    per_seed = [instances(side, a, packages, seed) for seed in range(WARM_SEEDS)]
+    trees = []
+    for t, (pkg, _, emb) in enumerate(per_seed[0]):
+        models = [per[t][1] for per in per_seed]
+        if name == "ground_state":
+            trees.append([
+                partial(pkg.ground_state, pkg.SymmetricIsing(m.num_nodes, m.edges), emb)
+                for m in models
+            ])
+        else:
+            trees.append([
+                partial(pkg.optimize, m, emb, max_iters=WARM_MAX_ITERS, tol=WARM_TOL)
+                for m in models
+            ])
+    this, other = trees
+    this[0](), other[0]()
+    pairs = [
+        alternate(this[c % WARM_SEEDS], other[c % WARM_SEEDS], 1, c) for c in range(CALLS)
+    ]
+    return summary(f"{side}x{side} a={a} warm {name}", "warm", pairs, calls=CALLS,
+                   seeds=WARM_SEEDS)
+
+
 def main(argv: list[str]) -> int:
     groups = argv[2:] or GROUPS
     if len(argv) < 2 or not re.fullmatch(r"[\w.-]+", argv[1]) or set(groups) - set(GROUPS):
@@ -365,6 +404,13 @@ def compare(other_tree: Path, other_commit: str | None, label: str, groups: list
     if "certify" in groups:
         for name in CERTIFY_WORKLOADS:
             result["sets"] += certify_sets(name, (planarcc, other))
+    if "warm" in groups:
+        result["sets"] += [
+            warm_set("ground_state", side, 0.0, (planarcc, other)) for side in GROUND_SIDES
+        ]
+        result["sets"] += [
+            warm_set("optimize", side, a, (planarcc, other)) for side, a in WARM_CERTIFY
+        ]
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -14,10 +14,17 @@ permutation of the darts whose cycles are the faces, and pointer doubling
 (Wyllie's list ranking, 1979) gives every dart its face's smallest dart and
 its place in that face's walk.  ``pcc.build_pcc`` walks the darts of its
 augmented graph with the same function.
+
+An embedding is immutable, so its topology is computed once: ``faces``
+keeps its ``Faces`` on the embedding, the builders of ``ising`` and ``pcc``
+keep what they derive from those faces on the ``Faces`` object, and
+``grid`` hands out one embedding per size while any caller holds it.
+Every array kept this way is read-only.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +49,12 @@ def _dart_arrays(rotations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offset, _tails(offset), head.astype(np.int64)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Make ``arrays`` read-only: they are kept and shared between calls."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _tails(offset: np.ndarray) -> np.ndarray:
     """tail[d] of every dart, from the dart offsets of ``_dart_arrays``."""
     return np.repeat(np.arange(len(offset) - 1, dtype=np.int64), offset[1:] - offset[:-1])
@@ -56,7 +69,8 @@ class PlanarEmbedding:
     ``faces``, the dart offsets, each dart's twin (j -> i for dart i -> j)
     and the darts in order of their key tail * n + head.  Tails, heads and
     rotation successors follow from these without a sort, so they are not
-    kept.  ``from_darts`` builds an embedding from dart arrays directly.
+    kept.  ``faces`` keeps the embedding's ``Faces`` on it once walked.
+    ``from_darts`` builds an embedding from dart arrays directly.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -105,8 +119,9 @@ class PlanarEmbedding:
                 f"rotations not symmetric: {j} lists {i}? "
                 f"edge ({i},{j}) present only one way"
             )
-        # Plain attributes, not fields: equality and hashing see rotations only.
-        self.__dict__.update(_offset=offset, _twin=by_key[at], _by_key=by_key)
+        # Plain attributes, not fields: equality and hashing see rotations
+        # only.  ``faces`` fills _faces.
+        self.__dict__.update(_offset=offset, _twin=by_key[at], _by_key=by_key, _faces=None)
 
     @property
     def num_vertices(self) -> int:
@@ -129,6 +144,11 @@ class Faces:
     ``tree`` is a spanning tree as the int64 array of its darts
     parent -> vertex; ``faces`` finds it breadth-first from vertex 0 with
     each rotation scanned in order.
+
+    The arrays are read-only.  Two slots keep what the builders derive from
+    these faces for one edge order of the model, the last one they were
+    called with: ``ising.build_expanded_dual``'s weight-free port graph in
+    ``_port_graph`` and ``pcc.build_pcc``'s augmented topology in ``_pcc``.
     """
 
     def __init__(self, offset, tail, head, twin, succ, by_key, walk, starts, face_of, tree):
@@ -144,6 +164,9 @@ class Faces:
         self.starts = starts
         self.face_of = face_of
         self.tree = tree
+        _read_only(offset, tail, head, twin, succ, by_key, self._keys, walk, starts, face_of, tree)
+        self._port_graph = None
+        self._pcc = None
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -184,7 +207,12 @@ def faces(embedding: PlanarEmbedding) -> Faces:
     that checks connectivity also yields ``Faces.tree``.  Raises
     NotPlanarEmbeddingError when the graph is empty or disconnected, or when
     the rotation system does not describe a plane graph (Euler check fails).
+
+    The first call on an embedding walks its faces and keeps them on it;
+    every later call returns that same ``Faces`` object.
     """
+    if embedding._faces is not None:
+        return embedding._faces
     n = embedding.num_vertices
     if n == 0:
         raise NotPlanarEmbeddingError("empty embedding")
@@ -206,7 +234,9 @@ def faces(embedding: PlanarEmbedding) -> Faces:
                 tree.append(d)
     if len(order) != n:
         raise NotPlanarEmbeddingError("graph is disconnected; split components first")
-    return _walk(offset, tail, head, twin, embedding._by_key, np.array(tree, dtype=np.int64))
+    fs = _walk(offset, tail, head, twin, embedding._by_key, np.array(tree, dtype=np.int64))
+    embedding.__dict__["_faces"] = fs
+    return fs
 
 
 def _walk(offset, tail, head, twin, by_key, tree) -> Faces:
@@ -261,12 +291,21 @@ def _walk(offset, tail, head, twin, by_key, tree) -> Faces:
     return Faces(offset, tail, head, twin, succ, by_key, walk, starts, face_of, tree)
 
 
+# The grid embeddings some caller still holds, by (rows, cols).
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def grid(rows: int, cols: int) -> tuple[list[tuple[int, int]], PlanarEmbedding]:
     """4-connected grid with row-major vertex ids and a canonical embedding.
 
     Rotations list the present neighbors in the cyclic order up, left, down,
     right.  Returns (edge list, embedding); edges are emitted all horizontal
     ones row-major, then all vertical ones row-major.
+
+    While any caller holds the embedding of a size, every call for that
+    size returns that same object, so models on one grid share its faces
+    and port graph (see the module doc).  The edge list is new on each
+    call.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
@@ -279,6 +318,14 @@ def grid(rows: int, cols: int) -> tuple[list[tuple[int, int]], PlanarEmbedding]:
         for c in range(cols):
             v = r * cols + c
             edges.append((v, v + cols))
+    embedding = _GRIDS.get((rows, cols))
+    if embedding is None:
+        embedding = _GRIDS[rows, cols] = _grid_embedding(rows, cols)
+    return edges, embedding
+
+
+def _grid_embedding(rows: int, cols: int) -> PlanarEmbedding:
+    """The embedding of ``grid``."""
     rotations = []
     for r in range(rows):
         for c in range(cols):
@@ -293,7 +340,7 @@ def grid(rows: int, cols: int) -> tuple[list[tuple[int, int]], PlanarEmbedding]:
             if c < cols - 1:
                 rot.append(v + 1)
             rotations.append(tuple(rot))
-    return edges, PlanarEmbedding(tuple(rotations))
+    return PlanarEmbedding(tuple(rotations))
 
 
 def cycle(length: int) -> tuple[list[tuple[int, int]], PlanarEmbedding]:

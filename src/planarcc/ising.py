@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import Faces, PlanarEmbedding, faces
+from .embedding import Faces, PlanarEmbedding, _read_only, faces
 from .errors import NotPlanarEmbeddingError, WeightRangeError
 from .matching import (
     MAX_ABS_WEIGHT,
@@ -291,8 +291,19 @@ def build_expanded_dual(
     faces are walked here, or its ``Faces`` when the caller has them
     (``build_pcc`` walks the augmented graph's); the decode tree is
     ``Faces.tree``.
+
+    The port graph depends only on the faces and the order of the edges'
+    endpoints, not on the weights.  It is kept, with read-only arrays, in
+    the ``Faces`` object's one slot for it, for the last edge order built;
+    a call with the same endpoint arrays reuses it, and any other order is
+    built as on the first call and replaces it.  Each call returns a new
+    ``ExpandedDual`` that carries its own ``weights``.
     """
-    if isinstance(ising, SymmetricIsing):
+    topology = not isinstance(ising, SymmetricIsing)
+    if topology:
+        edge_u, edge_v = ising
+        weights = np.zeros(len(edge_u), dtype=np.int64)
+    else:
         if not ising.is_integer:
             raise ValueError("matching reduction requires integer weights; scale first")
         out_of_range = "edge weight outside the matching kernel's safe range"
@@ -310,11 +321,20 @@ def build_expanded_dual(
             raise NotPlanarEmbeddingError(
                 f"embedding has {embedding.num_vertices} vertices, model has {ising.num_nodes}"
             )
-    else:
-        edge_u, edge_v = ising
-        _check_endpoints(embedding.num_vertices, edge_u, edge_v)
-        weights = np.zeros(len(edge_u), dtype=np.int64)
     fs = embedding if isinstance(embedding, Faces) else faces(embedding)
+    kept = fs._port_graph
+    if kept is None or not (
+        np.array_equal(kept["edge_u"], edge_u) and np.array_equal(kept["edge_v"], edge_v)
+    ):
+        if topology:
+            _check_endpoints(fs.num_vertices, edge_u, edge_v)
+        kept = fs._port_graph = _port_graph(fs, edge_u, edge_v)
+    return ExpandedDual(weights=weights, **kept)
+
+
+def _port_graph(fs: Faces, edge_u: np.ndarray, edge_v: np.ndarray) -> dict[str, object]:
+    """The fields of ``ExpandedDual`` other than ``weights`` for the edges
+    (edge_u[t], edge_v[t]) on the faces ``fs``, every array read-only."""
     forward = fs.edge_darts(edge_u, edge_v)
     if forward is None:
         raise NotPlanarEmbeddingError("embedding edge set differs from model edge set")
@@ -337,12 +357,10 @@ def build_expanded_dual(
     edge_of = np.empty(num_darts, dtype=np.int64)
     edge_of[forward] = edge_of[backward] = np.arange(len(edge_u))
     tree_vertex = fs.head[fs.tree]
-    parent = np.zeros(embedding.num_vertices, dtype=np.int64)
+    parent = np.zeros(fs.num_vertices, dtype=np.int64)
     parent[tree_vertex] = fs.tail[fs.tree]
 
-    return ExpandedDual(
-        weights=weights,
-        num_ports=num_ports,
+    arrays = dict(
         port_u=np.concatenate((p1, gadget_u)),
         port_v=np.concatenate((p2, gadget_v)),
         bridge=bridge,
@@ -352,6 +370,8 @@ def build_expanded_dual(
         tree_edge=edge_of[fs.tree],
         parent=parent,
     )
+    _read_only(*arrays.values())
+    return dict(num_ports=num_ports, **arrays)
 
 
 def decode_matching(

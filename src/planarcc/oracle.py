@@ -59,17 +59,22 @@ def _enumerate_min(
     the low part.  An edge (i high, j low) costs w*x_i + w*(1 - 2*x_i)*x_j,
     so under one high code the cross edges add a constant plus a coefficient
     per low node times its bit.  Each of those terms is at most its |w| in
-    magnitude, so no partial sum exceeds the sum of all |w|, and int64 sums
-    of integer weights are exact whenever that sum fits in int64.  Sums run
-    in a fixed order with no BLAS call, so results do not depend on thread
-    counts.
+    magnitude, so no partial sum exceeds the sum of all |w|.  Integer
+    weights are summed in int64 while the sum of all |w| and |constant| is
+    below 2**62, and past it in Python ints (object arrays), so sums of
+    integers are always exact.  Sums run in a fixed order with no BLAS call,
+    so results do not depend on thread counts.
     """
     if n == 0:
         return OracleResult((), constant)
-    integer = all(isinstance(w, int) for (_, _, w) in edges) and all(
-        isinstance(w, int) for w in unary
-    )
-    dtype = np.int64 if integer else np.float64
+    weights = [*(w for (_, _, w) in edges), *unary]
+    integer = all(isinstance(w, int) for w in weights)
+    if not integer:
+        dtype = np.float64
+    elif sum(map(abs, weights)) + abs(constant) < 2**62:
+        dtype = np.int64
+    else:
+        dtype = object
     low = min((n + 1) // 2, _LOW_BITS)
     high = n - low
     high_bits, low_bits = _bit_table(high), _bit_table(low)

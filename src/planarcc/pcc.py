@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import Faces, PlanarEmbedding, _tails, _walk, faces
+from .embedding import Faces, PlanarEmbedding, _read_only, _tails, _walk, faces
 from .errors import NotPlanarEmbeddingError, WeightRangeError
 from .ising import ExpandedDual, _endpoints, build_expanded_dual
 from .matching import MAX_ABS_WEIGHT
@@ -194,16 +194,44 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     ``faces`` runs once, on ``embedding``.  The augmented graph's darts and
     decode tree (the base tree and one spoke per chosen face) are derived
     from the base faces' arrays, and its faces are found from those darts
-    by the same walk (see ``_checked_walk``)."""
+    by the same walk (see ``_checked_walk``).
+
+    That topology (the chosen faces, the incidence arrays and the augmented
+    faces) depends only on the base faces and the order of the model's edge
+    endpoints.  It is kept, with read-only arrays, in the base ``Faces``
+    object's one slot for it, for the last edge order built; a model with
+    the same endpoint order reuses it, and any other order is built as on
+    the first call and replaces it.  Each call binds its own model and
+    unaries, and calls ``faces`` and ``build_expanded_dual`` (which keeps
+    the port graph on the augmented faces)."""
     if embedding.num_vertices != model.num_nodes:
         raise ValueError(
             f"embedding has {embedding.num_vertices} vertices, model has {model.num_nodes}"
         )
     fs = faces(embedding)
     base_u, base_v = _endpoints(model.edges)
+    kept = fs._pcc
+    if kept is None or not (np.array_equal(kept[0], base_u) and np.array_equal(kept[1], base_v)):
+        kept = fs._pcc = _pcc_topology(fs, base_u, base_v)
+    *_, edges, fields = kept
+    return PCCGraph(
+        model=model,
+        unary=np.asarray(model.unary, dtype=np.float64),
+        dual=build_expanded_dual(edges, fields["augmented_faces"]),
+        **fields,
+    )
+
+
+def _pcc_topology(fs: Faces, base_u: np.ndarray, base_v: np.ndarray) -> tuple:
+    """The weight-free part of ``build_pcc``'s graph for the edges
+    (base_u[t], base_v[t]) on the base faces ``fs``, every array read-only:
+    (base_u, base_v, the augmented edges' endpoint arrays (u, v), the
+    ``PCCGraph`` fields num_faces, the incidence arrays and
+    augmented_faces).  Raises ValueError when the edges are not the
+    faces'."""
     if fs.edge_darts(base_u, base_v) is None:
         raise ValueError("embedding edge set differs from model edge set")
-    n = model.num_nodes
+    n = fs.num_vertices
 
     if n == 1:
         # Single vertex: no darts; its one face connects to it directly.
@@ -267,18 +295,15 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
     aug_faces = _checked_walk(offset, head, twin, tree)
 
     inc_count = np.bincount(inc_node, minlength=n)
-    return PCCGraph(
-        model=model,
-        num_faces=num_faces,
+    arrays = dict(
         inc_node=inc_node,
         inc_face=inc_face,
         inc_count=inc_count,
         by_node=np.argsort(inc_node, kind="stable"),
         node_start=np.cumsum(inc_count) - inc_count,
-        unary=np.asarray(model.unary, dtype=np.float64),
-        augmented_faces=aug_faces,
-        dual=build_expanded_dual(topology, aug_faces),
     )
+    _read_only(base_u, base_v, *topology, *arrays.values())
+    return base_u, base_v, topology, dict(num_faces=num_faces, augmented_faces=aug_faces, **arrays)
 
 
 def _face_cover(fs: Faces) -> np.ndarray:

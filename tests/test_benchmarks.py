@@ -29,12 +29,11 @@ def test_kernel_pairs_compares_a_tree_with_itself(tmp_path):
             cwd=tmp_path, capture_output=True, text=True,
         )
 
-    done = run("smoke", "setup")
+    done = run("smoke", "setup", "warm")
     assert done.returncode == 0, done.stderr
     sets = json.loads((tmp_path / "BENCH_smoke.json").read_text())["sets"]
-    assert len(sets) == 15
+    assert [s["group"] for s in sets] == ["setup"] * 15 + ["warm"] * 9
     for s in sets:
-        assert s["group"] == "setup"
         assert s["ratio_p50"] > 0 and 0 <= s["faster_share"] <= 1
     assert run("smoke", "nosuch").returncode == 2
 

@@ -84,12 +84,21 @@ def oracle_inputs(rng, count, max_n):
         yield kind, 14 - k % 2
 
 
+# Integer models whose energies pass int64, so the oracle must not sum them
+# in int64: the path's minimum -3 * 2**62 is at (0, 1, 0, 1).
+PAST_INT64 = (BinaryMRF(4, ((0, 1, -2**62), (1, 2, -2**62), (2, 3, -2**62)), (0,) * 4, 0),)
+
+
+def random_model(rng, n, weight):
+    edges = random_edges(rng, n, weight)
+    return BinaryMRF(n, edges, tuple(weight(rng) for _ in range(n)), rng.randint(-3, 3))
+
+
 def test_matches_exhaustive_loop():
     rng = random.Random(15)
-    for kind, n in oracle_inputs(rng, 20, 7):
-        weight = WEIGHTS[kind]
-        edges = random_edges(rng, n, weight)
-        m = BinaryMRF(n, edges, tuple(weight(rng) for _ in range(n)), rng.randint(-3, 3))
+    drawn = ((kind, random_model(rng, n, WEIGHTS[kind])) for kind, n in oracle_inputs(rng, 20, 7))
+    for kind, m in itertools.chain(drawn, (("int", m) for m in PAST_INT64)):
+        n = m.num_nodes
         res = brute_force_map(m)
         energies = [energy(m, x) for x in itertools.product((0, 1), repeat=n)]
         want = min(energies)
