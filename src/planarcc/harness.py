@@ -293,7 +293,9 @@ def batch(
     out: str | Path | None = None,
 ) -> list[RunSummary]:
     """Run many instances (in parallel when jobs > 1) and optionally write
-    the per-run results CSV.  Result order follows the input order."""
+    the per-run results CSV.  Result order follows the input order.  Run
+    in this process (jobs 1), it holds each size's grid while it runs, so
+    the size's topology is built once (see ``grid``)."""
     work = [(spec, options) for spec in specs]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -301,7 +303,9 @@ def batch(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(_run_one, work))
     else:
+        held = {(s.rows, s.cols): grid(s.rows, s.cols)[1] for s in specs}
         summaries = [_run_one(w) for w in work]
+        del held
     if out is not None:
         _write_summaries(out, summaries, "w")
     return summaries

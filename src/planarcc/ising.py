@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +60,7 @@ from .matching import (
     min_weight_perfect_matching,  # noqa: F401  (perfbench/tracing.py wraps it here)
     perfect_matching,
 )
-from .model import Labels, SymmetricIsing
+from .model import Labels, SymmetricIsing, _check_endpoints, _max_abs, _sums_fit_int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +78,10 @@ class ExpandedDual:
     vertices other than node 0 in the tree's order (breadth-first from
     node 0 for an embedding's faces), tree_edge the model edge to each
     one's parent, and parent[v] is the parent of vertex v (node 0 is its
-    own).  ``weights`` are the model's
-    int64 edge weights: the minimum matching weight of ``match_graph`` plus
-    their sum equals the ground-state energy.
+    own).  ``weights`` are the model's int64 edge weights, from its exact
+    reading: the minimum matching weight of ``match_graph`` plus their sum
+    equals the ground-state energy, which a decode checks in int64 under
+    ``model._sums_fit_int64`` and in Python ints past it.
     """
 
     weights: np.ndarray
@@ -178,9 +178,8 @@ class ExpandedDual:
             p = p[p]
         if not np.array_equal(lab[self.edge_u] != lab[self.edge_v], cut):
             raise AssertionError("matching produced an inconsistent cut; this is a bug")
-        # int64 sums are exact while no partial sum can reach 2**63; past
-        # that, Python-int sums stay exact.
-        if int(np.abs(w).max(initial=0)) * (len(w) + self.num_ports) < 2**62:
+        # Past the int64 rule, Python-int sums stay exact.
+        if _sums_fit_int64(_max_abs(w), len(w) + self.num_ports):
             energy = int(w @ cut)
             expected = int(port_w @ matched) + int(w.sum())
         else:
@@ -199,14 +198,6 @@ class GroundState:
 
     labels: Labels
     energy: int
-
-
-def _endpoints(
-    edges: Sequence[tuple[int, int, object]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) columns of an edge list, as int64 arrays."""
-    u, v, _ = zip(*edges) if edges else ((), (), ())
-    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
 # A face of L ports costs L(L - 1)/2 clique edges, or 4L - 9 when folded
@@ -264,20 +255,6 @@ def _face_gadgets(starts: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return num_darts + 2 * folds, u, v
 
 
-def _check_endpoints(num_nodes: int, u: np.ndarray, v: np.ndarray) -> None:
-    """Reject endpoints not 0 <= u[t] < v[t] < num_nodes and repeated
-    edges, as ``SymmetricIsing`` does."""
-    bad = np.flatnonzero((u < 0) | (u >= v) | (v >= num_nodes))
-    if bad.size:
-        t = bad[0]
-        raise ValueError(f"edge ({u[t]},{v[t]}) out of range or not i<j")
-    key = np.sort(u * num_nodes + v)
-    repeated = np.flatnonzero(key[1:] == key[:-1])
-    if repeated.size:
-        i, j = divmod(int(key[repeated[0]]), num_nodes)
-        raise ValueError(f"duplicate edge ({i},{j})")
-
-
 def build_expanded_dual(
     ising: SymmetricIsing | tuple[np.ndarray, np.ndarray],
     embedding: PlanarEmbedding | Faces,
@@ -285,12 +262,12 @@ def build_expanded_dual(
     """Construct the port graph whose minimum perfect matching encodes the
     minimum cut of the embedded symmetric model.
 
-    ``ising`` is the model, or a topology whose weights every solve
-    supplies: the int64 endpoint arrays (u, v) of its edges, each with
-    u < v, taken as weight 0.  ``embedding`` is the model's embedding, whose
-    faces are walked here, or its ``Faces`` when the caller has them
-    (``build_pcc`` walks the augmented graph's); the decode tree is
-    ``Faces.tree``.
+    ``ising`` is the model, whose kept endpoint arrays and exact weights are
+    used, or a topology whose weights every solve supplies: int64 endpoint
+    arrays (u, v), checked as a model's are and taken as weight 0.
+    ``embedding`` is the model's embedding, whose faces are walked here, or
+    its ``Faces`` when the caller has them (``build_pcc`` walks the
+    augmented graph's); the decode tree is ``Faces.tree``.
 
     The port graph depends only on the faces and the order of the edges'
     endpoints, not on the weights.  It is kept, with read-only arrays, in
@@ -306,17 +283,11 @@ def build_expanded_dual(
     else:
         if not ising.is_integer:
             raise ValueError("matching reduction requires integer weights; scale first")
-        out_of_range = "edge weight outside the matching kernel's safe range"
-        # One pass over the (i, j, w) triples; only a weight can pass int64.
-        try:
-            flat = np.fromiter(
-                chain.from_iterable(ising.edges), dtype=np.int64, count=3 * len(ising.edges)
-            )
-        except OverflowError:
-            raise WeightRangeError(out_of_range) from None
-        edge_u, edge_v, weights = flat.reshape(-1, 3).T.copy()
-        if ((weights > MAX_ABS_WEIGHT) | (weights < -MAX_ABS_WEIGHT)).any():
-            raise WeightRangeError(out_of_range)
+        edge_u, edge_v = ising.edge_u, ising.edge_v
+        _, weights, _ = ising.exact_weights
+        if _max_abs(weights) > MAX_ABS_WEIGHT:
+            raise WeightRangeError("edge weight outside the matching kernel's safe range")
+        weights = weights.astype(np.int64, copy=False)
         if embedding.num_vertices != ising.num_nodes:
             raise NotPlanarEmbeddingError(
                 f"embedding has {embedding.num_vertices} vertices, model has {ising.num_nodes}"
@@ -382,7 +353,7 @@ def decode_matching(
     for (u, v) in matching.pairs:
         mate[u] = v
         mate[v] = u
-    energy, labels = dual.decode([w for (_, _, w) in ising.edges], mate)
+    energy, labels = dual.decode(ising.exact_weights[1], mate)
     return GroundState(labels, energy)
 
 

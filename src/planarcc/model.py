@@ -9,19 +9,28 @@ phi10 - phi00 - theta_ij on i and phi01 - phi00 - theta_ij on j and the
 constant phi00.  A model without unary terms (``SymmetricIsing``) is
 flip-invariant; ``pcc`` absorbs unary terms into edges to one auxiliary node
 per chosen face, which keeps the graph planar.
+
+A model reads its edges once, when it is validated, and keeps the reading:
+read-only int64 endpoint arrays and an ``is_integer`` flag.  Its weights
+are read exactly once, on first use (``exact_weights``), and every int64
+sum decides its exactness by one rule (``_sums_fit_int64``).  ``pcc``,
+``ising`` and ``oracle`` use these instead of arrays of their own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .embedding import _read_only
 from .errors import SizeMismatchError, WeightRangeError
 from .matching import MAX_ABS_WEIGHT
 
@@ -37,49 +46,97 @@ def _check_binary_labels(x: Sequence[int], n: int) -> Labels:
     return out
 
 
-def _check_edges(num_nodes: int, edges: Sequence[tuple[int, int, float]]) -> None:
-    """Reject self-loops, endpoints not 0 <= i < j < num_nodes, duplicate
-    edges and non-finite weights."""
-    seen = set()
-    for (i, j, w) in edges:
-        if i == j:
-            raise ValueError(f"self-loop at node {i}")
-        if not (0 <= i < j < num_nodes):
-            raise ValueError(f"edge ({i},{j}) out of range or not i<j")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate edge ({i},{j})")
-        seen.add((i, j))
-        if not math.isfinite(w):
-            raise ValueError(f"edge ({i},{j}) has non-finite weight")
+def _check_endpoints(num_nodes: int, u: np.ndarray, v: np.ndarray) -> None:
+    """The one edge validator, of models and of ``build_expanded_dual``'s
+    topology form: reject self-loops, int64 endpoints not 0 <= u[t] < v[t]
+    < num_nodes and repeated edges."""
+    loop = np.flatnonzero(u == v)
+    if loop.size:
+        raise ValueError(f"self-loop at node {u[loop[0]]}")
+    bad = np.flatnonzero((u < 0) | (u >= v) | (v >= num_nodes))
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"edge ({u[t]},{v[t]}) out of range or not i<j")
+    key = np.sort(u * num_nodes + v)
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        i, j = divmod(int(key[repeated[0]]), num_nodes)
+        raise ValueError(f"duplicate edge ({i},{j})")
 
 
-# The numpy float types, whose scalars are stored as the Python floats they
-# equal (exact up to float64), so that energies sum and weights read as
-# they do for Python floats.
-_NUMPY_FLOATS = frozenset((np.float16, np.float32, np.float64, np.longdouble))
+def _endpoint_array(ends: tuple) -> np.ndarray:
+    """``ends`` as an int64 array; ValueError unless each is an integer
+    within int64 (a cast would truncate 1.5 to 1)."""
+    a = np.array(ends)
+    if a.size and (a.dtype.kind not in "iu" or a.max() > np.iinfo(np.int64).max):
+        raise ValueError("edges must list integer endpoints within int64")
+    return a.astype(np.int64, copy=False)
 
 
-def _python_float(w):
-    return float(w) if type(w) in _NUMPY_FLOATS else w
+def _python_numbers(weights: tuple) -> tuple[tuple, bool]:
+    """(``weights`` with numpy integers and floats as the Python numbers
+    they equal, ``weights`` itself when it holds none; whether every one is
+    an int)."""
+    types = set(map(type, weights))
+    if any(issubclass(t, (np.integer, np.floating)) for t in types):
+        weights = tuple(
+            int(w) if isinstance(w, np.integer) else float(w) if isinstance(w, np.floating) else w
+            for w in weights
+        )
+        types = set(map(type, weights))
+    return weights, all(issubclass(t, int) for t in types)
 
 
-def _python_floats(weights: tuple) -> tuple:
-    """``weights`` with numpy floats as Python floats (``weights`` itself
-    when it holds none)."""
-    if _NUMPY_FLOATS.isdisjoint(map(type, weights)):
-        return weights
-    return tuple(map(_python_float, weights))
+def _read_edges(model: BinaryMRF | SymmetricIsing) -> None:
+    """Validate ``model.edges`` in the model's one reading of them: store
+    them with numpy weights as the Python numbers they equal, their
+    endpoints as the read-only int64 arrays ``edge_u`` and ``edge_v``, and
+    whether every edge weight is an int as ``is_integer``."""
+    ends_u, ends_v, weights = zip(*model.edges, strict=True) if model.edges else ((), (), ())
+    w, integer = _python_numbers(weights)
+    u, v = _endpoint_array(ends_u), _endpoint_array(ends_v)
+    _check_endpoints(model.num_nodes, u, v)
+    if not integer:
+        for t, x in enumerate(w):
+            if not math.isfinite(x):
+                raise ValueError(f"edge ({u[t]},{v[t]}) has non-finite weight")
+    _read_only(u, v)
+    if w is not weights:
+        object.__setattr__(model, "edges", tuple(zip(ends_u, ends_v, w)))
+    object.__setattr__(model, "edge_u", u)
+    object.__setattr__(model, "edge_v", v)
+    object.__setattr__(model, "is_integer", integer)
 
 
-def _python_edges(edges: tuple) -> tuple:
-    """``edges`` with numpy float weights as Python floats."""
-    if _NUMPY_FLOATS.isdisjoint(map(type, map(itemgetter(2), edges))):
-        return edges
-    return tuple((i, j, _python_float(w)) for (i, j, w) in edges)
+def _sums_fit_int64(largest: int, terms: int) -> bool:
+    """The one int64 rule: every partial sum of ``terms`` integers of
+    magnitude at most ``largest`` stays below 2**62, so int64 sums them, and
+    adds or subtracts two such sums, exactly."""
+    return largest * terms < 2**62
 
 
-def _integer_edges(edges: Sequence[tuple[int, int, float]]) -> bool:
-    return all(isinstance(w, int) for (_, _, w) in edges)
+def _max_abs(a: np.ndarray) -> int:
+    """The largest |a[i]| as a Python int (0 when a is empty); exact where
+    ``np.abs`` wraps."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _exact_reading(weights: list, integer: bool, constant=0) -> tuple[int, np.ndarray]:
+    """``weights`` read exactly: (den, read-only numerators), each weight
+    its numerator over den.  Integer weights (``integer``) have den 1, and
+    int64 numerators where ``_sums_fit_int64`` holds for them and
+    ``constant``.  Otherwise the numerators are Python ints in an object
+    array: a float is a dyadic rational, so it is an exact integer over den,
+    the lcm of the weights' denominators (a power of two)."""
+    den = 1
+    if not integer:
+        ratios = [Fraction(x) for x in weights]
+        den = math.lcm(*(r.denominator for r in ratios))
+        weights = [int(r * den) for r in ratios]
+    fits = integer and _sums_fit_int64(max(map(abs, (*weights, constant))), len(weights) + 1)
+    w = np.array(weights, dtype=np.int64 if fits else object)
+    _read_only(w)
+    return den, w
 
 
 @dataclass(frozen=True)
@@ -92,57 +149,73 @@ class BinaryMRF:
         unary: per-node theta_i, length num_nodes.
         constant: additive energy offset.
 
-    numpy float weights are stored as the Python floats they equal.
+    numpy integer and float weights are stored as the Python numbers they
+    equal.  Validation reads the edges once and keeps ``edge_u`` and
+    ``edge_v``, the endpoints as read-only int64 arrays, and ``is_integer``,
+    True when every weight and the constant is an int; equality and hashing
+    use the four fields above.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int, float], ...]
     unary: tuple[float, ...]
     constant: float = 0
+    edge_u: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_v: np.ndarray = field(init=False, repr=False, compare=False)
+    is_integer: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _python_edges(self.edges))
-        object.__setattr__(self, "unary", _python_floats(self.unary))
-        object.__setattr__(self, "constant", _python_float(self.constant))
         if self.num_nodes < 0:
             raise ValueError("num_nodes must be non-negative")
         if len(self.unary) != self.num_nodes:
             raise SizeMismatchError(
                 f"unary has {len(self.unary)} entries, expected {self.num_nodes}"
             )
-        _check_edges(self.num_nodes, self.edges)
-        for i, w in enumerate(self.unary):
+        _read_edges(self)
+        values, integer = _python_numbers((*self.unary, self.constant))
+        for i, w in enumerate(() if integer else values):
             if not math.isfinite(w):
-                raise ValueError(f"unary {i} is non-finite")
-        if not math.isfinite(self.constant):
-            raise ValueError("constant is non-finite")
+                what = "constant" if i == self.num_nodes else f"unary {i}"
+                raise ValueError(f"{what} is non-finite")
+        object.__setattr__(self, "unary", values[:-1])
+        object.__setattr__(self, "constant", values[-1])
+        object.__setattr__(self, "is_integer", self.is_integer and integer)
 
-    @property
-    def is_integer(self) -> bool:
-        """True when every weight (and the constant) is an exact integer."""
-        return _integer_edges(self.edges) and all(
-            isinstance(w, int) for w in (*self.unary, self.constant)
+    @cached_property
+    def exact_weights(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The model's one exact weight reading, made on first use: (den,
+        edge numerators, unary numerators), see ``_exact_reading``; the
+        constant counts as one more term."""
+        m = len(self.edges)
+        den, w = _exact_reading(
+            [*map(itemgetter(2), self.edges), *self.unary], self.is_integer, self.constant
         )
+        return den, w[:m], w[m:]
 
 
 @dataclass(frozen=True)
 class SymmetricIsing:
     """Unary-free binary model: only pairwise disagreement costs.
 
-    Its energy is invariant under flipping all labels.  numpy float weights
-    are stored as the Python floats they equal.
+    Its energy is invariant under flipping all labels.  numpy integer and
+    float weights are stored as the Python numbers they equal, and the
+    edges are read once, as ``BinaryMRF`` reads them.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int, float], ...]
+    edge_u: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_v: np.ndarray = field(init=False, repr=False, compare=False)
+    is_integer: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _python_edges(self.edges))
-        _check_edges(self.num_nodes, self.edges)
+        _read_edges(self)
 
-    @property
-    def is_integer(self) -> bool:
-        return _integer_edges(self.edges)
+    @cached_property
+    def exact_weights(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """As ``BinaryMRF.exact_weights``, with no unary numerators."""
+        den, w = _exact_reading([*map(itemgetter(2), self.edges)], self.is_integer)
+        return den, w, w[:0]
 
 
 def energy(model: BinaryMRF, x: Sequence[int]) -> float:

@@ -45,13 +45,9 @@ def _bit_table(k: int) -> np.ndarray:
     return (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1
 
 
-def _enumerate_min(
-    n: int,
-    edges: tuple[tuple[int, int, float], ...],
-    unary: tuple[float, ...],
-    constant: float,
-) -> OracleResult:
-    """Exhaustive minimum over all 2^n assignments.
+def _enumerate_min(model: BinaryMRF | SymmetricIsing, constant: int | float) -> OracleResult:
+    """Exhaustive minimum over all 2^n assignments of ``model`` plus
+    ``constant``.
 
     Assignments are encoded with x_0 as the most significant bit, and codes
     are scanned in order, keeping the first minimum, so the lexicographically
@@ -60,21 +56,21 @@ def _enumerate_min(
     so under one high code the cross edges add a constant plus a coefficient
     per low node times its bit.  Each of those terms is at most its |w| in
     magnitude, so no partial sum exceeds the sum of all |w|.  Integer
-    weights are summed in int64 while the sum of all |w| and |constant| is
-    below 2**62, and past it in Python ints (object arrays), so sums of
-    integers are always exact.  Sums run in a fixed order with no BLAS call,
-    so results do not depend on thread counts.
+    weights are summed as the model's exact reading holds them: in int64
+    under its one int64 rule, past it in Python ints (object arrays), so
+    sums of integers are always exact.  Other weights are summed in float64.
+    Sums run in a fixed order with no BLAS call, so results do not depend
+    on thread counts.
     """
+    n = model.num_nodes
     if n == 0:
         return OracleResult((), constant)
-    weights = [*(w for (_, _, w) in edges), *unary]
-    integer = all(isinstance(w, int) for w in weights)
-    if not integer:
-        dtype = np.float64
-    elif sum(map(abs, weights)) + abs(constant) < 2**62:
-        dtype = np.int64
+    den, edge_w, unary = model.exact_weights
+    if model.is_integer:
+        dtype = edge_w.dtype
     else:
-        dtype = object
+        dtype = np.float64
+        edge_w, unary = edge_w / den, unary / den
     low = min((n + 1) // 2, _LOW_BITS)
     high = n - low
     high_bits, low_bits = _bit_table(high), _bit_table(low)
@@ -83,14 +79,15 @@ def _enumerate_min(
     low_energy = np.zeros(1 << low, dtype=dtype)
     # cross[h, k]: coefficient of low node k's bit under high code h.
     cross = np.zeros((1 << high, low), dtype=dtype)
-    for i, w in enumerate(unary):
+    for i, w in enumerate(unary.tolist()):
         if w != 0:
             w = np.asarray(w, dtype=dtype)
             if i < high:
                 high_energy += w * high_bits[:, i]
             else:
                 low_energy += w * low_bits[:, i - high]
-    for (i, j, w) in edges:  # i < j, so only i can be high in a cross edge
+    # i < j, so only i can be high in a cross edge.
+    for i, j, w in zip(model.edge_u.tolist(), model.edge_v.tolist(), edge_w.tolist()):
         w = np.asarray(w, dtype=dtype)
         if j < high:
             high_energy += w * (high_bits[:, i] ^ high_bits[:, j])
@@ -120,7 +117,7 @@ def _enumerate_min(
             best_val = val
             best_code = (start << low) + flat
     assignment = tuple((best_code >> (n - 1 - i)) & 1 for i in range(n))
-    value = int(best_val) if integer else float(best_val)
+    value = int(best_val) if model.is_integer else float(best_val)
     return OracleResult(assignment, value + constant)
 
 
@@ -130,7 +127,7 @@ def brute_force_map(model: BinaryMRF) -> OracleResult:
         raise TooLargeError(
             f"{model.num_nodes} nodes exceeds brute-force cap {MAX_MAP_NODES}"
         )
-    return _enumerate_min(model.num_nodes, model.edges, model.unary, model.constant)
+    return _enumerate_min(model, model.constant)
 
 
 def brute_force_map_ising(ising: SymmetricIsing) -> OracleResult:
@@ -139,9 +136,7 @@ def brute_force_map_ising(ising: SymmetricIsing) -> OracleResult:
         raise TooLargeError(
             f"{ising.num_nodes} nodes exceeds brute-force cap {MAX_MAP_NODES}"
         )
-    return _enumerate_min(
-        ising.num_nodes, ising.edges, (0,) * ising.num_nodes, 0
-    )
+    return _enumerate_min(ising, 0)
 
 
 def brute_force_mwpm(g: WeightedMatchGraph) -> Matching:

@@ -25,9 +25,9 @@ kernel's weight range (see ``_step_cap``).
 Polyak's rule aims at the best upper bound, so a poor one makes the first
 steps overshoot.  Each candidate that beats the best upper bound is
 therefore polished by iterated conditional modes (``_Upper.polish``)
-before it is kept; its energy stays exact.  The model's weights are read
-exactly once per run (``_exact_weights``), and that one reading gives the
-scaled weights, the upper bounds and ICM's flip gains.
+before it is kept; its energy stays exact.  The model's one exact weight
+reading (``BinaryMRF.exact_weights``), kept on the model, gives the scaled
+weights, the upper bounds and ICM's flip gains.
 
 The step factor follows Held, Wolfe & Crowder ("Validation of subgradient
 optimization", Math. Prog. 1974): it starts at 1.5 and is halved, down to
@@ -42,9 +42,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,9 +50,9 @@ import numpy as np
 
 from .embedding import Faces, PlanarEmbedding, _read_only, _tails, _walk, faces
 from .errors import NotPlanarEmbeddingError, WeightRangeError
-from .ising import ExpandedDual, _endpoints, build_expanded_dual
+from .ising import ExpandedDual, build_expanded_dual
 from .matching import MAX_ABS_WEIGHT
-from .model import BinaryMRF, Labels, complement, energy
+from .model import BinaryMRF, Labels, _max_abs, complement, energy
 
 DEFAULT_MATCHING_SCALE = 10**6
 
@@ -209,7 +207,7 @@ def build_pcc(model: BinaryMRF, embedding: PlanarEmbedding) -> PCCGraph:
             f"embedding has {embedding.num_vertices} vertices, model has {model.num_nodes}"
         )
     fs = faces(embedding)
-    base_u, base_v = _endpoints(model.edges)
+    base_u, base_v = model.edge_u, model.edge_v
     kept = fs._pcc
     if kept is None or not (np.array_equal(kept[0], base_u) and np.array_equal(kept[1], base_v)):
         kept = fs._pcc = _pcc_topology(fs, base_u, base_v)
@@ -302,7 +300,7 @@ def _pcc_topology(fs: Faces, base_u: np.ndarray, base_v: np.ndarray) -> tuple:
         by_node=np.argsort(inc_node, kind="stable"),
         node_start=np.cumsum(inc_count) - inc_count,
     )
-    _read_only(base_u, base_v, *topology, *arrays.values())
+    _read_only(*topology, *arrays.values())
     return base_u, base_v, topology, dict(num_faces=num_faces, augmented_faces=aug_faces, **arrays)
 
 
@@ -358,44 +356,10 @@ def init_params(model: BinaryMRF, pcc: PCCGraph) -> VariationalParams:
     return VariationalParams(pcc, pcc.unary[pcc.inc_node] / pcc.inc_count[pcc.inc_node])
 
 
-def _exact_weights(model: BinaryMRF, integer: bool) -> tuple[int, np.ndarray, np.ndarray]:
-    """``model``'s weights read exactly, once: (den, edge_w, unary), each
-    weight equal to its numerator in edge_w or unary over den.
-
-    An integer model (``integer``, its ``is_integer``) has den 1, and its
-    numerators are int64 arrays when no partial sum of its energies can
-    reach 2**63.  Otherwise they are object arrays of Python ints; a float
-    is a dyadic rational, so over den, the lcm of the weights'
-    denominators (a power of two), each weight is an exact integer."""
-    m = len(model.edges)
-    weights = [*map(itemgetter(2), model.edges), *model.unary]
-    den = 1
-    if integer:
-        try:
-            w = np.array(weights, dtype=np.int64)
-        except OverflowError:
-            pass
-        else:
-            if max(abs(model.constant), _max_abs(w)) * (len(w) + 1) < 2**62:
-                return den, w[:m], w[m:]
-    else:
-        ratios = [Fraction(x) for x in weights]
-        den = math.lcm(*(r.denominator for r in ratios))
-        weights = [int(r * den) for r in ratios]
-    w = np.array(weights, dtype=object)
-    return den, w[:m], w[m:]
-
-
-def _max_abs(a: np.ndarray) -> int:
-    """The largest |a[i]| as a Python int (0 when a is empty); exact where
-    ``np.abs`` wraps."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
 def _scale_base(exact: tuple, matching_scale: int) -> tuple[np.ndarray, np.ndarray]:
     """Base edge weights and each node's unary target in matching-scale
-    units, as int64 arrays: the floor of each weight of ``exact`` (from
-    ``_exact_weights``) times ``matching_scale``.  Raises WeightRangeError
+    units, as int64 arrays: the floor of each weight of ``exact`` (a
+    model's ``exact_weights``) times ``matching_scale``.  Raises WeightRangeError
     when one passes ``MAX_ABS_WEIGHT``, edge weights checked first."""
     if matching_scale < 1:
         raise ValueError("matching_scale must be >= 1")
@@ -467,24 +431,19 @@ def lower_bound(
     if model != pcc.model:
         raise ValueError("model differs from the model the PCC graph was built for")
     scale = int(matching_scale)
-    exact = _exact_weights(model, model.is_integer)
-    gs, labels = _bound(pcc, params, scale, _scale_base(exact, scale))
+    gs, labels = _bound(pcc, params, scale, _scale_base(model.exact_weights, scale))
     return gs / scale + pcc.model.constant, tuple(labels.tolist())
 
 
-def certificate_of(
-    model: BinaryMRF, best_gs: int, scale: int, best_upper: float, integer: bool | None = None
-) -> str:
-    """"optimal" when ``model`` is integer and its optimum, at least
-    ceil(best_gs / scale) + constant for a best augmented ground state
-    best_gs at matching scale ``scale``, is best_upper; else "gap".  Decided
-    in Python integers; ``integer`` is ``model.is_integer``, computed here
-    when None.  tol plays no part: ``optimize`` stops at the first
-    iteration where this reads "optimal"."""
-    if integer is None:
-        integer = model.is_integer
+def certificate_of(model: BinaryMRF, best_gs: int, scale: int, best_upper: float) -> str:
+    """"optimal" when ``model`` is integer (its stored ``is_integer``) and
+    its optimum, at least ceil(best_gs / scale) + constant for a best
+    augmented ground state best_gs at matching scale ``scale``, is
+    best_upper; else "gap".  Decided in Python integers.  tol plays no
+    part: ``optimize`` stops at the first iteration where this reads
+    "optimal"."""
     ceil_gs = -(-best_gs // scale)
-    return "optimal" if integer and ceil_gs + model.constant >= best_upper else "gap"
+    return "optimal" if model.is_integer and ceil_gs + model.constant >= best_upper else "gap"
 
 
 def subgradient(pcc: PCCGraph, config: Sequence[int]) -> np.ndarray:
@@ -549,11 +508,10 @@ class _Upper:
     candidate is polished by iterated conditional modes (Besag, "On the
     statistical analysis of dirty pictures", JRSS B 1986).
 
-    Built once per run from ``_exact_weights``'s reading ``exact`` and the
-    edges' endpoints u and v.  On an integer model (``integer``)
-    ``energies`` gives exact energies from the arrays, equal to
-    ``energy()``'s: x and its complement cut the same edges, and the
-    complement pays the unary of the nodes x labels 0.  Any other model
+    Built once per run from the model's exact weight reading and endpoint
+    arrays.  On an integer model ``energies`` gives exact energies from the
+    arrays, equal to ``energy()``'s: x and its complement cut the same
+    edges, and the complement pays the unary of the nodes x labels 0.  Any other model
     decodes with ``decode_upper`` and measures with ``energy()``, so its
     float energies are ``energy()``'s bit for bit.
 
@@ -562,16 +520,17 @@ class _Upper:
     local minimum.  Flipping node i changes the energy by delta[i] =
     +-theta_i (+ when x_i is 0) plus theta_ij for each neighbour j with
     x_j = x_i, less theta_ij for each other.  Over den every delta is an
-    exact integer (an int64 reading cannot overflow), so the sweeps end.  A
+    exact integer (an int64 reading, under the one int64 rule, cannot
+    overflow), so the sweeps end.  A
     flip of i negates delta[i] and moves each neighbour's delta by
     2 theta_ij.  Node i's neighbours are col[start[i]:start[i + 1]], with
     twice the edge weights in w2.
     """
 
-    def __init__(self, model: BinaryMRF, integer: bool, exact: tuple, u: np.ndarray, v: np.ndarray):
-        _, edge_w, unary = exact
-        self.model, self.integer = model, integer
-        self.u, self.v, self.edge_w, self.unary = u, v, edge_w, unary
+    def __init__(self, model: BinaryMRF):
+        _, edge_w, unary = model.exact_weights
+        u, v = model.edge_u, model.edge_v
+        self.model, self.u, self.v, self.edge_w, self.unary = model, u, v, edge_w, unary
         self.unary_total = int(unary.sum())
         rows = np.concatenate((u, v))
         by_row = np.argsort(rows, kind="stable")
@@ -589,7 +548,7 @@ class _Upper:
     def decode(self, x: np.ndarray) -> tuple[Sequence[int], float]:
         """(candidate, energy): the complement of x when its energy is
         strictly lower, else x."""
-        if not self.integer:
+        if not self.model.is_integer:
             return decode_upper(self.model, x.tolist())
         e, ebar = self.energies(x)
         return (1 - x, ebar) if ebar < e else (x, e)
@@ -624,7 +583,7 @@ class _Upper:
         x = np.asarray(cand, dtype=np.int8)
         y = self.icm(x)
         if y is not None:
-            if self.integer:
+            if self.model.is_integer:
                 e = self.energies(np.array(y, dtype=np.int8))[0]
             else:
                 e = energy(self.model, y)
@@ -657,11 +616,10 @@ def optimize(
     Stops at the first iteration where the certificate, ``certificate_of``
     at the best integer ground state, reads "optimal" (only integer-weight
     models get one), when best_upper - best_lower < tol, at max_iters, or on
-    a zero subgradient.  The model's weights are read once, exactly, by
-    ``_exact_weights``, and serve the scaling, the upper bound and ICM.
+    a zero subgradient.  The model's one exact weight reading
+    (``exact_weights``) serves the scaling, the upper bound and ICM.
     """
-    integer = model.is_integer
-    if not integer:
+    if not model.is_integer:
         warnings.warn(
             "model weights are not integers; the gap is reported but no "
             "optimality certificate will be issued",
@@ -669,11 +627,9 @@ def optimize(
         )
     pcc = build_pcc(model, embedding)
     params = init_params(model, pcc)
-    scale = int(matching_scale)
-    n, exact = model.num_nodes, _exact_weights(model, integer)
-    base = _scale_base(exact, scale)
-    num_edges = len(model.edges)
-    upper = _Upper(model, integer, exact, pcc.dual.edge_u[:num_edges], pcc.dual.edge_v[:num_edges])
+    scale, n = int(matching_scale), model.num_nodes
+    base = _scale_base(model.exact_weights, scale)
+    upper = _Upper(model)
 
     trace = BoundTrace()
     best_upper: float | None = None
@@ -703,7 +659,7 @@ def optimize(
                     factor = max(factor / 2, 0.05)
                     stalls = 0
             gap = best_upper - best_lower
-            certificate = certificate_of(model, best_gs, scale, best_upper, integer)
+            certificate = certificate_of(model, best_gs, scale, best_upper)
 
             g = subgradient(pcc, config)
             gn2 = float(g @ g)

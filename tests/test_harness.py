@@ -132,6 +132,25 @@ def test_batch_records_crashes_apart_from_nonconvergence(tmp_path):
     assert math.isnan(agg["converged_fraction"])
 
 
+def test_sequential_batch_walks_each_size_once(monkeypatch):
+    # No other test holds a 2x9 grid, so the first run walks the base and
+    # the augmented faces and the batch's hold lets the other runs reuse them.
+    import planarcc.embedding
+    import planarcc.pcc
+
+    walks = []
+    for module in (planarcc.embedding, planarcc.pcc):
+        def counted(*args, walk=module._walk):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(module, "_walk", counted)
+    specs = [InstanceSpec(2, 9, 0.5, seed, 100) for seed in range(3)]
+    summaries = batch(specs, SolverOptions(max_iters=50))
+    assert not any(s.error for s in summaries)
+    assert len(walks) == 2
+
+
 def test_import_loads_no_process_pool():
     # batch imports its executor only when it runs jobs in parallel, so the
     # start-up of every other caller does not pay for multiprocessing.

@@ -1,16 +1,23 @@
 import itertools
 import json
 import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import planarcc
 from planarcc import (
     BinaryMRF,
     SizeMismatchError,
     SymmetricIsing,
     WeightRangeError,
+    build_expanded_dual,
     complement,
+    cycle,
     energy,
+    faces,
     ising_energy,
     load_model,
     save_model,
@@ -53,6 +60,57 @@ def test_model_validation():
         BinaryMRF(3, ((0, 1, float("nan")),), (0, 0, 0), 0)
     with pytest.raises(SizeMismatchError):
         BinaryMRF(3, (), (0, 0), 0)
+    with pytest.raises(ValueError):
+        BinaryMRF(3, ((0, 1, 1, 9), (1, 2, 1)), (0, 0, 0), 0)  # not (i, j, w)
+    # A non-integer endpoint, and one past int64.
+    for end in (1.5, 2**70):
+        with pytest.raises(ValueError, match="edges must list integer endpoints"):
+            BinaryMRF(3, ((0, end, 1),), (0, 0, 0), 0)
+
+
+SINGLE_FAULTS = [
+    ("self-loop", ((0, 0, 1),), "self-loop at node 0"),
+    ("not i<j", ((1, 0, 1),), "edge (1,0) out of range or not i<j"),
+    ("past the nodes", ((0, 5, 1),), "edge (0,5) out of range or not i<j"),
+    ("negative", ((-1, 2, 1),), "edge (-1,2) out of range or not i<j"),
+    ("duplicate", ((0, 1, 1), (1, 2, 1), (0, 1, 2)), "duplicate edge (0,1)"),
+    ("non-finite", ((0, 1, 1), (1, 2, float("inf"))), "edge (1,2) has non-finite weight"),
+]
+EDGE_FORMS = {
+    "BinaryMRF": lambda edges: BinaryMRF(3, edges, (0, 0, 0), 0),
+    "SymmetricIsing": lambda edges: SymmetricIsing(3, edges),
+    # The port-graph builder's form: endpoint arrays, no weights.
+    "topology": lambda edges: build_expanded_dual(
+        tuple(np.array(ends, dtype=np.int64) for ends in list(zip(*edges))[:2]),
+        faces(cycle(3)[1]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "form, edges, message",
+    [
+        pytest.param(form, edges, message, id=f"{form}-{name}")
+        for name, edges, message in SINGLE_FAULTS
+        for form in EDGE_FORMS
+        if form != "topology" or "weight" not in message
+    ],
+)
+def test_one_edge_validator(form, edges, message):
+    with pytest.raises(ValueError) as raised:
+        EDGE_FORMS[form](edges)
+    assert str(raised.value) == message
+
+
+def test_one_int64_rule():
+    # Every int64 exactness decision goes through model._sums_fit_int64.
+    root = Path(planarcc.__file__).parent
+    holders = sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if re.search(r"2\s*\*\*\s*62", path.read_text())
+    )
+    assert holders == ["model.py"]
 
 
 def test_flip_symmetry():

@@ -27,7 +27,6 @@ from planarcc import (
 )
 from planarcc.errors import WeightRangeError
 from planarcc.harness import InstanceSpec, generate_grid_instance
-from planarcc.ising import _endpoints
 from planarcc.matching import (
     COMPILED_UNAVAILABLE,
     MAX_ABS_WEIGHT,
@@ -37,7 +36,7 @@ from planarcc.matching import (
     has_compiled_kernel,
 )
 from planarcc.oracle import brute_force_map, brute_force_map_ising
-from planarcc.pcc import _Upper, _exact_weights, _scale_base, certificate_of
+from planarcc.pcc import _Upper, _scale_base, certificate_of
 
 from conftest import random_grid_model, random_tree
 
@@ -450,12 +449,6 @@ def upper_bound_models(rng):
         )
 
 
-def upper_of(model):
-    """``model``'s ``_Upper``, from the reading ``optimize`` makes."""
-    integer = model.is_integer
-    return _Upper(model, integer, _exact_weights(model, integer), *_endpoints(model.edges))
-
-
 def test_array_upper_bound_equals_energy_exactly():
     # Every integer model gets exact energies from the arrays: int64 ones
     # on "integer" and "tie", Python ints near the weight limit.
@@ -463,7 +456,7 @@ def test_array_upper_bound_equals_energy_exactly():
     for name, model in upper_bound_models(rng):
         if not model.is_integer:
             continue
-        upper = upper_of(model)
+        upper = _Upper(model)
         n = model.num_nodes
         for trial in range(25):
             x = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.int8)
@@ -538,7 +531,7 @@ def test_exact_weights_reproduce_every_weight_and_feed_the_first_bound():
     # model's energies can reach 2**63.
     models = dict(upper_bound_models(random.Random(107)))
     for name, model in models.items():
-        den, edge_w, unary = _exact_weights(model, model.is_integer)
+        den, edge_w, unary = model.exact_weights
         weights = [*(w for (_, _, w) in model.edges), *model.unary]
         nums = edge_w.tolist() + unary.tolist()
         assert [Fraction(num, den) for num in nums] == [Fraction(w) for w in weights], name
@@ -568,7 +561,7 @@ def test_scale_base_range_checks_on_each_reading(reading, kind, constant):
 
     def scale_base(edge_w, unary, scale=1):
         model = BinaryMRF(2, ((0, 1, kind(edge_w)),), tuple(map(kind, unary)), constant)
-        exact = _exact_weights(model, model.is_integer)
+        exact = model.exact_weights
         assert exact[1].dtype == exact[2].dtype == (np.int64 if reading == "int64" else object)
         base, target = _scale_base(exact, scale)
         return base.tolist(), target.tolist()
@@ -638,7 +631,7 @@ def exact_flip_deltas(model, x):
 def test_icm_polish_is_exact_never_worse_and_a_local_minimum():
     rng = random.Random(103)
     for name, model in upper_bound_models(rng):
-        icm = upper_of(model)
+        icm = _Upper(model)
         lowered = 0
         for _ in range(10):
             config = [rng.randint(0, 1) for _ in range(model.num_nodes)]
@@ -656,7 +649,7 @@ def test_icm_polish_is_exact_never_worse_and_a_local_minimum():
         assert lowered, name
     # A gain too small for the float energy to show: the candidate stays.
     model = BinaryMRF(1, (), (-1.0,), 2.0**60)
-    icm = upper_of(model)
+    icm = _Upper(model)
     assert icm.icm(np.zeros(1, dtype=np.int8)) == [1]
     assert energy(model, (1,)) == energy(model, (0,))
     assert icm.polish((0,), 2.0**60) == ((0,), 2.0**60)
@@ -824,6 +817,41 @@ def test_numpy_float_weights_run_as_the_python_floats_they_equal():
         ))
     assert runs[0] == runs[1]
     assert all(type(x) is float for x in (runs[0][0][0], *runs[0][1:3]))
+
+
+def numpy_int_grid_models(cast):
+    """A 3x3 model and its unary-free part, every weight passed through
+    ``cast``."""
+    edges, emb = grid(3, 3)
+    rng = random.Random(29)
+    theta = tuple((i, j, cast(rng.randint(-9, 9))) for (i, j) in edges)
+    unary = tuple(cast(rng.randint(-9, 9)) for _ in range(9))
+    return BinaryMRF(9, theta, unary, cast(-3)), SymmetricIsing(9, theta), emb
+
+
+def test_numpy_integer_weights_run_as_the_python_ints_they_equal():
+    runs = []
+    for cast in (np.int64, int):
+        model, _, emb = numpy_int_grid_models(cast)
+        assert model.is_integer
+        assert {type(w) for w in (*model.unary, *(w for (_, _, w) in model.edges))} == {int}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize(model, emb, max_iters=200)
+        assert res.certificate == "optimal"
+        runs.append((res.best_assignment, res.best_upper, res.best_lower, res.iterations))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == brute_force_map(model).energy
+
+
+def test_ground_state_reads_numpy_integer_weights():
+    states = []
+    for cast in (np.int64, int):
+        _, ising, emb = numpy_int_grid_models(cast)
+        assert ising.is_integer
+        states.append(ground_state(ising, emb))
+    assert states[0] == states[1]
+    assert states[0].energy == brute_force_map_ising(ising).energy
 
 
 def test_trace_csv_format_and_determinism(tmp_path):
